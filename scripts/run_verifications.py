@@ -43,7 +43,8 @@ def main(argv: list[str] | None = None) -> int:
         for claim, reps in by_claim.items():
             failed = [r for r in reps if not r.passed]
             status = "ok" if not failed else f"{len(failed)} FAILED"
-            print(f"{claim:<28} {len(reps):>4} runs  {status}")
+            seconds = sum(r.elapsed_seconds for r in reps)
+            print(f"{claim:<28} {len(reps):>4} runs {seconds:>8.2f}s  {status}")
             for rep in failed:
                 print(f"    {rep.group}: {rep.counterexamples[:3]}")
         print(f"total: {len(reports)} reports in {elapsed:.1f}s")

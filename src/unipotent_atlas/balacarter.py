@@ -14,12 +14,14 @@ distinguished remainder into Richardson pieces.  A class is "extra" when
 that splitting is proper, i.e. the remainder itself is not a Richardson
 class; labels render the GL blocks as A-tokens and each Richardson piece as
 a B/C/D token, with (a_j) notation when the piece's Levi has only rank-1
-simple factors and a marked-diagram fallback otherwise.
+simple factors and a marked-diagram fallback otherwise.  All four read
+one ClassAnalysis of the class, which analyse builds once per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
@@ -164,12 +166,7 @@ def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
 
 def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
     """The preimage of C under psi1 with the maximal number of GL factors."""
-    G = C.group
-    if G.family is Family.GL:
-        return RegularSubgroupDescriptor(C.lam, ())
-    alpha, beta, _ = minimal_levi(C)
-    full = G.p2 and G.family is Family.SO
-    return RegularSubgroupDescriptor(alpha, tuple((m, full) for m in beta.parts))
+    return analyse(C).phi1()
 
 
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
@@ -186,27 +183,86 @@ def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
 
 def phi2(C: ClassParam) -> ParabolicProduct:
     """The canonical parabolic product mapping to C under psi2."""
-    G = C.group
-    if G.family is Family.GL:
-        return ParabolicProduct(C.lam, ())
-    alpha, beta, _ = minimal_levi(C)
-    if not beta:
-        return ParabolicProduct(alpha, ())
-    dec = decompose(beta, G)
-    descs = []
-    for piece in dec.nonzero_pieces():
-        descs.append(parabolic_from_blocks(G.classical_factor(piece.total), piece))
-    return ParabolicProduct(alpha, tuple(descs))
+    return analyse(C).phi2()
 
 
 def is_extra_class(C: ClassParam) -> bool:
     """Whether the minimal-Levi remainder is not itself a Richardson class."""
-    if C.group.family is Family.GL:
-        return False
-    _, beta, _ = minimal_levi(C)
-    if not beta:
-        return False
-    return decompose(beta, C.group).beta1 != beta
+    return analyse(C).is_extra()
+
+
+# -- one analysis per class ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassAnalysis:
+    """A class read through its minimal Levi: GL block sizes alpha and the
+    distinguished remainder beta, then, on first use, beta's Richardson
+    pieces and the parabolic descriptor of each piece (inverted once).
+
+    phi1, phi2, is_extra_class and label each read their answer from an
+    analysis; a caller that needs several of them builds one with analyse.
+    """
+
+    group: GroupSpec
+    alpha: Partition
+    beta: Partition
+    _descriptors: dict[int, ParabolicDescriptor] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def pieces(self) -> tuple[Partition, ...]:
+        """The nonzero Richardson pieces of beta (none when beta is empty)."""
+        return decompose(self.beta, self.group).nonzero_pieces() if self.beta else ()
+
+    def descriptor(self, i: int) -> ParabolicDescriptor:
+        """The distinguished parabolic whose Richardson class is piece i."""
+        if i not in self._descriptors:
+            piece = self.pieces[i]
+            self._descriptors[i] = parabolic_from_blocks(
+                self.group.classical_factor(piece.total), piece
+            )
+        return self._descriptors[i]
+
+    def phi1(self) -> RegularSubgroupDescriptor:
+        full = self.group.p2 and self.group.family is Family.SO
+        return RegularSubgroupDescriptor(self.alpha, tuple((m, full) for m in self.beta.parts))
+
+    def phi2(self) -> ParabolicProduct:
+        return ParabolicProduct(
+            self.alpha, tuple(self.descriptor(i) for i in range(len(self.pieces)))
+        )
+
+    def is_extra(self) -> bool:
+        # the first piece always exists for a nonempty beta, and is beta itself
+        # exactly when the splitting is trivial
+        return len(self.pieces) > 1
+
+    def label(self) -> str:
+        tokens = [f"A{p - 1}" for p in self.alpha.parts if p >= 2]
+        classical = [t for t in map(self._piece_token, range(len(self.pieces))) if t]
+        classical.sort(key=lambda t: (-t[0], t[1]))
+        tokens.extend(token for _, token in classical)
+        return "".join(tokens) or "0"
+
+    def _piece_token(self, i: int) -> tuple[int, str] | None:
+        """(rank, B/C/D token) of piece i; None for a rank-0 piece."""
+        letter, rank = _factor_type(self.group, self.pieces[i].total)
+        if rank == 0:
+            return None
+        P = self.descriptor(i)
+        if P.is_borel():
+            return rank, f"{letter}{rank}"
+        if P.max_simple_factor_rank() <= 1:
+            return rank, f"{letter}{rank}(a{P.semisimple_rank()})"
+        return rank, f"{letter}{rank}[{diagram_string(P)}]"
+
+
+def analyse(C: ClassParam) -> ClassAnalysis:
+    """The analysis of C (gl, sp, or so) through its minimal Levi."""
+    alpha, beta, _ = minimal_levi(C)
+    return ClassAnalysis(C.group, alpha, beta)
 
 
 # -- labels and diagrams -------------------------------------------------------------
@@ -235,38 +291,11 @@ def diagram_string(P: ParabolicDescriptor) -> str:
     return " ".join(chunks)
 
 
-def _piece_token(G: GroupSpec, piece: Partition) -> str | None:
-    letter, rank = _factor_type(G, piece.total)
-    if rank == 0:
-        return None
-    P = parabolic_from_blocks(G.classical_factor(piece.total), piece)
-    if P.is_borel():
-        return f"{letter}{rank}"
-    if P.max_simple_factor_rank() <= 1:
-        return f"{letter}{rank}(a{P.semisimple_rank()})"
-    return f"{letter}{rank}[{diagram_string(P)}]"
-
-
 def label(C: ClassParam) -> str:
     """Compound label: A-tokens for the GL blocks, then one token per
     Richardson piece, ordered by decreasing rank.  The identity-like empty
     label is rendered "0"."""
-    G = C.group
-    if G.family is Family.GL:
-        tokens = [f"A{p - 1}" for p in C.lam.parts if p >= 2]
-        return "".join(tokens) or "0"
-    alpha, beta, _ = minimal_levi(C)
-    tokens = [f"A{p - 1}" for p in alpha.parts if p >= 2]
-    classical: list[tuple[int, str]] = []
-    if beta:
-        for piece in decompose(beta, G).nonzero_pieces():
-            token = _piece_token(G, piece)
-            if token is not None:
-                rank = _factor_type(G, piece.total)[1]
-                classical.append((rank, token))
-    classical.sort(key=lambda item: (-item[0], item[1]))
-    tokens.extend(token for _, token in classical)
-    return "".join(tokens) or "0"
+    return analyse(C).label()
 
 
 def o_not_so_conjugate(C1: ClassParam, C2: ClassParam) -> bool:

@@ -9,7 +9,7 @@ anyway so the data model is uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
@@ -172,9 +172,6 @@ class ClassParam:
                 raise InputError(f"split tag must be 'I' or 'II', got {self.split_tag!r}")
             if self.group.family is not Family.SO or not splits_in_so(self.lam, self.eps, self.group.char):
                 raise InputError("split tag on a class that does not split in SO")
-
-    def untagged(self) -> ClassParam:
-        return self if self.split_tag is None else replace(self, split_tag=None)
 
     def same_class(self, other: ClassParam) -> bool:
         """Equality of the (group, blocks, eps) data, ignoring split tags."""

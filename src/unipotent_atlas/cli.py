@@ -8,7 +8,7 @@ import io
 import json
 import sys
 
-from .balacarter import diagram_string, is_extra_class, label, phi1, phi2
+from .balacarter import analyse, diagram_string
 from .classes import (
     Char,
     ClassParam,
@@ -32,7 +32,7 @@ from .oracle import (
     verify_surjectivity,
     _group_sweep,
 )
-from .partitions import Partition, iter_partitions
+from .partitions import Partition
 from .richardson import (
     ParabolicDescriptor,
     enumerate_distinguished_parabolics,
@@ -108,6 +108,7 @@ def _plain(value) -> str:
 
 
 def _class_row(C: ClassParam, full: bool) -> dict:
+    """One classes row; with full, phi1 and phi2 are the JSON payloads."""
     G = C.group
     row = {
         "lambda": str(C.lam),
@@ -120,22 +121,15 @@ def _class_row(C: ClassParam, full: bool) -> dict:
     inner = C if G.family is not Family.O else ClassParam(
         GroupSpec(Family.SO, G.dim, G.char), C.lam, C.eps
     )
-    row["extra"] = is_extra_class(inner)
-    row["label"] = label(inner)
-    X = phi1(inner)
-    P = phi2(inner)
-    row["phi1"] = X.describe()
-    pieces = []
-    if inner.group.family is not Family.GL:
-        from .classes import minimal_levi
-
-        _, beta, _ = minimal_levi(inner)
-        if beta:
-            pieces = [str(p) for p in decompose(beta, inner.group).nonzero_pieces()]
-    row["phi2"] = "(" + ")(".join(pieces) + ")" if pieces else "-"
+    a = analyse(inner)
+    row["extra"] = a.is_extra()
+    row["label"] = a.label()
     if full:
-        row["phi1_json"] = _phi1_json(X)
-        row["phi2_json"] = _phi2_json(P)
+        row["phi1"] = _phi1_json(a.phi1())
+        row["phi2"] = _phi2_json(a.phi2())
+    else:
+        row["phi1"] = a.phi1().describe()
+        row["phi2"] = "(" + ")(".join(map(str, a.pieces)) + ")" if a.pieces else "-"
     return row
 
 
@@ -169,8 +163,8 @@ def cmd_classes(args) -> int:
                 **C.to_json(),
                 "extra": row["extra"],
                 "label": row["label"],
-                "phi1": row.get("phi1_json"),
-                "phi2": row.get("phi2_json"),
+                "phi1": row["phi1"],
+                "phi2": row["phi2"],
             }
         rows.append(row)
     meta = {"group": G.describe(), "count": len(rows)}
@@ -216,7 +210,10 @@ def _parse_levi(text: str, G: GroupSpec) -> ParabolicDescriptor:
         key, _, value = m0_text.partition("=")
         if key.strip() != "m0":
             raise InputError(f"expected 'm0=<k>' after ';', got {m0_text!r}")
-        m0 = int(value)
+        try:
+            m0 = int(value)
+        except ValueError:
+            raise InputError(f"remainder rank m0 must be an integer, got {value.strip()!r}") from None
     blocks = Partition.parse(blocks_text) if blocks_text.strip() not in ("", "0") else Partition()
     c = [0] * (blocks.parts[0] if blocks else 0)
     for p in blocks.parts:
@@ -272,18 +269,19 @@ def cmd_label(args) -> int:
     lam = Partition.parse(args.blocks)
     eps = _resolve_eps(G, lam, args.eps)
     C = ClassParam(G, lam, eps)
+    a = analyse(C)
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             **C.to_json(),
-            "label": label(C),
-            "extra": is_extra_class(C),
-            "phi1": _phi1_json(phi1(C)),
-            "phi2": _phi2_json(phi2(C)),
+            "label": a.label(),
+            "extra": a.is_extra(),
+            "phi1": _phi1_json(a.phi1()),
+            "phi2": _phi2_json(a.phi2()),
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(label(C))
+        print(a.label())
     return 0
 
 
@@ -375,28 +373,29 @@ def cmd_tables(args) -> int:
             _emit_table(rows, ["levi", "descriptor", "blocks", "eps"], args.format, "rows",
                         {"table": 2, "group": G.describe()})
         else:
-            rows = [
-                {"blocks": str(Partition(p))}
-                for p in iter_partitions(G.dim)
-                if in_richardson_image(G, Partition(p))
-            ]
+            # the image of table 2's map, at one forward evaluation per
+            # descriptor; sorted decreasing, as the partitions are enumerated
+            image = {
+                richardson_jordan_blocks(P)[0]
+                for P in enumerate_distinguished_parabolics(G, max_rank=G.rank)
+            }
+            rows = [{"blocks": str(lam)} for lam in sorted(image, reverse=True)]
             _emit_table(rows, ["blocks"], args.format, "rows", {"table": 3, "group": G.describe()})
         return 0
     # table 4: the five extra classes of SO_16 at p=2
     G = GroupSpec(Family.SO, 16, Char.TWO)
     rows = []
     for C in enumerate_classes(G):
-        if C.split_tag == "II" or not is_extra_class(C):
+        if C.split_tag == "II":
             continue
-        from .classes import minimal_levi
-
-        _, beta, _ = minimal_levi(C)
-        dec = decompose(beta, G)
-        pieces = " + ".join(str(p) for p in dec.nonzero_pieces())
+        a = analyse(C)
+        if not a.is_extra():
+            continue
+        pieces = " + ".join(str(p) for p in a.pieces)
         rows.append({
             "blocks": str(C.lam),
-            "decomposition": f"{beta} = {pieces}",
-            "label": label(C),
+            "decomposition": f"{a.beta} = {pieces}",
+            "label": a.label(),
         })
     _emit_table(rows, ["blocks", "decomposition", "label"], args.format, "rows",
                 {"table": 4, "group": G.describe()})

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from unipotent_atlas.cli import main
+from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
+from unipotent_atlas.classes import Family, enumerate_classes, minimal_levi
+from unipotent_atlas.cli import SCHEMA, _phi1_json, _phi2_json, main
+from unipotent_atlas.decomp import decompose
+from unipotent_atlas.oracle import _group_sweep
+from unipotent_atlas.partitions import Partition, iter_partitions
+from unipotent_atlas.richardson import in_richardson_image
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +120,15 @@ def test_richardson_forward_and_invert(capsys):
     assert code == 2 and "not the Richardson class" in err
 
 
+def test_richardson_levi_with_non_integer_m0_is_an_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "richardson", "--group", "so", "--dim", "8", "--char", "2",
+        "--levi", "1^3,2;m0=x",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'x'" in err
+
+
 def test_label_command(capsys):
     code, out, _ = run_cli(
         capsys, "label", "--group", "so", "--dim", "16", "--char", "2",
@@ -173,3 +188,60 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "classes", "--group", "so", "--dim", "-3")
     assert code == 2
     assert "error" in err
+
+
+def _group_argv(G):
+    return ["--group", G.family.value, "--dim", str(G.dim), "--char", G.char.value]
+
+
+def test_table_3_matches_the_partition_scan(capsys):
+    # reference: the scan of every partition of the dimension through the
+    # image test, which table 3 was built from before it became the forward
+    # image of table 2's descriptors
+    for G in _group_sweep(24):
+        code, out, _ = run_cli(capsys, "--format", "json", "tables", "3", *_group_argv(G))
+        rows = [
+            {"blocks": str(Partition(p))}
+            for p in iter_partitions(G.dim)
+            if in_richardson_image(G, Partition(p))
+        ]
+        doc = {"schema": SCHEMA, "table": 3, "group": G.describe(), "rows": rows}
+        assert code == 0
+        assert out == json.dumps(doc, indent=2) + "\n", G.describe()
+
+
+def test_classes_rows_match_the_separate_public_calls(capsys):
+    # reference: every field computed by its own call, each analysing the
+    # class afresh, as the classes command did before it shared one analysis
+    for G in _group_sweep(16):
+        code, out, _ = run_cli(capsys, "--format", "json", "classes", *_group_argv(G))
+        assert code == 0
+        want = [
+            {
+                **C.to_json(),
+                "extra": is_extra_class(C),
+                "label": label(C),
+                "phi1": _phi1_json(phi1(C)),
+                "phi2": _phi2_json(phi2(C)),
+            }
+            for C in enumerate_classes(G)
+        ]
+        assert json.loads(out)["classes"] == want, G.describe()
+
+
+def test_classes_csv_factor_columns_match_minimal_levi_and_decompose(capsys):
+    for G in _group_sweep(12):
+        code, out, _ = run_cli(capsys, "--format", "csv", "classes", *_group_argv(G))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        classes = enumerate_classes(G)
+        assert len(rows) == len(classes)
+        for row, C in zip(rows, classes):
+            pieces = []
+            if G.family is not Family.GL:
+                _, beta, _ = minimal_levi(C)
+                if beta:
+                    pieces = [str(p) for p in decompose(beta, G).nonzero_pieces()]
+            assert row["phi2"] == ("(" + ")(".join(pieces) + ")" if pieces else "-")
+            assert row["phi1"] == phi1(C).describe()
+            assert row["label"] == label(C)
