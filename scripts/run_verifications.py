@@ -11,7 +11,28 @@ import argparse
 import sys
 import time
 
+from unipotent_atlas.cli import stdout_closed
 from unipotent_atlas.oracle import run_all
+
+
+def print_summary(reports, elapsed: float) -> None:
+    """One line per claim (runs, objects checked, seconds, status), then the
+    failed reports and the groups a claim passed without checking anything."""
+    by_claim: dict[str, list] = {}
+    for rep in reports:
+        by_claim.setdefault(rep.claim, []).append(rep)
+    for claim, reps in by_claim.items():
+        failed = [r for r in reps if not r.passed]
+        status = "ok" if not failed else f"{len(failed)} FAILED"
+        checked = sum(r.checked for r in reps)
+        seconds = sum(r.elapsed_seconds for r in reps)
+        print(f"{claim:<28} {len(reps):>4} runs {checked:>8} checked {seconds:>8.2f}s  {status}")
+        for rep in failed:
+            print(f"    {rep.group}: {rep.counterexamples[:3]}")
+        vacuous = [r.group or "-" for r in reps if r.checked == 0]
+        if vacuous:
+            print(f"    checked 0: {', '.join(vacuous)}")
+    print(f"total: {len(reports)} reports in {elapsed:.1f}s")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,22 +54,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    if args.jsonl:
-        for rep in reports:
-            print(rep.to_json_line())
-    else:
-        by_claim: dict[str, list] = {}
-        for rep in reports:
-            by_claim.setdefault(rep.claim, []).append(rep)
-        for claim, reps in by_claim.items():
-            failed = [r for r in reps if not r.passed]
-            status = "ok" if not failed else f"{len(failed)} FAILED"
-            seconds = sum(r.elapsed_seconds for r in reps)
-            print(f"{claim:<28} {len(reps):>4} runs {seconds:>8.2f}s  {status}")
-            for rep in failed:
-                print(f"    {rep.group}: {rep.counterexamples[:3]}")
-        print(f"total: {len(reports)} reports in {elapsed:.1f}s")
-
+    try:
+        if args.jsonl:
+            for rep in reports:
+                print(rep.to_json_line())
+        else:
+            print_summary(reports, elapsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return stdout_closed()
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -203,10 +203,10 @@ class ClassParam:
 # -- validity -----------------------------------------------------------------
 
 
-def _lambda_admissible(G: GroupSpec, lam: Partition) -> bool:
+def _lambda_admissible(G: GroupSpec, lam: Partition, mults: dict[int, int]) -> bool:
+    """The family's parity rules on lam, whose multiplicities are mults."""
     if G.family is Family.GL:
         return True
-    mults = lam.multiplicities()
     if G.is_orthogonal and not G.p2:
         # good characteristic, orthogonal: every even part has even multiplicity
         if any(x % 2 == 0 and m % 2 != 0 for x, m in mults.items()):
@@ -245,29 +245,29 @@ def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
     """
     if lam.total != G.dim:
         raise InputError(f"partition of {lam.total} does not match dimension {G.dim}")
-    if eps.domain != frozenset(lam.values()):
+    mults = lam.multiplicities()
+    eps_of = eps.as_dict()
+    if eps_of.keys() != mults.keys():
         raise InputError(
-            f"epsilon domain {sorted(eps.domain)} does not match part values {sorted(set(lam.values()))}"
+            f"epsilon domain {sorted(eps_of)} does not match part values {sorted(mults)}"
         )
-    if not _lambda_admissible(G, lam):
+    if not _lambda_admissible(G, lam, mults):
         return False
     if G.family is Family.GL:
-        return all(v == 0 for _, v in eps.items)
-    mults = lam.multiplicities()
+        return all(v == 0 for v in eps_of.values())
+    if not G.p2:
+        delta = G.delta
+        return all(eps_of[x] == (delta if x % 2 == 0 else -delta) for x in mults)
     for x, m in mults.items():
-        v = eps[x]
-        if not G.p2:
-            want = G.delta if x % 2 == 0 else -G.delta
-            if v != want:
+        v = eps_of[x]
+        if x % 2 == 1:
+            if v != -1:
                 return False
-        else:
-            if x % 2 == 1 and v != -1:
+        elif m % 2 == 1:
+            if v != 1:
                 return False
-            if x % 2 == 0:
-                if m % 2 == 1 and v != 1:
-                    return False
-                if m % 2 == 0 and v not in (0, 1):
-                    return False
+        elif v not in (0, 1):
+            return False
     return True
 
 
@@ -331,7 +331,7 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
     out: list[ClassParam] = []
     for parts in iter_partitions(G.dim):
         lam = Partition(parts)
-        if not _lambda_admissible(G, lam):
+        if not _lambda_admissible(G, lam, lam.multiplicities()):
             continue
         for eps in _eps_choices(G, lam):
             if G.family is Family.SO and splits_in_so(lam, eps, G.char):

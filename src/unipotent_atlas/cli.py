@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .balacarter import analyse, diagram_string
@@ -22,15 +23,14 @@ from .classes import (
 from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
 from .oracle import (
-    VerificationReport,
-    count_extra_classes,
+    group_sweep,
     run_all,
+    verify_extra_count,
     verify_minimal_levi,
     verify_proposition,
     verify_psi2_restricted_injective,
     verify_right_inverse,
     verify_surjectivity,
-    _group_sweep,
 )
 from .partitions import Partition
 from .richardson import (
@@ -43,6 +43,19 @@ from .richardson import (
 )
 
 SCHEMA = "unipotent-atlas/v1"
+
+#: Exit status after the reader closed stdout: 128 + SIGPIPE, as a shell
+#: reports a process that signal ended.
+EXIT_STDOUT_CLOSED = 141
+
+
+def stdout_closed() -> int:
+    """Handle a BrokenPipeError on stdout: point stdout at the null device, so
+    the flush at interpreter exit cannot fail again, and return the status."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_STDOUT_CLOSED
 
 
 def _group_from_args(args) -> GroupSpec:
@@ -295,19 +308,9 @@ def cmd_verify(args) -> int:
         reports = [verify_proposition(args.max_beta)]
     elif args.claim == "extra-counts":
         for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5)):
-            G = GroupSpec(Family.SO, dim, Char.TWO)
-            got = count_extra_classes(G)
-            reports.append(
-                VerificationReport(
-                    claim="extra-count",
-                    group=G.describe(),
-                    bound=dim,
-                    outcome="pass" if got == want else "fail",
-                    counterexamples=[] if got == want else [f"counted {got}, expected {want}"],
-                )
-            )
+            reports.append(verify_extra_count(GroupSpec(Family.SO, dim, Char.TWO), want))
     else:
-        for G in _group_sweep(max_dim):
+        for G in group_sweep(max_dim):
             if args.claim == "psi1-surjective":
                 reports.append(verify_surjectivity(G, "psi1"))
             elif args.claim == "psi2-surjective":
@@ -484,7 +487,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return stdout_closed()
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

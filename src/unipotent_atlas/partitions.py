@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Iterator
 
 from .errors import InputError
@@ -26,7 +25,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted((int(p) for p in self.parts), reverse=True))
+        parts = tuple(sorted(map(int, self.parts), reverse=True))
         if parts and parts[-1] < 1:
             raise InputError(f"partition parts must be positive integers, got {self.parts!r}")
         object.__setattr__(self, "parts", parts)
@@ -61,11 +60,10 @@ class Partition:
     def __str__(self) -> str:
         if not self.parts:
             return "0"
-        chunks = []
-        for value, run in groupby(self.parts):
-            mult = len(list(run))
-            chunks.append(f"{value}^{mult}" if mult > 1 else f"{value}")
-        return ",".join(chunks)
+        return ",".join(
+            f"{value}^{mult}" if mult > 1 else f"{value}"
+            for value, mult in self.multiplicities().items()
+        )
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
@@ -97,7 +95,10 @@ class Partition:
 
     def multiplicities(self) -> dict[int, int]:
         """Mapping value -> multiplicity, keys in decreasing order."""
-        return {value: len(list(run)) for value, run in groupby(self.parts)}
+        out: dict[int, int] = {}
+        for p in self.parts:
+            out[p] = out.get(p, 0) + 1
+        return out
 
     def values(self) -> tuple[int, ...]:
         """Distinct part values in decreasing order."""

@@ -29,12 +29,12 @@ from unipotent_atlas.cli import main as cli_main
 from unipotent_atlas.decomp import decompose, render_trace
 from unipotent_atlas.oracle import (
     count_extra_classes,
+    group_sweep,
     psi1_image,
     so_connected_only_psi1_image,
     verify_proposition,
     verify_psi2_restricted_injective,
     verify_surjectivity,
-    _group_sweep,
 )
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import (
@@ -161,7 +161,7 @@ def test_criterion_4_witness_class_of_so16():
 
 def test_criterion_5_theorem_battery_dim_16():
     with budget("criterion 5 (exhaustive map properties, dim <= 16)", 120.0):
-        for G in _group_sweep(16):
+        for G in group_sweep(16):
             assert verify_surjectivity(G, "psi1").passed, G.describe()
             assert verify_surjectivity(G, "psi2").passed, G.describe()
             assert verify_psi2_restricted_injective(G).passed, G.describe()
@@ -169,7 +169,7 @@ def test_criterion_5_theorem_battery_dim_16():
                 assert psi1(phi1(C), G).same_class(C)
                 assert psi2(phi2(C), G).same_class(C)
         # the block-table map is injective with image exactly the table rows
-        for G in _group_sweep(16):
+        for G in group_sweep(16):
             if G.family is Family.SO and G.dim < 2:
                 continue
             descs = enumerate_distinguished_parabolics(G)
@@ -196,7 +196,7 @@ def test_criterion_6_decomposition_proposition_suite():
 
 def test_criterion_7_round_trip_and_splitting():
     with budget("criterion 7 (round trip and split pairs)", 120.0):
-        for G in _group_sweep(24):
+        for G in group_sweep(24):
             for C in enumerate_classes(G):
                 alpha, beta, eps_beta = minimal_levi(C)
                 assert combine(alpha, beta, eps_beta, G).same_class(C)

@@ -250,9 +250,9 @@ def test_o_not_so_conjugate():
 
 
 def test_right_inverse_laws_exhaustive_dim_24():
-    from unipotent_atlas.oracle import _group_sweep
+    from unipotent_atlas.oracle import group_sweep
 
-    for G in _group_sweep(24):
+    for G in group_sweep(24):
         for C in enumerate_classes(G):
             assert psi1(phi1(C), G).same_class(C), (G.describe(), str(C.lam))
             assert psi2(phi2(C), G).same_class(C), (G.describe(), str(C.lam))

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
 from unipotent_atlas.classes import Family, enumerate_classes, minimal_levi
 from unipotent_atlas.cli import SCHEMA, _phi1_json, _phi2_json, main
 from unipotent_atlas.decomp import decompose
-from unipotent_atlas.oracle import _group_sweep
+from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import in_richardson_image
 
@@ -162,6 +166,13 @@ def test_verify_extra_counts_jsonl(capsys):
     assert all(line["schema"] == "unipotent-atlas/v1" for line in lines)
 
 
+def test_verify_extra_counts_are_timed_and_counted(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claim", "extra-counts")
+    assert code == 0
+    for line in map(json.loads, out.splitlines()):
+        assert line["elapsed_seconds"] > 0 and line["checked"] > 0, line
+
+
 def test_verify_single_claim_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "proposition", "--max-beta", "16")
     assert code == 0
@@ -198,7 +209,7 @@ def test_table_3_matches_the_partition_scan(capsys):
     # reference: the scan of every partition of the dimension through the
     # image test, which table 3 was built from before it became the forward
     # image of table 2's descriptors
-    for G in _group_sweep(24):
+    for G in group_sweep(24):
         code, out, _ = run_cli(capsys, "--format", "json", "tables", "3", *_group_argv(G))
         rows = [
             {"blocks": str(Partition(p))}
@@ -213,7 +224,7 @@ def test_table_3_matches_the_partition_scan(capsys):
 def test_classes_rows_match_the_separate_public_calls(capsys):
     # reference: every field computed by its own call, each analysing the
     # class afresh, as the classes command did before it shared one analysis
-    for G in _group_sweep(16):
+    for G in group_sweep(16):
         code, out, _ = run_cli(capsys, "--format", "json", "classes", *_group_argv(G))
         assert code == 0
         want = [
@@ -230,7 +241,7 @@ def test_classes_rows_match_the_separate_public_calls(capsys):
 
 
 def test_classes_csv_factor_columns_match_minimal_levi_and_decompose(capsys):
-    for G in _group_sweep(12):
+    for G in group_sweep(12):
         code, out, _ = run_cli(capsys, "--format", "csv", "classes", *_group_argv(G))
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -245,3 +256,39 @@ def test_classes_csv_factor_columns_match_minimal_levi_and_decompose(capsys):
             assert row["phi2"] == ("(" + ")(".join(pieces) + ")" if pieces else "-")
             assert row["phi1"] == phi1(C).describe()
             assert row["label"] == label(C)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_with_stdout_closed(*argv):
+    """Run python with argv, its stdout a pipe whose reader is already gone;
+    return the exit status and everything written to stderr."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+def test_cli_exits_quietly_when_stdout_closes():
+    code, err = run_with_stdout_closed(
+        "-m", "unipotent_atlas", "--format", "json", "classes", "--group", "so", "--dim", "20",
+        "--char", "2",
+    )
+    assert (code, err) == (141, "")
+
+
+def test_verification_script_exits_quietly_when_stdout_closes():
+    code, err = run_with_stdout_closed(
+        "scripts/run_verifications.py", "--jsonl", "--max-dim", "6",
+        "--surjectivity-max-dim", "4", "--max-beta", "8",
+    )
+    assert (code, err) == (141, "")

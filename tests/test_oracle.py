@@ -1,16 +1,20 @@
 """Verifier tests: report plumbing plus passing runs at modest bounds."""
 
 import json
+import time
 
 import pytest
 
-from unipotent_atlas.classes import Char, Family, GroupSpec
+from unipotent_atlas import balacarter
+from unipotent_atlas.classes import Char, Family, GroupSpec, distinguished_eps, enumerate_classes
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import (
     VerificationReport,
     count_extra_classes,
+    group_sweep,
     iter_admissible_beta,
     psi1_image,
+    run_all,
     so_connected_only_psi1_image,
     verify_minimal_levi,
     verify_proposition,
@@ -26,6 +30,7 @@ def test_report_invariants():
     assert rep.passed
     line = json.loads(rep.to_json_line())
     assert line["schema"] == "unipotent-atlas/v1"
+    assert line["checked"] == 0
     with pytest.raises(InputError):
         VerificationReport("demo", None, 4, "fail")
     rep = VerificationReport("demo", None, 4, "fail", ["bad input"])
@@ -88,9 +93,9 @@ def test_extra_class_counts():
 
 
 def test_minimal_levi_verifier_sweep_dim_16():
-    from unipotent_atlas.oracle import _group_sweep
+    from unipotent_atlas.oracle import group_sweep
 
-    for G in _group_sweep(16):
+    for G in group_sweep(16):
         rep = verify_minimal_levi(G)
         assert rep.passed, (G.describe(), rep.counterexamples[:3])
 
@@ -101,3 +106,64 @@ def test_connected_only_image_misses_the_witness_class():
     witness = (lam.parts, ((6, 1), (4, 1), (2, 1)))
     assert witness not in so_connected_only_psi1_image(G)
     assert witness in psi1_image(G)
+
+
+def _rows(reports):
+    return [(r.claim, r.group, r.outcome, r.counterexamples, r.checked) for r in reports]
+
+
+def _separate_battery(max_dim, surjectivity_max_dim, beta_bound):
+    """run_all's reports, each from its public verifier."""
+    reports = []
+    for G in group_sweep(surjectivity_max_dim):
+        reports.append(verify_surjectivity(G, "psi1"))
+        reports.append(verify_surjectivity(G, "psi2"))
+        reports.append(verify_psi2_restricted_injective(G))
+    for G in group_sweep(max_dim):
+        reports.append(verify_right_inverse(G, "phi1"))
+        reports.append(verify_right_inverse(G, "phi2"))
+        reports.append(verify_minimal_levi(G))
+    reports.append(verify_proposition(beta_bound))
+    return reports
+
+
+def test_battery_matches_the_separate_verifiers():
+    t0 = time.perf_counter()
+    battery = run_all(12, 10, 20)
+    wall = time.perf_counter() - t0
+    assert _rows(battery) == _rows(_separate_battery(12, 10, 20))
+    assert all(r.passed for r in battery)
+    # the shared enumeration and analyses are timed in the reports
+    assert sum(r.elapsed_seconds for r in battery) >= 0.9 * wall
+
+
+def test_checked_counts_mark_the_vacuous_gl_minimal_levi_pass():
+    for rep in run_all(6, 4, 8):
+        vacuous = rep.claim == "minimal-levi" and rep.group.startswith("GL")
+        assert (rep.checked == 0) == vacuous, (rep.claim, rep.group)
+    G = GroupSpec(Family.SO, 8, Char.TWO)
+    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
+    assert verify_minimal_levi(G).checked == len(untagged) == 10
+
+
+def test_battery_reports_a_wrong_minimal_levi_split(monkeypatch):
+    real = balacarter.minimal_levi
+
+    def wrong(C):
+        # move a doubled remainder part back into the GL blocks: same blocks,
+        # but not the split the classification prescribes
+        alpha, beta, eps_beta = real(C)
+        doubled = [x for x, m in beta.multiplicities().items() if m == 2]
+        if not doubled:
+            return alpha, beta, eps_beta
+        x = doubled[0]
+        beta = Partition(tuple(p for p in beta.parts if p != x))
+        return alpha + Partition((x,)), beta, distinguished_eps(C.group, beta)
+
+    monkeypatch.setattr(balacarter, "minimal_levi", wrong)
+    battery = run_all(8, 4, 8)
+    failed = {r.claim for r in battery if not r.passed}
+    assert {"minimal-levi", "phi1-right-inverse", "phi2-right-inverse"} <= failed
+    levi = [c for r in battery if r.claim == "minimal-levi" for c in r.counterexamples]
+    assert any("vs brute force" in c for c in levi) and any("not phi1" in c for c in levi)
+    assert _rows(battery) == _rows(_separate_battery(8, 4, 8))
