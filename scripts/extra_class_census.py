@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from unipotent_atlas.balacarter import is_extra_class, label
+from unipotent_atlas.balacarter import analyse
 from unipotent_atlas.classes import Char, Family, GroupSpec, enumerate_classes
-from unipotent_atlas.oracle import count_extra_classes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -30,12 +29,12 @@ def main(argv: list[str] | None = None) -> int:
             specs.append(GroupSpec(Family.SP, dim, Char.TWO))
         for G in specs:
             classes = enumerate_classes(G)
-            extra = count_extra_classes(G)
-            print(f"{G.describe():<12} {len(classes):>8} {extra:>6}")
-            if args.list_classes and extra:
-                for C in classes:
-                    if C.split_tag != "II" and is_extra_class(C):
-                        print(f"    {str(C.lam):<16} eps {str(C.eps):<20} {label(C)}")
+            analysed = ((C, analyse(C)) for C in classes if C.split_tag != "II")
+            extras = [(C, a) for C, a in analysed if a.is_extra()]
+            print(f"{G.describe():<12} {len(classes):>8} {len(extras):>6}")
+            if args.list_classes:
+                for C, a in extras:
+                    print(f"    {str(C.lam):<16} eps {str(C.eps):<20} {a.label()}")
     return 0
 
 

@@ -11,7 +11,8 @@ import argparse
 import sys
 import time
 
-from unipotent_atlas.cli import stdout_closed
+from unipotent_atlas.cli import internal_error, stdout_closed
+from unipotent_atlas.errors import InputError, ResourceLimitError
 from unipotent_atlas.oracle import run_all
 
 
@@ -46,15 +47,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jsonl", action="store_true", help="emit raw JSON lines instead")
     args = parser.parse_args(argv)
 
-    t0 = time.perf_counter()
-    reports = run_all(
-        max_dim=args.max_dim,
-        surjectivity_max_dim=args.surjectivity_max_dim,
-        beta_bound=args.max_beta,
-    )
-    elapsed = time.perf_counter() - t0
-
     try:
+        t0 = time.perf_counter()
+        reports = run_all(
+            max_dim=args.max_dim,
+            surjectivity_max_dim=args.surjectivity_max_dim,
+            beta_bound=args.max_beta,
+        )
+        elapsed = time.perf_counter() - t0
         if args.jsonl:
             for rep in reports:
                 print(rep.to_json_line())
@@ -63,6 +63,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         return stdout_closed()
+    except (InputError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash, told apart from a failed claim by its status
+        return internal_error(exc)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

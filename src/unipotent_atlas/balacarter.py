@@ -42,7 +42,7 @@ from .richardson import (
     ParabolicDescriptor,
     enumerate_distinguished_parabolics,
     parabolic_from_blocks,
-    regular_jordan_blocks,
+    regular_blocks,
     richardson_jordan_blocks,
 )
 
@@ -151,16 +151,13 @@ def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
     X.validate_for(G)
     if G.family is Family.GL:
         return combine(X.gl_parts, Partition(), EpsilonMap(), G)
-    classical = Partition()
+    # validate_for has checked each factor as a group of its own: a positive
+    # dimension, even for Sp, and full (a whole O_m) exactly for SO at p=2
+    parts: list[int] = []
     for m, full in X.cl_parts:
-        if full:
-            spec = GroupSpec(Family.O, m, G.char)
-            nonid = G.p2 and m % 2 == 0
-        else:
-            spec = G.classical_factor(m)
-            nonid = False
-        blocks, _ = regular_jordan_blocks(spec, nonidentity_component=nonid)
-        classical = classical + blocks
+        family = Family.O if full else G.family
+        parts.extend(regular_blocks(family, m, G.p2, nonidentity=full and m % 2 == 0))
+    classical = Partition(tuple(parts))
     return combine(X.gl_parts, classical, distinguished_eps(G, classical), G)
 
 

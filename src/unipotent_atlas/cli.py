@@ -48,6 +48,10 @@ SCHEMA = "unipotent-atlas/v1"
 #: reports a process that signal ended.
 EXIT_STDOUT_CLOSED = 141
 
+#: Exit status of a crash: an exception that is neither an input error nor a
+#: failed claim (exit 1) nor a closed stdout.
+EXIT_INTERNAL_ERROR = 3
+
 
 def stdout_closed() -> int:
     """Handle a BrokenPipeError on stdout: point stdout at the null device, so
@@ -56,6 +60,12 @@ def stdout_closed() -> int:
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
     return EXIT_STDOUT_CLOSED
+
+
+def internal_error(exc: Exception) -> int:
+    """Report an unexpected exception on one stderr line; return the status."""
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
 
 
 def _group_from_args(args) -> GroupSpec:
@@ -237,6 +247,8 @@ def _parse_levi(text: str, G: GroupSpec) -> ParabolicDescriptor:
 def cmd_richardson(args) -> int:
     G = _group_from_args(args)
     if args.invert:
+        if args.blocks is None:
+            raise InputError("--invert needs --blocks, the Jordan blocks to invert")
         lam = Partition.parse(args.blocks)
         P = parabolic_from_blocks(G, lam)
         doc = {
@@ -354,8 +366,10 @@ def _table1_rows(dim: int) -> list[dict]:
 
 
 def cmd_tables(args) -> int:
+    if args.dim is not None and args.dim < 1:
+        raise InputError(f"--dim must be at least 1, got {args.dim}")
     if args.which == 1:
-        rows = _table1_rows(args.dim or 12)
+        rows = _table1_rows(12 if args.dim is None else args.dim)
         _emit_table(rows, ["case", "group", "blocks", "eps"], args.format, "rows",
                     {"table": 1})
         return 0
@@ -495,6 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash, told apart from a failed claim by its status
+        return internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .balacarter import (
     ClassAnalysis,
+    ParabolicProduct,
     RegularSubgroupDescriptor,
     analyse,
     is_extra_class,
@@ -99,16 +100,28 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
 # -- surjectivity and right inverses -----------------------------------------------
 #
 # Each public verifier enumerates the classes of G itself and hands them to a
-# private check; run_all hands every check of a group one shared class list
-# and one analysis per class.  t0 is where the report's timing starts.
+# private check; run_all hands every check of a group one shared class list,
+# one analysis per class and one image table per map, which sends each
+# descriptor of G to the data_key of its class.  t0 is where the report's
+# timing starts.
+
+ImageTable = dict[object, tuple]
+
+
+def _psi1_table(G: GroupSpec) -> ImageTable:
+    return {X: psi1(X, G).data_key() for X in iter_regular_subgroups(G)}
+
+
+def _psi2_table(G: GroupSpec) -> ImageTable:
+    return {P: psi2(P, G).data_key() for P in iter_parabolic_products(G)}
 
 
 def psi1_image(G: GroupSpec) -> set[tuple]:
-    return {psi1(X, G).data_key() for X in iter_regular_subgroups(G)}
+    return set(_psi1_table(G).values())
 
 
 def psi2_image(G: GroupSpec) -> set[tuple]:
-    return {psi2(P, G).data_key() for P in iter_parabolic_products(G)}
+    return set(_psi2_table(G).values())
 
 
 def verify_surjectivity(G: GroupSpec, which: str) -> VerificationReport:
@@ -116,12 +129,13 @@ def verify_surjectivity(G: GroupSpec, which: str) -> VerificationReport:
     t0 = time.perf_counter()
     if which not in ("psi1", "psi2"):
         raise InputError(f"which must be 'psi1' or 'psi2', got {which!r}")
-    return _surjectivity(G, which, enumerate_classes(G), t0)
-
-
-def _surjectivity(G: GroupSpec, which: str, classes: list[ClassParam], t0: float) -> VerificationReport:
-    target = {C.data_key() for C in classes}
     image = psi1_image(G) if which == "psi1" else psi2_image(G)
+    return _surjectivity(G, which, enumerate_classes(G), image, t0)
+
+
+def _surjectivity(G: GroupSpec, which: str, classes: list[ClassParam], image: set[tuple],
+                  t0: float) -> VerificationReport:
+    target = {C.data_key() for C in classes}
     bad = [f"class not reached: lambda={Partition(k[0])} eps={dict(k[1])}" for k in sorted(target - image)]
     bad += [f"image outside the class list: lambda={Partition(k[0])}" for k in sorted(image - target)]
     return _finish(f"{which}-surjective", G, G.dim, bad, t0, len(target))
@@ -133,15 +147,23 @@ def verify_right_inverse(G: GroupSpec, which: str) -> VerificationReport:
     if which not in ("phi1", "phi2"):
         raise InputError(f"which must be 'phi1' or 'phi2', got {which!r}")
     classes = enumerate_classes(G)
-    return _right_inverse(G, which, classes, [analyse(C) for C in classes], t0)
+    return _right_inverse(G, which, classes, [analyse(C) for C in classes], {}, t0)
 
 
 def _right_inverse(G: GroupSpec, which: str, classes: list[ClassParam],
-                   analyses: list[ClassAnalysis], t0: float) -> VerificationReport:
+                   analyses: list[ClassAnalysis], table: ImageTable,
+                   t0: float) -> VerificationReport:
+    """table holds the psi images of some of G's descriptors; a descriptor
+    it lacks is mapped by psi itself."""
+    psi = psi1 if which == "phi1" else psi2
     bad = []
     for C, a in zip(classes, analyses):
-        back = psi1(a.phi1(), G) if which == "phi1" else psi2(a.phi2(), G)
-        if not back.same_class(C):
+        X = a.phi1() if which == "phi1" else a.phi2()
+        key = table.get(X)
+        if key is None:
+            key = psi(X, G).data_key()
+        if key != C.data_key():
+            back = psi(X, G)
             bad.append(f"psi({which}({C.lam}, {C.eps})) gave ({back.lam}, {back.eps})")
     return _finish(f"{which}-right-inverse", G, G.dim, bad, t0, len(classes))
 
@@ -149,12 +171,19 @@ def _right_inverse(G: GroupSpec, which: str, classes: list[ClassParam],
 def verify_psi2_restricted_injective(G: GroupSpec) -> VerificationReport:
     """psi2 restricted to at most one classical parabolic factor is injective."""
     t0 = time.perf_counter()
+    images = ((P, psi2(P, G).data_key()) for P in iter_parabolic_products(G, max_factors=1))
+    return _psi2_injective(G, images, t0)
+
+
+def _psi2_injective(G: GroupSpec, images: Iterable[tuple[ParabolicProduct, tuple]],
+                    t0: float) -> VerificationReport:
+    """images yields (P, key) for the products with at most one classical
+    factor, in the order iter_parabolic_products yields them."""
     seen: dict[tuple, object] = {}
     bad = []
     checked = 0
-    for P in iter_parabolic_products(G, max_factors=1):
+    for P, key in images:
         checked += 1
-        key = psi2(P, G).data_key()
         if key in seen and seen[key] != P:
             bad.append(f"{seen[key].describe()} and {P.describe()} both map to {Partition(key[0])}")
         seen[key] = P
@@ -324,12 +353,16 @@ def verify_minimal_levi(G: GroupSpec, preimage_max_dim: int = PREIMAGE_MAX_DIM) 
     """
     t0 = time.perf_counter()
     classes = enumerate_classes(G)
-    return _minimal_levi(G, classes, [analyse(C) for C in classes], preimage_max_dim, t0)
+    preimages = None
+    if G.family is not Family.GL and G.dim <= preimage_max_dim:
+        preimages = _psi1_table(G)
+    return _minimal_levi(G, classes, [analyse(C) for C in classes], preimages, {}, t0)
 
 
 def _distinguished_remainders(G: GroupSpec, rest: int) -> list[tuple[Partition, EpsilonMap]]:
     """Every beta of the given total that is a valid distinguished class of the
-    classical factor, with its eps (the empty beta when rest is 0)."""
+    classical factor, with its eps (the empty beta when rest is 0).  The list
+    depends on G only through its family and characteristic."""
     out = []
     for beta_parts in iter_partitions(rest):
         beta = Partition(beta_parts)
@@ -348,7 +381,11 @@ def _distinguished_remainders(G: GroupSpec, rest: int) -> list[tuple[Partition, 
 
 
 def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassAnalysis],
-                  preimage_max_dim: int, t0: float) -> VerificationReport:
+                  preimages: ImageTable | None, remainders: dict[tuple, list], t0: float
+                  ) -> VerificationReport:
+    """preimages, when given, is G's psi1 table, and the phi1 maximality check
+    runs on it.  remainders keeps _distinguished_remainders lists by
+    (family, char, rest) and may be shared by several groups."""
     bad = []
     if G.family is Family.GL:
         return _finish("minimal-levi", G, G.dim, bad, t0, 0)
@@ -370,7 +407,11 @@ def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassA
     seen: dict[tuple, tuple] = {}
     count = 0
     for a in range(G.dim // 2 + 1):
-        betas = _distinguished_remainders(G, G.dim - 2 * a)
+        rest = G.dim - 2 * a
+        key = (G.family, G.char, rest)
+        if key not in remainders:
+            remainders[key] = _distinguished_remainders(G, rest)
+        betas = remainders[key]
         for alpha_parts in iter_partitions(a):
             alpha = Partition(alpha_parts)
             for beta, eps_beta in betas:
@@ -391,10 +432,10 @@ def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassA
     # factors, and with that tiebreak it is unique.  (GL count alone does not
     # single it out: a remainder part m can also come from a larger factor
     # whose regular class has blocks (m, 1)-style, e.g. O_3 versus O_2 O_1.)
-    if G.dim <= preimage_max_dim:
+    if preimages is not None:
         by_class: dict[tuple, list[RegularSubgroupDescriptor]] = defaultdict(list)
-        for X in iter_regular_subgroups(G):
-            by_class[psi1(X, G).data_key()].append(X)
+        for X, key in preimages.items():
+            by_class[key].append(X)
         for C, a in untagged:
             cands = by_class.get(C.data_key(), [])
             if not cands:
@@ -426,23 +467,38 @@ def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int =
     """The release verification battery at the default bounds.
 
     The reports are those of the public verifiers, in the same order, but each
-    group's classes are enumerated once and analysed once; that shared work is
-    timed in the first report of the group that uses it.
+    group's classes are enumerated once and analysed once, each descriptor of
+    a group is mapped by psi1 or psi2 once, and the distinguished remainders
+    are filtered once per (family, char, size); that shared work is timed in
+    the first report of the group that uses it.
     """
     reports = []
     enumerated: dict[GroupSpec, list[ClassParam]] = {}
+    psi1_tables: dict[GroupSpec, ImageTable] = {}
+    psi2_tables: dict[GroupSpec, ImageTable] = {}
+    remainders: dict[tuple, list] = {}
     for G in group_sweep(surjectivity_max_dim):
         t0 = time.perf_counter()
         classes = enumerated[G] = enumerate_classes(G)
-        reports.append(_surjectivity(G, "psi1", classes, t0))
-        reports.append(_surjectivity(G, "psi2", classes, time.perf_counter()))
-        reports.append(verify_psi2_restricted_injective(G))
+        table = psi1_tables[G] = _psi1_table(G)
+        reports.append(_surjectivity(G, "psi1", classes, set(table.values()), t0))
+        t0 = time.perf_counter()
+        table = psi2_tables[G] = _psi2_table(G)
+        reports.append(_surjectivity(G, "psi2", classes, set(table.values()), t0))
+        single = ((P, key) for P, key in table.items() if len(P.parabolics) <= 1)
+        reports.append(_psi2_injective(G, single, time.perf_counter()))
     for G in group_sweep(max_dim):
         t0 = time.perf_counter()
         classes = enumerated.pop(G) if G in enumerated else enumerate_classes(G)
         analyses = [analyse(C) for C in classes]
-        reports.append(_right_inverse(G, "phi1", classes, analyses, t0))
-        reports.append(_right_inverse(G, "phi2", classes, analyses, time.perf_counter()))
-        reports.append(_minimal_levi(G, classes, analyses, PREIMAGE_MAX_DIM, time.perf_counter()))
+        table = psi1_tables.pop(G, None)
+        if table is None and G.dim <= PREIMAGE_MAX_DIM:
+            table = _psi1_table(G)
+        reports.append(_right_inverse(G, "phi1", classes, analyses, table or {}, t0))
+        reports.append(_right_inverse(G, "phi2", classes, analyses, psi2_tables.pop(G, {}),
+                                      time.perf_counter()))
+        preimages = table if G.dim <= PREIMAGE_MAX_DIM else None
+        reports.append(_minimal_levi(G, classes, analyses, preimages, remainders,
+                                     time.perf_counter()))
     reports.append(verify_proposition(beta_bound))
     return reports

@@ -169,38 +169,36 @@ def _n_window(G: GroupSpec, m0: int) -> tuple[int, ...]:
 # -- Jordan blocks of regular elements --------------------------------------------
 
 
+def regular_blocks(family: Family, n: int, p2: bool, nonidentity: bool = False) -> tuple[int, ...]:
+    """Jordan block sizes, decreasing, of the regular unipotent class of the
+    n-dimensional group of the family (p2: characteristic 2).
+
+    ``nonidentity`` selects the regular class in the non-identity component
+    of a full orthogonal group, which exists only for O_n with p = 2 and n
+    even.
+    """
+    if nonidentity and not (family is Family.O and p2 and n % 2 == 0):
+        raise InputError("a non-identity component regular class needs O_n, p=2, n even")
+    if family in (Family.GL, Family.SP) or nonidentity:
+        return (n,)
+    # special orthogonal (O_n in its identity component behaves the same)
+    if n == 1:
+        return (1,)
+    if not p2:
+        return (n,) if n % 2 == 1 else (n - 1, 1)
+    if n % 2 == 1:
+        return (n - 1, 1)
+    return (1, 1) if n == 2 else (n - 2, 2)
+
+
 def regular_jordan_blocks(
     G: GroupSpec, nonidentity_component: bool = False
 ) -> tuple[Partition, EpsilonMap]:
-    """Jordan blocks (and eps) of the regular unipotent class of G.
-
-    ``nonidentity_component`` selects the regular class in the non-identity
-    component of a full orthogonal group, which exists only for O_n with
-    p = 2 and n even.
-    """
-    n = G.dim
-    if nonidentity_component and not (G.family is Family.O and G.p2 and n % 2 == 0):
-        raise InputError("a non-identity component regular class needs O_n, p=2, n even")
+    """Jordan blocks (and eps) of the regular unipotent class of G; see
+    regular_blocks for ``nonidentity_component``."""
+    lam = Partition(regular_blocks(G.family, G.dim, G.p2, nonidentity_component))
     if G.family is Family.GL:
-        lam = Partition((n,))
         return lam, canonical_eps(G, lam)
-    if G.family is Family.SP:
-        lam = Partition((n,))
-        return lam, distinguished_eps(G, lam)
-    if nonidentity_component:
-        lam = Partition((n,))
-        return lam, distinguished_eps(G, lam)
-    # special orthogonal (O_n in its identity component behaves the same)
-    if n == 1:
-        lam = Partition((1,))
-    elif not G.p2:
-        lam = Partition((n,) if n % 2 == 1 else (n - 1, 1))
-    elif n % 2 == 1:
-        lam = Partition((n - 1, 1))
-    elif n == 2:
-        lam = Partition((1, 1))
-    else:
-        lam = Partition((n - 2, 2))
     return lam, distinguished_eps(G, lam)
 
 

@@ -1,6 +1,7 @@
 """CLI tests: subcommand output, formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from unipotent_atlas import cli
 from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
-from unipotent_atlas.classes import Family, enumerate_classes, minimal_levi
+from unipotent_atlas.classes import Char, Family, GroupSpec, enumerate_classes, minimal_levi
 from unipotent_atlas.cli import SCHEMA, _phi1_json, _phi2_json, main
 from unipotent_atlas.decomp import decompose
-from unipotent_atlas.oracle import group_sweep
+from unipotent_atlas.errors import ResourceLimitError
+from unipotent_atlas.oracle import count_extra_classes, group_sweep
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import in_richardson_image
 
@@ -133,6 +136,12 @@ def test_richardson_levi_with_non_integer_m0_is_an_input_error(capsys):
     assert err.startswith("error: ") and "'x'" in err
 
 
+def test_richardson_invert_without_blocks_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "richardson", "--group", "so", "--dim", "8", "--invert")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--blocks" in err
+
+
 def test_label_command(capsys):
     code, out, _ = run_cli(
         capsys, "label", "--group", "so", "--dim", "16", "--char", "2",
@@ -201,6 +210,22 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_table_1_rejects_a_dim_below_1(capsys, dim):
+    code, out, err = run_cli(capsys, "tables", "1", "--dim", dim)
+    assert code == 2 and out == ""
+    assert err == f"error: --dim must be at least 1, got {dim}\n"
+
+
+def test_a_crash_exits_3_apart_from_a_failed_claim(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("table lost")
+
+    monkeypatch.setattr(cli, "cmd_tables", crash)
+    code, out, err = run_cli(capsys, "tables", "4")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: table lost\n")
+
+
 def _group_argv(G):
     return ["--group", G.family.value, "--dim", str(G.dim), "--char", G.char.value]
 
@@ -259,6 +284,49 @@ def test_classes_csv_factor_columns_match_minimal_levi_and_decompose(capsys):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (RuntimeError("battery lost"), 3, "internal error: RuntimeError: battery lost\n"),
+    (ResourceLimitError("dimension 41 exceeds"), 2, "error: dimension 41 exceeds\n"),
+])
+def test_verification_script_tells_a_crash_from_a_limit(capsys, monkeypatch, exc, code, err):
+    script = load_script("run_verifications")
+
+    def fail(**bounds):
+        raise exc
+
+    monkeypatch.setattr(script, "run_all", fail)
+    assert script.main(["--max-dim", "4"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+def test_census_matches_the_separate_public_calls(capsys):
+    # reference: the census as composed before it analysed each class once,
+    # counting through count_extra_classes and labelling through label
+    want = [f"{'group':<12} {'classes':>8} {'extra':>6}"]
+    for dim in range(2, 15):
+        specs = [GroupSpec(Family.SO, dim, Char.TWO)]
+        if dim % 2 == 0:
+            specs.append(GroupSpec(Family.SP, dim, Char.TWO))
+        for G in specs:
+            classes = enumerate_classes(G)
+            extra = count_extra_classes(G)
+            want.append(f"{G.describe():<12} {len(classes):>8} {extra:>6}")
+            if extra:
+                for C in classes:
+                    if C.split_tag != "II" and is_extra_class(C):
+                        want.append(f"    {str(C.lam):<16} eps {str(C.eps):<20} {label(C)}")
+    assert load_script("extra_class_census").main(["--max-dim", "14", "--list-classes"]) == 0
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def run_with_stdout_closed(*argv):

@@ -8,6 +8,7 @@ import pytest
 from unipotent_atlas import balacarter
 from unipotent_atlas.classes import Char, Family, GroupSpec, distinguished_eps, enumerate_classes
 from unipotent_atlas.errors import InputError
+from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
 from unipotent_atlas.oracle import (
     VerificationReport,
     count_extra_classes,
@@ -63,6 +64,14 @@ def test_right_inverse_examples():
 def test_psi2_restricted_injectivity_spot():
     assert verify_psi2_restricted_injective(GroupSpec(Family.SO, 12, Char.TWO)).passed
     assert verify_psi2_restricted_injective(GroupSpec(Family.SP, 10, Char.GOOD)).passed
+
+
+def test_single_factor_products_are_the_filtered_full_sweep():
+    # run_all checks psi2 injectivity on the entries of its full psi2 table
+    # with at most one classical factor, relying on this order
+    for G in group_sweep(12):
+        full = [P for P in iter_parabolic_products(G) if len(P.parabolics) <= 1]
+        assert list(iter_parabolic_products(G, max_factors=1)) == full, G.describe()
 
 
 def test_proposition_small_bound():
@@ -167,3 +176,16 @@ def test_battery_reports_a_wrong_minimal_levi_split(monkeypatch):
     levi = [c for r in battery if r.claim == "minimal-levi" for c in r.counterexamples]
     assert any("vs brute force" in c for c in levi) and any("not phi1" in c for c in levi)
     assert _rows(battery) == _rows(_separate_battery(8, 4, 8))
+
+
+@pytest.mark.parametrize("which", ["phi1", "phi2"])
+def test_battery_reports_a_wrong_right_inverse(monkeypatch, which):
+    # a valid descriptor of the group, but the same one for every class; the
+    # battery looks it up in its image tables (psi2's reach only dim 8)
+    first = iter_regular_subgroups if which == "phi1" else iter_parabolic_products
+    monkeypatch.setattr(ClassAnalysis, which, lambda a: next(first(a.group)))
+    battery = run_all(10, 8, 12)
+    failures = [r for r in battery if r.claim == f"{which}-right-inverse" and not r.passed]
+    assert {r.group for r in failures} >= {"SO10 (p=2)", "SO6 (p=2)", "Sp10 (p odd)"}
+    assert all(c.startswith(f"psi({which}(") for r in failures for c in r.counterexamples)
+    assert _rows(battery) == _rows(_separate_battery(10, 8, 12))

@@ -1,8 +1,11 @@
 """Block-table tests: regular classes, Richardson forward map, image, inversion."""
 
+import json
+
 import pytest
 
-from unipotent_atlas.classes import Char, Family, GroupSpec
+from unipotent_atlas.classes import Char, Family, GroupSpec, canonical_eps, distinguished_eps
+from unipotent_atlas.cli import SCHEMA, main
 from unipotent_atlas.decomp import satisfies_difference_condition
 from unipotent_atlas.errors import InputError, ResourceLimitError
 from unipotent_atlas.partitions import Partition, iter_partitions
@@ -11,6 +14,7 @@ from unipotent_atlas.richardson import (
     enumerate_distinguished_parabolics,
     in_richardson_image,
     parabolic_from_blocks,
+    regular_blocks,
     regular_jordan_blocks,
     richardson_jordan_blocks,
 )
@@ -37,6 +41,71 @@ def test_regular_blocks_examples():
     assert regular_jordan_blocks(spec(Family.SO, 1))[0] == Partition((1,))
     with pytest.raises(InputError):
         regular_jordan_blocks(spec(Family.SO, 6), nonidentity_component=True)
+
+
+def reference_regular_jordan_blocks(G, nonidentity_component=False):
+    """The regular class of G as regular_jordan_blocks computed it before
+    the block rule moved into regular_blocks."""
+    n = G.dim
+    if nonidentity_component and not (G.family is Family.O and G.p2 and n % 2 == 0):
+        raise InputError("a non-identity component regular class needs O_n, p=2, n even")
+    if G.family is Family.GL:
+        lam = Partition((n,))
+        return lam, canonical_eps(G, lam)
+    if G.family is Family.SP or nonidentity_component:
+        lam = Partition((n,))
+        return lam, distinguished_eps(G, lam)
+    if n == 1:
+        lam = Partition((1,))
+    elif not G.p2:
+        lam = Partition((n,) if n % 2 == 1 else (n - 1, 1))
+    elif n % 2 == 1:
+        lam = Partition((n - 1, 1))
+    elif n == 2:
+        lam = Partition((1, 1))
+    else:
+        lam = Partition((n - 2, 2))
+    return lam, distinguished_eps(G, lam)
+
+
+def test_regular_blocks_match_the_reference_dims_1_to_64():
+    for family in Family:
+        for char in Char:
+            for n in range(1, 65):
+                if family is Family.SP and n % 2:
+                    continue
+                G = spec(family, n, char)
+                for nonid in (False, True):
+                    if nonid and not (family is Family.O and G.p2 and n % 2 == 0):
+                        with pytest.raises(InputError):
+                            regular_blocks(family, n, G.p2, nonid)
+                        continue
+                    want = reference_regular_jordan_blocks(G, nonid)
+                    assert regular_blocks(family, n, G.p2, nonid) == want[0].parts
+                    assert regular_jordan_blocks(G, nonid) == want
+
+
+def test_table_1_matches_the_reference_dims_1_to_40(capsys):
+    for dim in range(1, 41):
+        cases = [
+            (Family.GL, Char.GOOD, dim, False, "GL"),
+            (Family.SP, Char.TWO, dim - dim % 2, False, "Sp, p=2"),
+            (Family.SP, Char.GOOD, dim - dim % 2, False, "Sp, p odd"),
+            (Family.SO, Char.GOOD, dim | 1, False, "SO odd dim, p odd"),
+            (Family.SO, Char.TWO, dim | 1, False, "SO odd dim, p=2"),
+            (Family.SO, Char.GOOD, dim - dim % 2, False, "SO even dim, p odd"),
+            (Family.SO, Char.TWO, dim - dim % 2, False, "SO even dim, p=2"),
+            (Family.O, Char.TWO, dim - dim % 2, True, "O non-identity component, p=2"),
+        ]
+        rows = []
+        for family, char, d, nonid, name in cases:
+            if d >= 1:
+                G = spec(family, d, char)
+                lam, eps = reference_regular_jordan_blocks(G, nonid)
+                rows.append({"case": name, "group": G.describe(), "blocks": str(lam), "eps": str(eps)})
+        assert main(["--format", "json", "tables", "1", "--dim", str(dim)]) == 0
+        doc = {"schema": SCHEMA, "table": 1, "rows": rows}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n", dim
 
 
 def test_descriptor_validation_and_normalization():
