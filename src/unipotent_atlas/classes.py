@@ -200,6 +200,69 @@ class ClassParam:
         }
 
 
+# -- the eps law and the distinguished shape -----------------------------------
+
+
+def _eps_law(G: GroupSpec, x_odd: int, m_odd: int) -> tuple[int, ...]:
+    """The eps law (Hesselink): the values eps takes on a part value x of
+    multiplicity m, from the parities of x and m.  The forced value is delta
+    on even parts and -delta on odd parts; at p=2 an even part of even
+    multiplicity is free, 0 (canonical) or 1 (distinguished)."""
+    if G.family is Family.GL:
+        return (0,)
+    if x_odd:
+        return (-G.delta,)
+    return (0, 1) if G.p2 and not m_odd else (G.delta,)
+
+
+#: eps_options keyed by (family, char, x % 2, m % 2).
+_EPS_OPTIONS = {
+    (family, char, x_odd, m_odd): _eps_law(GroupSpec(family, 2, char), x_odd, m_odd)
+    for family in Family for char in Char for x_odd in (0, 1) for m_odd in (0, 1)
+}
+
+
+def eps_options(G: GroupSpec, x: int, m: int) -> tuple[int, ...]:
+    """The values eps may take on the part value x of multiplicity m in G.
+
+    The first value is the canonical one, the last the value a distinguished
+    class carries.
+    """
+    return _EPS_OPTIONS[G.family, G.char, x % 2, m % 2]
+
+
+def shape_violation(G: GroupSpec, beta: Partition) -> str | None:
+    """Why beta is not the block shape of a distinguished class of G, or None.
+
+    A distinguished class also carries distinguished_eps (at p=2, eps 1 on
+    every even part); that half of the condition is is_distinguished's.
+    """
+    if G.family is Family.GL:
+        return f"{len(beta)} blocks; a distinguished GL class has one" if len(beta) > 1 else None
+    mults = beta.multiplicities()
+    if not G.p2:
+        want_odd = G.is_orthogonal
+        for x, m in mults.items():
+            if m > 1:
+                return f"part {x} has multiplicity {m}; distinct parts required in odd characteristic"
+            if (x % 2 == 1) != want_odd:
+                parity = "odd" if want_odd else "even"
+                return f"part {x} is not {parity}, as the family requires"
+        return None
+    if G.is_orthogonal and mults.get(1, 0) > 1:
+        return f"more than one part equal to 1 (multiplicity {mults[1]})"
+    for x, m in mults.items():
+        if x % 2 == 1 and G.family is Family.SP:
+            return f"odd part {x} is not allowed in symplectic distinguished data"
+        if x % 2 == 1 and x > 1:
+            return f"odd part {x} greater than 1 is not allowed"
+        if m > 2:
+            return f"part {x} has multiplicity {m} > 2"
+    if G.family is Family.SO and mults.get(1, 0) == 0 and len(beta) % 2 != 0:
+        return "without a part equal to 1 the number of parts must be even"
+    return None
+
+
 # -- validity -----------------------------------------------------------------
 
 
@@ -223,18 +286,8 @@ def _lambda_admissible(G: GroupSpec, lam: Partition, mults: dict[int, int]) -> b
 
 
 def canonical_eps(G: GroupSpec, lam: Partition) -> EpsilonMap:
-    """The forced eps values; free slots (p=2, even part of even multiplicity) get 0."""
-    if G.family is Family.GL:
-        return EpsilonMap(tuple((x, 0) for x in lam.values()))
-    entries = []
-    for x, m in lam.multiplicities().items():
-        if not G.p2:
-            entries.append((x, G.delta if x % 2 == 0 else -G.delta))
-        elif x % 2 == 1:
-            entries.append((x, -1))
-        else:
-            entries.append((x, 1 if m % 2 == 1 else 0))
-    return EpsilonMap(tuple(entries))
+    """The canonical eps: the first of each part's eps_options (0 where free)."""
+    return EpsilonMap(tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()))
 
 
 def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
@@ -253,20 +306,8 @@ def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
         )
     if not _lambda_admissible(G, lam, mults):
         return False
-    if G.family is Family.GL:
-        return all(v == 0 for v in eps_of.values())
-    if not G.p2:
-        delta = G.delta
-        return all(eps_of[x] == (delta if x % 2 == 0 else -delta) for x in mults)
     for x, m in mults.items():
-        v = eps_of[x]
-        if x % 2 == 1:
-            if v != -1:
-                return False
-        elif m % 2 == 1:
-            if v != 1:
-                return False
-        elif v not in (0, 1):
+        if eps_of[x] not in eps_options(G, x, m):
             return False
     return True
 
@@ -287,35 +328,16 @@ def is_distinguished(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
     """Whether the class meets no proper Levi subgroup of G."""
     if not is_valid_class(G, lam, eps):
         raise InputError(f"({lam}, {eps}) is not a valid class of {G.describe()}")
-    if G.family is Family.GL:
-        return len(lam) == 1
-    mults = lam.multiplicities()
-    if not G.p2:
-        return all(m == 1 for m in mults.values())
-    if mults.get(1, 0) > 1:
-        return False
-    return all(m <= 2 and eps[x] == 1 for x, m in mults.items() if x != 1)
+    return shape_violation(G, lam) is None and eps == distinguished_eps(G, lam)
 
 
 # -- class enumeration -----------------------------------------------------------
 
 
 def _eps_choices(G: GroupSpec, lam: Partition) -> list[EpsilonMap]:
-    if G.family is Family.GL or not G.p2:
-        return [canonical_eps(G, lam)]
-    forced = []
-    free = []
-    for x, m in lam.multiplicities().items():
-        if x % 2 == 1:
-            forced.append((x, -1))
-        elif m % 2 == 1:
-            forced.append((x, 1))
-        else:
-            free.append(x)
-    out = []
-    for values in product((0, 1), repeat=len(free)):
-        out.append(EpsilonMap(tuple(forced) + tuple(zip(free, values))))
-    return out
+    mults = lam.multiplicities()
+    options = [eps_options(G, x, m) for x, m in mults.items()]
+    return [EpsilonMap(tuple(zip(mults, values))) for values in product(*options)]
 
 
 def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[ClassParam]:
@@ -351,11 +373,9 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
 
     The blocks satisfy lam = double(alpha) + beta, beta is distinguished in
     the classical factor of dimension |beta|, and alpha has the maximal
-    number of parts among such splittings.  Extraction rules: in good
-    characteristic beta takes one copy of each part of odd multiplicity; at
-    p=2 beta takes two copies of each even part with eps 1 and even
-    multiplicity, one copy of each even part of odd multiplicity, and one
-    copy of the part 1 when its multiplicity is odd.
+    number of parts among such splittings.  Extraction rule: beta takes two
+    copies of each part whose eps is free and set to 1, and one copy of each
+    other part of odd multiplicity.
     """
     G = C.group
     if G.family is Family.O:
@@ -365,16 +385,7 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
     alpha_parts: list[int] = []
     beta_parts: list[int] = []
     for x, m in C.lam.multiplicities().items():
-        if not G.p2:
-            take = m % 2
-        elif x == 1:
-            take = m % 2
-        elif x % 2 == 1:
-            take = 0
-        elif C.eps[x] == 1:
-            take = 1 if m % 2 == 1 else 2
-        else:
-            take = 0
+        take = 2 if len(eps_options(G, x, m)) == 2 and C.eps[x] == 1 else m % 2
         beta_parts.extend([x] * take)
         alpha_parts.extend([x] * ((m - take) // 2))
     beta = Partition(tuple(beta_parts))
@@ -382,22 +393,17 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
 
 
 def distinguished_eps(G: GroupSpec, beta: Partition) -> EpsilonMap:
-    """The eps carried by a distinguished class with blocks beta."""
-    entries = []
-    for x in beta.values():
-        if not G.p2:
-            entries.append((x, G.delta if x % 2 == 0 else -G.delta))
-        else:
-            entries.append((x, 1 if x % 2 == 0 else -1))
-    return EpsilonMap(tuple(entries))
+    """The eps carried by a distinguished class with blocks beta: the last of
+    each part's eps_options (on GL, the canonical 0)."""
+    return EpsilonMap(tuple((x, eps_options(G, x, m)[-1]) for x, m in beta.multiplicities().items()))
 
 
 def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpec) -> ClassParam:
     """Reassemble the class with blocks double(alpha) + beta.
 
-    At p=2 a part value gets eps 1 exactly when beta carries it with
-    eps_beta 1; parts contributed only by the GL blocks get eps 0.  The
-    result is validated, so family parity violations raise InputError.
+    Each part value that beta carries gets eps_beta's value, every other part
+    its canonical value.  The result is validated, so family parity
+    violations and eps_beta values the eps law forbids raise InputError.
     """
     if G.family is Family.O:
         raise InputError("combine requires gl, sp, or so")
@@ -414,14 +420,9 @@ def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpe
     if eps_beta.domain != frozenset(beta.values()):
         raise InputError("eps_beta domain does not match beta's part values")
     lam = alpha.double() + beta
-    if not G.p2:
-        eps = canonical_eps(G, lam)
-    else:
-        entries = []
-        for x in lam.values():
-            if x % 2 == 1:
-                entries.append((x, -1))
-            else:
-                entries.append((x, 1 if (beta.multiplicity(x) > 0 and eps_beta[x] == 1) else 0))
-        eps = EpsilonMap(tuple(entries))
+    given = eps_beta.as_dict()
+    eps = EpsilonMap(tuple(
+        (x, given[x] if x in given else eps_options(G, x, m)[0])
+        for x, m in lam.multiplicities().items()
+    ))
     return ClassParam(G, lam, eps)

@@ -11,13 +11,14 @@ import sys
 
 from .balacarter import analyse, diagram_string
 from .classes import (
+    DEFAULT_ENUM_BOUND,
     Char,
     ClassParam,
     EpsilonMap,
     Family,
     GroupSpec,
-    canonical_eps,
     enumerate_classes,
+    eps_options,
     is_valid_class,
 )
 from .decomp import decompose, render_trace
@@ -78,21 +79,17 @@ def _group_from_args(args) -> GroupSpec:
 
 
 def _resolve_eps(G: GroupSpec, lam: Partition, eps_text: str | None) -> EpsilonMap:
-    base = canonical_eps(G, lam).as_dict()
-    free = set()
-    if G.p2 and G.family is not Family.GL:
-        free = {x for x, m in lam.multiplicities().items() if x % 2 == 0 and m % 2 == 0}
+    """The eps of --eps, with each part it leaves out at its canonical value."""
+    options = {x: eps_options(G, x, m) for x, m in lam.multiplicities().items()}
     given = EpsilonMap.parse(eps_text).as_dict() if eps_text else {}
-    unknown = set(given) - set(base)
+    unknown = set(given) - set(options)
     if unknown:
         raise InputError(f"epsilon given for values {sorted(unknown)} that are not parts of {lam}")
-    merged = dict(base)
-    merged.update(given)
-    eps = EpsilonMap.from_dict(merged)
+    eps = EpsilonMap(tuple((x, given.get(x, opts[0])) for x, opts in options.items()))
     if not is_valid_class(G, lam, eps):
         raise InputError(f"epsilon {eps} is not admissible for {lam} in {G.describe()}")
-    missing = free - set(given)
-    if missing and eps_text is None and free:
+    missing = [x for x, opts in options.items() if len(opts) == 2 and x not in given]
+    if missing:
         # free values default to the canonical 0; make the choice explicit
         print(
             f"note: eps defaulted to 0 on even parts of even multiplicity {sorted(missing)}",
@@ -174,7 +171,7 @@ def _phi2_json(P) -> dict:
 
 def cmd_classes(args) -> int:
     G = _group_from_args(args)
-    max_dim = args.max_dim if args.max_dim is not None else 40
+    max_dim = args.max_dim if args.max_dim is not None else DEFAULT_ENUM_BOUND
     classes = enumerate_classes(G, max_dim=max_dim)
     rows = []
     for C in classes:

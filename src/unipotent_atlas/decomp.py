@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import Family, GroupSpec
+from .classes import Family, GroupSpec, shape_violation
 from .errors import InputError
 from .partitions import Partition
 
@@ -101,49 +101,19 @@ class Decomposition:
         return tuple(p for p in self.pieces() if p)
 
 
-def validate_distinguished_shape(beta: Partition, G: GroupSpec) -> None:
-    """Reject data outside the distinguished shape, naming the violated condition."""
-    if G.family not in (Family.SP, Family.SO):
-        raise InputError("decomposition requires a symplectic or special orthogonal group")
-    mults = beta.multiplicities()
-    if not G.p2:
-        for x, m in mults.items():
-            if m > 1:
-                raise InputError(
-                    f"part {x} has multiplicity {m}; distinct parts required in odd characteristic"
-                )
-            want_odd = G.family is Family.SO
-            if (x % 2 == 1) != want_odd:
-                parity = "odd" if want_odd else "even"
-                raise InputError(f"part {x} is not {parity}, as the family requires")
-        return
-    if G.family is Family.SP:
-        for x, m in mults.items():
-            if x % 2 == 1:
-                raise InputError(f"odd part {x} is not allowed in symplectic distinguished data")
-            if m > 2:
-                raise InputError(f"part {x} has multiplicity {m} > 2")
-        return
-    if mults.get(1, 0) > 1:
-        raise InputError(f"more than one part equal to 1 (multiplicity {mults[1]})")
-    for x, m in mults.items():
-        if x == 1:
-            continue
-        if x % 2 == 1:
-            raise InputError(f"odd part {x} greater than 1 is not allowed")
-        if m > 2:
-            raise InputError(f"part {x} has multiplicity {m} > 2")
-    if mults.get(1, 0) == 0 and len(beta) % 2 != 0:
-        raise InputError("without a part equal to 1 the number of parts must be even")
-
-
 def decompose(beta: Partition, G: GroupSpec) -> Decomposition:
     """Split distinguished blocks into at most three Richardson pieces.
 
     Good characteristic: (beta, 0, 0).  Sp at p=2: beta2 takes one copy of
-    each repeated part.  SO at p=2: two passes of the scan map.
+    each repeated part.  SO at p=2: two passes of the scan map.  Only G's
+    family and characteristic are read, so G may be any group of them (a
+    remainder is decomposed with the whole group's spec).
     """
-    validate_distinguished_shape(beta, G)
+    if G.family not in (Family.SP, Family.SO):
+        raise InputError("decomposition requires a symplectic or special orthogonal group")
+    reason = shape_violation(G, beta)
+    if reason is not None:
+        raise InputError(reason)
     if not G.p2:
         trace1 = FAssignment(beta, (1,) * len(beta))
         trace2 = FAssignment(Partition(), ())

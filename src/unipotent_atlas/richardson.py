@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classes import EpsilonMap, Family, GroupSpec, canonical_eps, distinguished_eps
+from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
 from .decomp import satisfies_difference_condition
 from .errors import InputError, ResourceLimitError
 from .partitions import Partition, iter_partitions
@@ -197,8 +197,6 @@ def regular_jordan_blocks(
     """Jordan blocks (and eps) of the regular unipotent class of G; see
     regular_blocks for ``nonidentity_component``."""
     lam = Partition(regular_blocks(G.family, G.dim, G.p2, nonidentity_component))
-    if G.family is Family.GL:
-        return lam, canonical_eps(G, lam)
     return lam, distinguished_eps(G, lam)
 
 
@@ -245,8 +243,6 @@ def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, Epsilon
     lam = Partition(tuple(parts)).dual()
     if P.group.family is Family.SO and P.group.dim % 2 == 1 and P.group.p2:
         lam = lam + Partition((1,))
-    if P.group.family is Family.GL:
-        return lam, canonical_eps(P.group, lam)
     return lam, distinguished_eps(P.group, lam)
 
 
@@ -259,21 +255,12 @@ def in_richardson_image(G: GroupSpec, lam: Partition) -> bool:
         return True
     if G.family not in (Family.SP, Family.SO):
         raise InputError("Richardson image membership is defined for gl, sp, and so")
-    mults = lam.multiplicities()
-    if G.family is Family.SP:
-        return all(x % 2 == 0 and m == 1 for x, m in mults.items())
+    if shape_violation(G, lam) is not None:
+        return False
     if not G.p2:
-        return all(x % 2 == 1 and m == 1 for x, m in mults.items())
-    if G.dim % 2 == 1:
-        if mults.get(1, 0) != 1:
-            return False
-        if any(x % 2 != 0 or m > 2 for x, m in mults.items() if x != 1):
-            return False
-        return satisfies_difference_condition(lam)
-    if len(lam) % 2 != 0:
-        return False
-    if any(x % 2 != 0 or m > 2 for x, m in mults.items()):
-        return False
+        return True
+    if G.family is Family.SP:
+        return len(lam.values()) == len(lam)
     return satisfies_difference_condition(lam)
 
 

@@ -166,6 +166,20 @@ def test_label_defaults_free_eps_with_note(capsys):
     assert out.strip() != "D6(a1)D2"
 
 
+def test_label_notes_free_eps_that_a_partial_eps_leaves_out(capsys):
+    code, out, err = run_cli(
+        capsys, "label", "--group", "so", "--dim", "12", "--char", "2",
+        "--blocks", "4,4,2,2", "--eps", "4:1",
+    )
+    assert code == 0
+    assert err == "note: eps defaulted to 0 on even parts of even multiplicity [2]\n"
+    code, _, err = run_cli(
+        capsys, "label", "--group", "so", "--dim", "12", "--char", "2",
+        "--blocks", "4,4,2,2", "--eps", "4:1,2:0",
+    )
+    assert (code, err) == (0, "")
+
+
 def test_verify_extra_counts_jsonl(capsys):
     code, out, err = run_cli(capsys, "verify", "--claim", "extra-counts")
     assert code == 0 and err == ""

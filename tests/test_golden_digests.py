@@ -1,0 +1,64 @@
+"""Golden outputs: the sha256 of each CLI JSON document the refactors must keep.
+
+The digests cover ``--format json`` output of ``classes``, ``tables 2`` and
+``tables 3`` on every group of ``group_sweep(GOLDEN_MAX_DIM)``, plus
+``classes`` on O in both characteristics at the same dims.  A change that
+is meant to alter one of these outputs recaptures them with
+
+    PYTHONPATH=src python tests/test_golden_digests.py --write
+
+and says so; any other change must leave them byte-identical.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from unipotent_atlas.classes import Char
+from unipotent_atlas.cli import main
+from unipotent_atlas.oracle import group_sweep
+
+GOLDEN_MAX_DIM = 20
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
+def golden_argvs() -> list[list[str]]:
+    argvs = []
+    for G in group_sweep(GOLDEN_MAX_DIM):
+        group = ["--group", G.family.value, "--dim", str(G.dim), "--char", G.char.value]
+        argvs.append(["--format", "json", "classes", *group])
+        argvs.append(["--format", "json", "tables", "2", *group])
+        argvs.append(["--format", "json", "tables", "3", *group])
+    for n in range(1, GOLDEN_MAX_DIM + 1):
+        for char in (Char.TWO, Char.GOOD):
+            argvs.append(["--format", "json", "classes", "--group", "o", "--dim", str(n),
+                          "--char", char.value])
+    return argvs
+
+
+def compute_digests() -> dict[str, str]:
+    digests = {}
+    for argv in golden_argvs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0, argv
+        digests[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return digests
+
+
+def test_golden_outputs_are_byte_identical():
+    want = json.loads(DIGESTS.read_text())
+    got = compute_digests()
+    assert got.keys() == want.keys()
+    changed = sorted(k for k in want if got[k] != want[k])
+    assert not changed, f"{len(changed)} golden outputs changed, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_digests.py --write")
+    DIGESTS.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")

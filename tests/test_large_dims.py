@@ -1,0 +1,87 @@
+"""Property tests past desk scale, at dims 40-200: classes are built from
+GL blocks alpha and a distinguished remainder beta, with no enumeration."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from unipotent_atlas.balacarter import analyse
+from unipotent_atlas.classes import (
+    Char,
+    EpsilonMap,
+    Family,
+    GroupSpec,
+    combine,
+    distinguished_eps,
+    eps_options,
+    minimal_levi,
+    shape_violation,
+)
+from unipotent_atlas.errors import InputError
+from unipotent_atlas.partitions import Partition
+from unipotent_atlas.richardson import in_richardson_image
+
+MIN_DIM, MAX_DIM = 40, 200
+
+
+@st.composite
+def distinguished_shapes(draw, family, char):
+    """Block shapes of distinguished classes: distinct parts of the family's
+    parity in odd characteristic; at p=2 even parts of multiplicity <= 2,
+    plus for SO at most one part 1, which must be there when the even parts
+    are oddly many."""
+    values = draw(st.lists(st.integers(1, 10), max_size=6))
+    if char is Char.GOOD:
+        odd = family is Family.SO
+        return Partition(tuple(2 * v - 1 if odd else 2 * v for v in set(values)))
+    parts = []
+    for v, m in Counter(values).items():
+        parts.extend([2 * v] * min(m, 2))
+    if family is Family.SO and (draw(st.booleans()) or len(parts) % 2):
+        parts.append(1)
+    return Partition(tuple(parts))
+
+
+@st.composite
+def levi_data(draw):
+    """(G, alpha, beta) with G of Sp or SO and MIN_DIM <= 2|alpha| + |beta| <= MAX_DIM."""
+    family = draw(st.sampled_from([Family.SP, Family.SO]))
+    char = draw(st.sampled_from(list(Char)))
+    beta = draw(distinguished_shapes(family, char))
+    remaining = draw(st.integers(max(0, (MIN_DIM - beta.total + 1) // 2),
+                                 (MAX_DIM - beta.total) // 2))
+    alpha = []
+    while remaining:
+        part = draw(st.integers(1, min(remaining, 30)))
+        alpha.append(part)
+        remaining -= part
+    alpha = Partition(tuple(alpha))
+    return GroupSpec(family, 2 * alpha.total + beta.total, char), alpha, beta
+
+
+@settings(deadline=None)
+@given(levi_data())
+def test_minimal_levi_recovers_the_levi_data(data):
+    G, alpha, beta = data
+    assert MIN_DIM <= G.dim <= MAX_DIM
+    eps_beta = distinguished_eps(G, beta)
+    C = combine(alpha, beta, eps_beta, G)
+    assert minimal_levi(C) == (alpha, beta, eps_beta)
+    assert shape_violation(G, minimal_levi(C)[1]) is None
+    for piece in analyse(C).pieces:
+        assert in_richardson_image(G.classical_factor(piece.total), piece)
+
+
+@settings(deadline=None)
+@given(levi_data(), st.data())
+def test_combine_refuses_an_eps_beta_the_law_forbids(data, draws):
+    G, alpha, beta = data
+    assume(beta)
+    x = draws.draw(st.sampled_from(beta.values()))
+    m = (alpha.double() + beta).multiplicity(x)
+    bad = draws.draw(st.sampled_from([v for v in (-1, 0, 1) if v not in eps_options(G, x, m)]))
+    eps_beta = EpsilonMap.from_dict({**distinguished_eps(G, beta).as_dict(), x: bad})
+    with pytest.raises(InputError, match="not a valid class"):
+        combine(alpha, beta, eps_beta, G)
