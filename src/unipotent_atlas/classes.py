@@ -4,17 +4,19 @@ A class of GL_n, Sp_n, SO_n, or O_n is recorded as a partition of n (the
 Jordan block sizes) together with a map ``eps`` from part values to
 {-1, 0, +1}.  In characteristic 2 the pair (blocks, eps) separates classes
 that share block sizes; in good characteristic eps is redundant but stored
-anyway so the data model is uniform.
+anyway so the data model is uniform.  EpsilonMap and ClassParam check
+their input, except for the values this module derives, which it builds
+through the private ``_trusted`` keyword.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 from itertools import product
 
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, iter_partitions
+from .partitions import Partition, _from_mults, iter_partitions
 
 #: Largest dimension enumerate_classes accepts unless the caller raises it.
 DEFAULT_ENUM_BOUND = 40
@@ -88,9 +90,16 @@ class EpsilonMap:
     """Map from part values to {-1, 0, +1}, keyed by value (not block index)."""
 
     items: tuple[tuple[int, int], ...] = ()
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False  # items sorted by decreasing part and valid
 
-    def __post_init__(self) -> None:
-        items = tuple(sorted(((int(x), int(v)) for x, v in self.items), reverse=True))
+    def __post_init__(self, _trusted: bool) -> None:
+        if _trusted:
+            return
+        items = tuple(self.items)
+        if any(type(x) is not int or type(v) is not int for x, v in items):  # no floats or bools
+            raise InputError(f"epsilon entries must be integer pairs, got {self.items!r}")
+        items = tuple(sorted(items, reverse=True))
         seen = set()
         for x, v in items:
             if x < 1:
@@ -161,8 +170,12 @@ class ClassParam:
     lam: Partition
     eps: EpsilonMap
     split_tag: str | None = None
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False  # a valid class, and a tag that fits it
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _trusted: bool) -> None:
+        if _trusted:
+            return
         if not is_valid_class(self.group, self.lam, self.eps):
             raise InputError(
                 f"({self.lam}, {self.eps}) is not a valid class of {self.group.describe()}"
@@ -287,7 +300,9 @@ def _lambda_admissible(G: GroupSpec, lam: Partition, mults: dict[int, int]) -> b
 
 def canonical_eps(G: GroupSpec, lam: Partition) -> EpsilonMap:
     """The canonical eps: the first of each part's eps_options (0 where free)."""
-    return EpsilonMap(tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()))
+    return EpsilonMap(
+        tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()), _trusted=True
+    )
 
 
 def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
@@ -337,7 +352,7 @@ def is_distinguished(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
 def _eps_choices(G: GroupSpec, lam: Partition) -> list[EpsilonMap]:
     mults = lam.multiplicities()
     options = [eps_options(G, x, m) for x, m in mults.items()]
-    return [EpsilonMap(tuple(zip(mults, values))) for values in product(*options)]
+    return [EpsilonMap(tuple(zip(mults, values)), _trusted=True) for values in product(*options)]
 
 
 def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[ClassParam]:
@@ -357,10 +372,10 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
             continue
         for eps in _eps_choices(G, lam):
             if G.family is Family.SO and splits_in_so(lam, eps, G.char):
-                out.append(ClassParam(G, lam, eps, "I"))
-                out.append(ClassParam(G, lam, eps, "II"))
+                out.append(ClassParam(G, lam, eps, "I", _trusted=True))
+                out.append(ClassParam(G, lam, eps, "II", _trusted=True))
             else:
-                out.append(ClassParam(G, lam, eps))
+                out.append(ClassParam(G, lam, eps, _trusted=True))
     out.sort(key=ClassParam.key)
     return out
 
@@ -382,28 +397,30 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
         raise InputError("minimal Levi extraction requires gl, sp, or so")
     if G.family is Family.GL:
         return C.lam, Partition(), EpsilonMap()
-    alpha_parts: list[int] = []
-    beta_parts: list[int] = []
+    split: dict[int, tuple[int, int]] = {}  # part value -> (copies in alpha, copies in beta)
     for x, m in C.lam.multiplicities().items():
         take = 2 if len(eps_options(G, x, m)) == 2 and C.eps[x] == 1 else m % 2
-        beta_parts.extend([x] * take)
-        alpha_parts.extend([x] * ((m - take) // 2))
-    beta = Partition(tuple(beta_parts))
-    return Partition(tuple(alpha_parts)), beta, distinguished_eps(G, beta)
+        split[x] = ((m - take) // 2, take)
+    beta = _from_mults({x: b for x, (_, b) in split.items() if b})
+    return _from_mults({x: a for x, (a, _) in split.items() if a}), beta, distinguished_eps(G, beta)
 
 
 def distinguished_eps(G: GroupSpec, beta: Partition) -> EpsilonMap:
     """The eps carried by a distinguished class with blocks beta: the last of
     each part's eps_options (on GL, the canonical 0)."""
-    return EpsilonMap(tuple((x, eps_options(G, x, m)[-1]) for x, m in beta.multiplicities().items()))
+    return EpsilonMap(
+        tuple((x, eps_options(G, x, m)[-1]) for x, m in beta.multiplicities().items()), _trusted=True
+    )
 
 
 def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpec) -> ClassParam:
     """Reassemble the class with blocks double(alpha) + beta.
 
     Each part value that beta carries gets eps_beta's value, every other part
-    its canonical value.  The result is validated, so family parity
-    violations and eps_beta values the eps law forbids raise InputError.
+    its canonical value.  Family parity violations and eps_beta values the
+    eps law forbids raise InputError.  Beta's parts alone decide this, as
+    is_valid_class would on the whole class: double(alpha) keeps the parities
+    of every multiplicity and of the number of parts, and canonical values obey the law.
     """
     if G.family is Family.O:
         raise InputError("combine requires gl, sp, or so")
@@ -412,17 +429,19 @@ def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpe
             raise InputError("GL classes have no classical factor")
         if alpha.total != G.dim:
             raise InputError(f"GL blocks of {alpha.total} do not fill dimension {G.dim}")
-        return ClassParam(G, alpha, canonical_eps(G, alpha))
+        return ClassParam(G, alpha, canonical_eps(G, alpha), _trusted=True)
     if 2 * alpha.total + beta.total != G.dim:
-        raise InputError(
-            f"2*{alpha.total} + {beta.total} does not match dimension {G.dim}"
-        )
-    if eps_beta.domain != frozenset(beta.values()):
+        raise InputError(f"2*{alpha.total} + {beta.total} does not match dimension {G.dim}")
+    beta_mults = beta.multiplicities()
+    given = eps_beta.as_dict()
+    if given.keys() != beta_mults.keys():
         raise InputError("eps_beta domain does not match beta's part values")
     lam = alpha.double() + beta
-    given = eps_beta.as_dict()
     eps = EpsilonMap(tuple(
         (x, given[x] if x in given else eps_options(G, x, m)[0])
         for x, m in lam.multiplicities().items()
-    ))
-    return ClassParam(G, lam, eps)
+    ), _trusted=True)
+    if not _lambda_admissible(G, beta, beta_mults) or any(
+            given[x] not in eps_options(G, x, m) for x, m in beta_mults.items()):
+        raise InputError(f"({lam}, {eps}) is not a valid class of {G.describe()}")
+    return ClassParam(G, lam, eps, _trusted=True)

@@ -135,13 +135,14 @@ def _class_row(C: ClassParam, full: bool) -> dict:
         "eps": str(C.eps),
         "split": C.split_tag,
     }
-    if G.family is Family.O and (G.p2 and G.dim % 2 == 0 and len(C.lam) % 2 != 0):
-        row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
-        return row
-    inner = C if G.family is not Family.O else ClassParam(
-        GroupSpec(Family.SO, G.dim, G.char), C.lam, C.eps
-    )
-    a = analyse(inner)
+    if G.family is Family.O:
+        # an O-class is read through SO; a class outside SO has no SO data
+        so = GroupSpec(Family.SO, G.dim, G.char)
+        if not is_valid_class(so, C.lam, C.eps):
+            row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
+            return row
+        C = ClassParam(so, C.lam, C.eps)
+    a = analyse(C)
     row["extra"] = a.is_extra()
     row["label"] = a.label()
     if full:
@@ -235,10 +236,8 @@ def _parse_levi(text: str, G: GroupSpec) -> ParabolicDescriptor:
         except ValueError:
             raise InputError(f"remainder rank m0 must be an integer, got {value.strip()!r}") from None
     blocks = Partition.parse(blocks_text) if blocks_text.strip() not in ("", "0") else Partition()
-    c = [0] * (blocks.parts[0] if blocks else 0)
-    for p in blocks.parts:
-        c[p - 1] += 1
-    return ParabolicDescriptor.make(G, tuple(c), m0)
+    c = tuple(blocks.multiplicity(i) for i in range(1, max(blocks.parts, default=0) + 1))
+    return ParabolicDescriptor.make(G, c, m0)
 
 
 def cmd_richardson(args) -> int:
@@ -307,7 +306,22 @@ def cmd_label(args) -> int:
     return 0
 
 
+#: The claims verify checks group by group over group_sweep(--max-dim).
+GROUP_CLAIMS = {
+    "psi1-surjective": lambda G: verify_surjectivity(G, "psi1"),
+    "psi2-surjective": lambda G: verify_surjectivity(G, "psi2"),
+    "psi2-injective-r1": verify_psi2_restricted_injective,
+    "phi1-right-inverse": lambda G: verify_right_inverse(G, "phi1"),
+    "phi2-right-inverse": lambda G: verify_right_inverse(G, "phi2"),
+    "minimal-levi": verify_minimal_levi,
+}
+
+
 def cmd_verify(args) -> int:
+    # a bound below 1 leaves every claim with nothing to check
+    for flag, value in (("--max-dim", args.max_dim), ("--max-beta", args.max_beta)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
     reports = []
     max_dim = args.max_dim if args.max_dim is not None else 24
     if args.claim == "all":
@@ -319,19 +333,7 @@ def cmd_verify(args) -> int:
         for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5)):
             reports.append(verify_extra_count(GroupSpec(Family.SO, dim, Char.TWO), want))
     else:
-        for G in group_sweep(max_dim):
-            if args.claim == "psi1-surjective":
-                reports.append(verify_surjectivity(G, "psi1"))
-            elif args.claim == "psi2-surjective":
-                reports.append(verify_surjectivity(G, "psi2"))
-            elif args.claim == "psi2-injective-r1":
-                reports.append(verify_psi2_restricted_injective(G))
-            elif args.claim == "phi1-right-inverse":
-                reports.append(verify_right_inverse(G, "phi1"))
-            elif args.claim == "phi2-right-inverse":
-                reports.append(verify_right_inverse(G, "phi2"))
-            elif args.claim == "minimal-levi":
-                reports.append(verify_minimal_levi(G))
+        reports = [GROUP_CLAIMS[args.claim](G) for G in group_sweep(max_dim)]
     for rep in reports:
         print(rep.to_json_line())
     failed = [rep for rep in reports if not rep.passed]
@@ -466,21 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label)
 
     p = add_parser("verify", help="run the exhaustive verifiers (JSON lines)")
-    p.add_argument(
-        "--claim",
-        default="all",
-        choices=[
-            "all",
-            "psi1-surjective",
-            "psi2-surjective",
-            "psi2-injective-r1",
-            "phi1-right-inverse",
-            "phi2-right-inverse",
-            "minimal-levi",
-            "proposition",
-            "extra-counts",
-        ],
-    )
+    p.add_argument("--claim", default="all", choices=["all", *GROUP_CLAIMS, "proposition", "extra-counts"])
     p.add_argument("--surjectivity-max-dim", type=int, default=None)
     p.add_argument("--max-beta", type=int, default=30)
     p.set_defaults(func=cmd_verify)

@@ -37,7 +37,6 @@ from .classes import (
     combine,
     enumerate_classes,
     is_distinguished,
-    is_valid_class,
     minimal_levi,  # noqa: F401  (unused here; perfbench's tracer test rebinds it in this namespace)
     splits_in_so,
 )
@@ -368,13 +367,10 @@ def _distinguished_remainders(G: GroupSpec, rest: int) -> list[tuple[Partition, 
         beta = Partition(beta_parts)
         eps_beta = distinguished_eps(G, beta)
         if beta:
-            H = G.classical_factor(beta.total)
             try:
-                if not is_valid_class(H, beta, eps_beta):
+                if not is_distinguished(G.classical_factor(beta.total), beta, eps_beta):
                     continue
-            except InputError:
-                continue
-            if not is_distinguished(H, beta, eps_beta):
+            except InputError:  # not a class of the factor at all
                 continue
         out.append((beta, eps_beta))
     return out

@@ -1,14 +1,16 @@
 """Partition algebra: normalized integer partitions with dual, merge, double.
 
-Partitions are stored weakly decreasing and are immutable; every constructor
-normalizes.  The empty partition is a first-class value, printed and parsed
+Partitions are stored weakly decreasing, with their multiplicities, and are
+immutable.  The constructor checks and normalizes its parts; dual, merge and
+double build canonical results, which skip the checks through the private
+``_mults`` keyword.  The empty partition is a first-class value, printed and parsed
 as ``"0"``.  The textual syntax used everywhere (CLI, JSON) is comma-separated
 parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -23,12 +25,23 @@ class Partition:
     """A weakly decreasing sequence of positive integers (possibly empty)."""
 
     parts: tuple[int, ...] = ()
+    _: KW_ONLY
+    # trusted path: parts are canonical and these are their multiplicities
+    _mults: InitVar[dict[int, int] | None] = None
 
-    def __post_init__(self) -> None:
-        parts = tuple(sorted(map(int, self.parts), reverse=True))
-        if parts and parts[-1] < 1:
-            raise InputError(f"partition parts must be positive integers, got {self.parts!r}")
-        object.__setattr__(self, "parts", parts)
+    def __post_init__(self, _mults: dict[int, int] | None) -> None:
+        if _mults is None:
+            parts = tuple(self.parts)
+            if not set(map(type, parts)) <= {int}:  # a float or a bool is not a part
+                raise InputError(f"partition parts must be integers, got {self.parts!r}")
+            parts = tuple(sorted(parts, reverse=True))
+            if parts and parts[-1] < 1:
+                raise InputError(f"partition parts must be positive integers, got {self.parts!r}")
+            _mults = {}
+            for p in parts:
+                _mults[p] = _mults.get(p, 0) + 1
+            object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_counts", _mults)  # not _mults: replace() would pass it on
 
     # -- construction / rendering ------------------------------------------
 
@@ -91,59 +104,52 @@ class Partition:
         """Number of parts equal to x."""
         if x < 1:
             raise InputError(f"part value must be positive, got {x}")
-        return self.parts.count(x)
+        return self._counts.get(x, 0)
 
     def multiplicities(self) -> dict[int, int]:
-        """Mapping value -> multiplicity, keys in decreasing order."""
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        """Mapping value -> multiplicity, keys in decreasing order (a copy)."""
+        return self._counts.copy()
 
     def values(self) -> tuple[int, ...]:
         """Distinct part values in decreasing order."""
-        return tuple(dict.fromkeys(self.parts))
+        return tuple(self._counts)
 
     # -- algebra ---------------------------------------------------------------
 
     def dual(self) -> Partition:
-        """Conjugate partition: column lengths of the Young diagram."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(tuple(cols))
+        """Conjugate partition: column lengths of the Young diagram (for
+        consecutive values x > y, columns y+1..x count the parts >= x)."""
+        values, rows, cols = tuple(self._counts), 0, []
+        for x, y in zip(values, values[1:] + (0,)):
+            rows += self._counts[x]
+            cols.append((rows, x - y))
+        return _from_mults(dict(reversed(cols)))
 
     def merge(self, other: Partition) -> Partition:
         """Union of the parts counting multiplicity."""
-        return Partition(self.parts + other.parts)
+        mults = self._counts.copy()
+        for x, m in other._counts.items():
+            mults[x] = mults.get(x, 0) + m
+        return _from_mults(dict(sorted(mults.items(), reverse=True)))
 
     __add__ = merge
 
     def double(self) -> Partition:
         """Each part repeated with twice its multiplicity."""
-        return Partition(self.parts + self.parts)
+        return _from_mults({x: 2 * m for x, m in self._counts.items()})
+
+
+def _from_mults(mults: dict[int, int]) -> Partition:
+    """The partition with multiplicities mults (positive, keys decreasing); trusted."""
+    parts: list[int] = []
+    for x, m in mults.items():
+        parts += [x] * m
+    return Partition(tuple(parts), _mults=mults)
 
 
 # -- module-level operation names ------------------------------------------------
 
-
-def dual(lam: Partition) -> Partition:
-    return lam.dual()
-
-
-def merge(alpha: Partition, beta: Partition) -> Partition:
-    return alpha.merge(beta)
-
-
-def double(alpha: Partition) -> Partition:
-    return alpha.double()
-
-
-def multiplicity(lam: Partition, x: int) -> int:
-    return lam.multiplicity(x)
+dual, merge, double, multiplicity = Partition.dual, Partition.merge, Partition.double, Partition.multiplicity
 
 
 @lru_cache(maxsize=None)

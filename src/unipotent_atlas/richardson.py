@@ -32,7 +32,7 @@ from functools import lru_cache
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
 from .decomp import satisfies_difference_condition
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, iter_partitions
+from .partitions import Partition, _from_mults, iter_partitions
 
 #: Largest rank enumerate_distinguished_parabolics accepts by default.
 DEFAULT_RANK_BOUND = 32
@@ -109,10 +109,7 @@ class ParabolicDescriptor:
 
     def block_sizes(self) -> Partition:
         """The GL block sizes of the Levi as a partition of rank - m0."""
-        parts = []
-        for i, ci in enumerate(self.c, start=1):
-            parts.extend([i] * ci)
-        return Partition(tuple(parts))
+        return _from_mults({i: ci for i, ci in reversed(tuple(enumerate(self.c, start=1))) if ci})
 
     def _remainder_simple_ranks(self) -> tuple[int, ...]:
         fam, m0 = self.group.family, self.m0
@@ -237,10 +234,7 @@ def _dual_exponents(P: ParabolicDescriptor) -> list[tuple[int, int]]:
 
 def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, EpsilonMap]:
     """Jordan blocks (and eps) of the Richardson class of the distinguished parabolic P."""
-    parts: list[int] = []
-    for value, exponent in _dual_exponents(P):
-        parts.extend([value] * exponent)
-    lam = Partition(tuple(parts)).dual()
+    lam = _from_mults({value: e for value, e in reversed(_dual_exponents(P)) if e}).dual()
     if P.group.family is Family.SO and P.group.dim % 2 == 1 and P.group.p2:
         lam = lam + Partition((1,))
     return lam, distinguished_eps(P.group, lam)
@@ -270,10 +264,8 @@ def _enumerated(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
     out: list[ParabolicDescriptor] = []
     if G.family is Family.GL:
         for shape in iter_partitions(rank):
-            c = [0] * (shape[0] if shape else 0)
-            for p in shape:
-                c[p - 1] += 1
-            out.append(ParabolicDescriptor(G, tuple(c), 0))
+            c = tuple(shape.count(i) for i in range(1, max(shape, default=0) + 1))
+            out.append(ParabolicDescriptor(G, c, 0))
     elif G.family is Family.SP:
         for c in _chain_vectors(rank):
             out.append(ParabolicDescriptor(G, c, 0))
@@ -307,10 +299,7 @@ def _chain_vectors(weight: int) -> list[tuple[int, ...]]:
     while N * (N + 1) // 2 <= weight:
         base = N * (N + 1) // 2
         for extra in iter_partitions(weight - base, max_part=N):
-            c = [1] * N
-            for p in extra:
-                c[p - 1] += 1
-            out.append(tuple(c))
+            out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
         N += 1
     return out
 

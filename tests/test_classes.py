@@ -203,6 +203,21 @@ def test_class_param_tags_validated():
         ClassParam(SO16, Partition((6, 4, 4, 2)), eps_of(**{"6": 1, "4": 1, "2": 1}), "III")
 
 
+@pytest.mark.parametrize("items", [((4, 0.7),), ((4.0, 1),), ((4, True),), ((True, 1),), ((4, "1"),)])
+def test_epsilon_map_refuses_non_integer_entries(items):
+    # int() used to truncate these: ((4, 0.7),) became the map 4:0
+    with pytest.raises(InputError, match="integer pairs"):
+        EpsilonMap(items)
+
+
+def test_class_param_refuses_non_integer_blocks():
+    # ClassParam(SO8, Partition((4.5, 4.2)), ...) used to be the class (4, 4)
+    so8 = GroupSpec(Family.SO, 8, Char.TWO)
+    with pytest.raises(InputError, match="must be integers"):
+        ClassParam(so8, Partition((4.5, 4.2)), eps_of(**{"4": 1}))
+    assert ClassParam(so8, Partition((4, 4)), eps_of(**{"4": 1})).lam.parts == (4, 4)
+
+
 def test_class_json_record():
     C = ClassParam(SO16, Partition((6, 4, 4, 2)), eps_of(**{"6": 1, "4": 1, "2": 1}))
     assert C.to_json() == {

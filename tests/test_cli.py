@@ -231,6 +231,20 @@ def test_table_1_rejects_a_dim_below_1(capsys, dim):
     assert err == f"error: --dim must be at least 1, got {dim}\n"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["verify", "--max-dim", "0"], "--max-dim", "0"),
+    (["verify", "--max-dim", "-2"], "--max-dim", "-2"),
+    (["--max-dim", "0", "verify", "--claim", "minimal-levi"], "--max-dim", "0"),
+    (["verify", "--claim", "proposition", "--max-beta", "-1"], "--max-beta", "-1"),
+    (["verify", "--claim", "all", "--max-beta", "0"], "--max-beta", "0"),
+])
+def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, flag, value):
+    # these used to pass with no report, or with reports that checked nothing
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
 def test_a_crash_exits_3_apart_from_a_failed_claim(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("table lost")

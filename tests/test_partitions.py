@@ -39,6 +39,13 @@ def test_normalization_and_validation():
         Partition((-1,))
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1), (2.0,), (True, 1), ("3",), (3, "2")])
+def test_non_integer_parts_are_refused(parts):
+    # int() used to truncate these: (2.5, 1) became the partition 2,1
+    with pytest.raises(InputError, match="must be integers"):
+        Partition(parts)
+
+
 def test_dual_examples():
     assert dual(Partition((5,))) == Partition((1, 1, 1, 1, 1))
     expected = tally_dual(Partition((6, 4, 4, 2)))
