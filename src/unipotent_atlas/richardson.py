@@ -26,8 +26,10 @@ is exactly the set accepted by in_richardson_image.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
 from .decomp import satisfies_difference_condition
@@ -200,43 +202,40 @@ def regular_jordan_blocks(
 # -- Jordan blocks of Richardson classes ----------------------------------------
 
 
-def _dual_exponents(P: ParabolicDescriptor) -> list[tuple[int, int]]:
-    """(value, exponent) pairs describing lambda* for the Richardson class of P."""
+def _dual_exponents(P: ParabolicDescriptor) -> list[int]:
+    """Multiplicities of the parts 1, 2, 3, ... of lambda* for the Richardson class of P."""
     G = P.group
-    N = len(P.c)
-
-    def c(i: int) -> int:
-        return P.c[i - 1] if 1 <= i <= N else 0
-
-    pairs: list[tuple[int, int]] = []
     if G.family is Family.GL:
-        return [(i, c(i)) for i in range(1, N + 1)]
+        return list(P.c)
     if G.family is Family.SP:
-        return [(i, 2 * c(i)) for i in range(1, N + 1)]
-    odd_dim = G.dim % 2 == 1
-    top = 2 * P.m0 + 1 if odd_dim else 2 * P.m0
-    for i in range(1, max(N, top) + 1):
+        return [2 * ci for ci in P.c]
+    top = 2 * P.m0 + 1 if G.dim % 2 == 1 else 2 * P.m0
+    exps: list[int] = []
+    for i, ci in enumerate(P.c + (0,) * (top - len(P.c)), start=1):
         if G.p2:
-            if i <= 2 * P.m0:
-                e = 2 * c(i) + (2 if i % 2 == 0 else -2)
-            else:
-                e = 2 * c(i)
+            e = 2 * ci + (2 if i % 2 == 0 else -2) if i <= 2 * P.m0 else 2 * ci
         else:
-            e = 2 * c(i) + (1 if i == top else 0)
+            e = 2 * ci + (1 if i == top else 0)
         if e < 0:
             raise InputError(
                 f"descriptor {P.describe()} is not distinguished in {G.describe()} "
                 f"(negative multiplicity at block size {i})"
             )
-        pairs.append((i, e))
-    return pairs
+        exps.append(e)
+    return exps
+
+
+def _richardson_blocks(P: ParabolicDescriptor) -> Partition:
+    """Jordan blocks of the Richardson class of the distinguished parabolic P:
+    the dual of lambda*, whose j-th part counts the parts of lambda* of size >= j."""
+    odd_p2 = P.group.family is Family.SO and P.group.dim % 2 == 1 and P.group.p2
+    parts = [*accumulate(reversed(_dual_exponents(P)))][::-1] + [1] * odd_p2
+    return _from_mults(dict(Counter(x for x in parts if x)))
 
 
 def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, EpsilonMap]:
     """Jordan blocks (and eps) of the Richardson class of the distinguished parabolic P."""
-    lam = _from_mults({value: e for value, e in reversed(_dual_exponents(P)) if e}).dual()
-    if P.group.family is Family.SO and P.group.dim % 2 == 1 and P.group.p2:
-        lam = lam + Partition((1,))
+    lam = _richardson_blocks(P)
     return lam, distinguished_eps(P.group, lam)
 
 
@@ -307,18 +306,14 @@ def _chain_vectors(weight: int) -> list[tuple[int, ...]]:
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     """The unique descriptor whose Richardson class has Jordan blocks lam.
 
-    Inversion is by exhaustive enumeration plus forward evaluation;
-    injectivity of the forward map guarantees uniqueness.
+    Inversion is by exhaustive enumeration plus forward evaluation of the
+    blocks alone; injectivity of the forward map guarantees uniqueness.
     """
     if not in_richardson_image(G, lam):
         raise InputError(
             f"{lam} is not the Richardson class of a distinguished parabolic of {G.describe()}"
         )
-    matches = [
-        P
-        for P in enumerate_distinguished_parabolics(G)
-        if richardson_jordan_blocks(P)[0] == lam
-    ]
+    matches = [P for P in enumerate_distinguished_parabolics(G) if _richardson_blocks(P) == lam]
     if len(matches) != 1:
         raise RuntimeError(
             f"expected exactly one descriptor for {lam} in {G.describe()}, found {len(matches)}"

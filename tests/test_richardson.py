@@ -212,6 +212,24 @@ def test_forward_map_injective_image_matches_table_ranks_to_12():
                 assert image == table, G.describe()
 
 
+def test_inverse_recovers_every_descriptor_ranks_to_9():
+    # the inverse matches Jordan blocks alone; the blocks carry the
+    # multiplicities the validating constructor derives from their parts
+    for char in (Char.TWO, Char.GOOD):
+        for rank in range(1, 10):
+            groups = [spec(Family.SP, 2 * rank, char), spec(Family.SO, 2 * rank, char),
+                      spec(Family.SO, 2 * rank + 1, char)]
+            if char is Char.GOOD and rank <= 7:
+                groups.append(spec(Family.GL, rank, char))
+            for G in groups:
+                for P in enumerate_distinguished_parabolics(G):
+                    lam, _ = richardson_jordan_blocks(P)
+                    assert list(lam.multiplicities().items()) == list(
+                        Partition(lam.parts).multiplicities().items()
+                    )
+                    assert parabolic_from_blocks(G, lam) == P, (G.describe(), P.describe())
+
+
 def test_orthogonal_p2_image_satisfies_difference_condition():
     for dim in range(3, 17):
         G = spec(Family.SO, dim)
