@@ -59,10 +59,11 @@ class RegularSubgroupDescriptor:
     cl_parts: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self) -> None:
-        cl = tuple(sorted(((int(m), bool(f)) for m, f in self.cl_parts), reverse=True))
-        if any(m < 1 for m, _ in cl):
+        if any(type(m) is not int or type(f) is not bool for m, f in self.cl_parts):
+            raise InputError(f"classical factors must be (int, bool) pairs, got {self.cl_parts!r}")
+        if any(m < 1 for m, _ in self.cl_parts):
             raise InputError("classical factor dimensions must be positive")
-        object.__setattr__(self, "cl_parts", cl)
+        object.__setattr__(self, "cl_parts", tuple(sorted(self.cl_parts, reverse=True)))
 
     def validate_for(self, G: GroupSpec) -> None:
         if G.family is Family.GL:
@@ -326,8 +327,7 @@ def o_not_so_conjugate(C1: ClassParam, C2: ClassParam) -> bool:
 # -- enumerating the descriptor families --------------------------------------------
 
 
-def _classical_dim_multisets(G: GroupSpec, total: int, max_count: int | None = None,
-                             even_count: bool = False) -> Iterator[tuple[int, ...]]:
+def _classical_dim_multisets(G: GroupSpec, total: int) -> Iterator[tuple[int, ...]]:
     """Dimension multisets of classical factors filling a space of the given total.
 
     Symplectic factors are even-dimensional.  Orthogonal factors at p=2 must
@@ -335,42 +335,15 @@ def _classical_dim_multisets(G: GroupSpec, total: int, max_count: int | None = N
     summand feeds the bilinear radical); in good characteristic any
     dimensions embed.
     """
-    def emit(dims: tuple[int, ...]):
-        if max_count is not None and len(dims) > max_count:
-            return None
-        if even_count and len(dims) % 2 != 0:
-            return None
-        return dims
-
-    if total == 0:
-        out = emit(())
-        if out is not None:
-            yield out
-        return
-    if G.family is Family.SP:
-        if total % 2 != 0:
-            return
+    if G.family is not Family.SP and not G.p2:
+        yield from iter_partitions(total)
+    elif total % 2 == 0:
         for parts in iter_partitions(total // 2):
-            dims = emit(tuple(2 * p for p in parts))
-            if dims is not None:
-                yield dims
-    elif G.p2:
-        if total % 2 == 0:
-            for parts in iter_partitions(total // 2):
-                dims = emit(tuple(2 * p for p in parts))
-                if dims is not None:
-                    yield dims
-        else:
-            for odd in range(1, total + 1, 2):
-                for parts in iter_partitions((total - odd) // 2):
-                    dims = emit(tuple(sorted((odd,) + tuple(2 * p for p in parts), reverse=True)))
-                    if dims is not None:
-                        yield dims
-    else:
-        for dims in iter_partitions(total):
-            dims = emit(dims)
-            if dims is not None:
-                yield dims
+            yield tuple(2 * p for p in parts)
+    elif G.family is not Family.SP:
+        for odd in range(1, total + 1, 2):
+            for parts in iter_partitions((total - odd) // 2):
+                yield tuple(sorted((odd,) + tuple(2 * p for p in parts), reverse=True))
 
 
 def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
@@ -382,11 +355,12 @@ def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
     if G.family not in (Family.SP, Family.SO):
         raise InputError("regular subgroups are enumerated for gl, sp, and so")
     full = G.p2 and G.family is Family.SO
-    even_count = full and G.dim % 2 == 0
     for a in range(G.dim // 2 + 1):
         rest = G.dim - 2 * a
         for alpha in iter_partitions(a):
-            for dims in _classical_dim_multisets(G, rest, even_count=even_count):
+            for dims in _classical_dim_multisets(G, rest):
+                if full and G.dim % 2 == 0 and len(dims) % 2 != 0:  # even SO needs evenly many
+                    continue
                 yield RegularSubgroupDescriptor(
                     Partition(alpha), tuple((m, full) for m in dims)
                 )
@@ -405,7 +379,9 @@ def iter_parabolic_products(G: GroupSpec, max_factors: int = 3) -> Iterator[Para
         for alpha in iter_partitions(a):
             gl = Partition(alpha)
             seen: set[tuple] = set()
-            for dims in _classical_dim_multisets(G, rest, max_count=max_factors):
+            for dims in _classical_dim_multisets(G, rest):
+                if len(dims) > max_factors:
+                    continue
                 choices = [
                     enumerate_distinguished_parabolics(G.classical_factor(d)) for d in dims
                 ]

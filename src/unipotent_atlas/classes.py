@@ -43,7 +43,7 @@ class GroupSpec:
     char: Char = Char.TWO
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:  # a bool is not a dimension
             raise InputError(f"group dimension must be a positive integer, got {self.dim!r}")
         if self.dim > 10_000:
             raise InputError(f"group dimension {self.dim} exceeds the supported bound")

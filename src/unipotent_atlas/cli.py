@@ -24,6 +24,7 @@ from .classes import (
 from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
 from .oracle import (
+    check_bounds,
     group_sweep,
     run_all,
     verify_extra_count,
@@ -318,12 +319,9 @@ GROUP_CLAIMS = {
 
 
 def cmd_verify(args) -> int:
-    # a bound below 1 leaves every claim with nothing to check
-    for flag, value in (("--max-dim", args.max_dim), ("--max-beta", args.max_beta)):
-        if value is not None and value < 1:
-            raise InputError(f"{flag} must be at least 1, got {value}")
     reports = []
     max_dim = args.max_dim if args.max_dim is not None else 24
+    check_bounds(max_dim, args.max_beta)
     if args.claim == "all":
         surj = args.surjectivity_max_dim if args.surjectivity_max_dim is not None else min(max_dim, 16)
         reports = run_all(max_dim=max_dim, surjectivity_max_dim=surj, beta_bound=args.max_beta)

@@ -13,8 +13,9 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .balacarter import (
     ClassAnalysis,
@@ -43,7 +44,7 @@ from .classes import (
 from .decomp import decompose, has_bad_sequence, satisfies_difference_condition
 from .errors import InputError
 from .partitions import Partition, iter_partitions
-from .richardson import regular_jordan_blocks
+from .richardson import regular_blocks
 
 
 @dataclass
@@ -96,97 +97,108 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
     )
 
 
-# -- surjectivity and right inverses -----------------------------------------------
+# -- the work a group's checks share ------------------------------------------------
 #
-# Each public verifier enumerates the classes of G itself and hands them to a
-# private check; run_all hands every check of a group one shared class list,
-# one analysis per class and one image table per map, which sends each
-# descriptor of G to the data_key of its class.  t0 is where the report's
-# timing starts.
+# A _GroupWork holds what several checks of one group read: the class list, one
+# analysis per class, and the psi1 and psi2 image tables, which send each
+# descriptor of G to the data_key of its class.  Each part is built on first
+# use, inside the timed region of the check that needs it first.  A public
+# verifier runs its check on a fresh record; run_all keeps one record per group.
 
 ImageTable = dict[object, tuple]
 
+#: Each descriptor map with the enumeration of its descriptors.
+_MAPS = {"psi1": (psi1, iter_regular_subgroups), "psi2": (psi2, iter_parabolic_products)}
 
-def _psi1_table(G: GroupSpec) -> ImageTable:
-    return {X: psi1(X, G).data_key() for X in iter_regular_subgroups(G)}
 
+@dataclass(frozen=True)
+class _GroupWork:
+    G: GroupSpec
+    _tables: dict[str, ImageTable] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-def _psi2_table(G: GroupSpec) -> ImageTable:
-    return {P: psi2(P, G).data_key() for P in iter_parabolic_products(G)}
+    @cached_property
+    def classes(self) -> list[ClassParam]:
+        return enumerate_classes(self.G)
+
+    @cached_property
+    def analyses(self) -> list[ClassAnalysis]:
+        return [analyse(C) for C in self.classes]
+
+    def table(self, which: str) -> ImageTable:
+        if which not in self._tables:
+            psi, descriptors = _MAPS[which]
+            self._tables[which] = {X: psi(X, self.G).data_key() for X in descriptors(self.G)}
+        return self._tables[which]
+
+    def key(self, which: str, X) -> tuple:
+        """The data_key of X's class: read from the image table when that
+        table is built, computed by the map otherwise."""
+        key = self._tables.get(which, {}).get(X)
+        return key if key is not None else _MAPS[which][0](X, self.G).data_key()
 
 
 def psi1_image(G: GroupSpec) -> set[tuple]:
-    return set(_psi1_table(G).values())
+    return set(_GroupWork(G).table("psi1").values())
 
 
 def psi2_image(G: GroupSpec) -> set[tuple]:
-    return set(_psi2_table(G).values())
+    return set(_GroupWork(G).table("psi2").values())
+
+
+# -- surjectivity and right inverses -----------------------------------------------
 
 
 def verify_surjectivity(G: GroupSpec, which: str) -> VerificationReport:
     """Compare enumerate_classes(G) with the full image of psi1 or psi2."""
+    return _surjectivity(_GroupWork(G), which)
+
+
+def _surjectivity(work: _GroupWork, which: str) -> VerificationReport:
     t0 = time.perf_counter()
-    if which not in ("psi1", "psi2"):
+    if which not in _MAPS:
         raise InputError(f"which must be 'psi1' or 'psi2', got {which!r}")
-    image = psi1_image(G) if which == "psi1" else psi2_image(G)
-    return _surjectivity(G, which, enumerate_classes(G), image, t0)
-
-
-def _surjectivity(G: GroupSpec, which: str, classes: list[ClassParam], image: set[tuple],
-                  t0: float) -> VerificationReport:
-    target = {C.data_key() for C in classes}
+    image = set(work.table(which).values())
+    target = {C.data_key() for C in work.classes}
     bad = [f"class not reached: lambda={Partition(k[0])} eps={dict(k[1])}" for k in sorted(target - image)]
     bad += [f"image outside the class list: lambda={Partition(k[0])}" for k in sorted(image - target)]
-    return _finish(f"{which}-surjective", G, G.dim, bad, t0, len(target))
+    return _finish(f"{which}-surjective", work.G, work.G.dim, bad, t0, len(target))
 
 
 def verify_right_inverse(G: GroupSpec, which: str) -> VerificationReport:
     """Check psi(phi(C)) == C for every class C of G."""
+    return _right_inverse(_GroupWork(G), which)
+
+
+def _right_inverse(work: _GroupWork, which: str) -> VerificationReport:
     t0 = time.perf_counter()
     if which not in ("phi1", "phi2"):
         raise InputError(f"which must be 'phi1' or 'phi2', got {which!r}")
-    classes = enumerate_classes(G)
-    return _right_inverse(G, which, classes, [analyse(C) for C in classes], {}, t0)
-
-
-def _right_inverse(G: GroupSpec, which: str, classes: list[ClassParam],
-                   analyses: list[ClassAnalysis], table: ImageTable,
-                   t0: float) -> VerificationReport:
-    """table holds the psi images of some of G's descriptors; a descriptor
-    it lacks is mapped by psi itself."""
-    psi = psi1 if which == "phi1" else psi2
+    psi = "psi" + which[-1]
     bad = []
-    for C, a in zip(classes, analyses):
+    for C, a in zip(work.classes, work.analyses):
         X = a.phi1() if which == "phi1" else a.phi2()
-        key = table.get(X)
-        if key is None:
-            key = psi(X, G).data_key()
-        if key != C.data_key():
-            back = psi(X, G)
+        if work.key(psi, X) != C.data_key():
+            back = _MAPS[psi][0](X, work.G)
             bad.append(f"psi({which}({C.lam}, {C.eps})) gave ({back.lam}, {back.eps})")
-    return _finish(f"{which}-right-inverse", G, G.dim, bad, t0, len(classes))
+    return _finish(f"{which}-right-inverse", work.G, work.G.dim, bad, t0, len(work.classes))
 
 
 def verify_psi2_restricted_injective(G: GroupSpec) -> VerificationReport:
     """psi2 restricted to at most one classical parabolic factor is injective."""
+    return _psi2_injective(_GroupWork(G))
+
+
+def _psi2_injective(work: _GroupWork) -> VerificationReport:
     t0 = time.perf_counter()
-    images = ((P, psi2(P, G).data_key()) for P in iter_parabolic_products(G, max_factors=1))
-    return _psi2_injective(G, images, t0)
-
-
-def _psi2_injective(G: GroupSpec, images: Iterable[tuple[ParabolicProduct, tuple]],
-                    t0: float) -> VerificationReport:
-    """images yields (P, key) for the products with at most one classical
-    factor, in the order iter_parabolic_products yields them."""
-    seen: dict[tuple, object] = {}
+    seen: dict[tuple, ParabolicProduct] = {}
     bad = []
-    checked = 0
-    for P, key in images:
-        checked += 1
+    products = list(iter_parabolic_products(work.G, max_factors=1))
+    for P in products:
+        key = work.key("psi2", P)
         if key in seen and seen[key] != P:
             bad.append(f"{seen[key].describe()} and {P.describe()} both map to {Partition(key[0])}")
         seen[key] = P
-    return _finish("psi2-injective-r<=1", G, G.dim, bad, t0, checked)
+    return _finish("psi2-injective-r<=1", work.G, work.G.dim, bad, t0, len(products))
 
 
 def so_connected_only_psi1_image(G: GroupSpec) -> set[tuple]:
@@ -199,18 +211,14 @@ def so_connected_only_psi1_image(G: GroupSpec) -> set[tuple]:
         raise InputError("the connected-only variant applies to SO at p=2")
     image: set[tuple] = set()
     for a in range(G.dim // 2 + 1):
-        rest = G.dim - 2 * a
-        for alpha in iter_partitions(a):
-            for dims in _classical_dim_multisets(G, rest):
-                classical = Partition()
-                for m in dims:
-                    blocks, _ = regular_jordan_blocks(GroupSpec(Family.SO, m, G.char))
-                    classical = classical + blocks
-                try:
-                    C = combine(Partition(alpha), classical, distinguished_eps(G, classical), G)
-                except InputError:
-                    continue
-                image.add(C.data_key())
+        classicals = [Partition(tuple(b for m in dims for b in regular_blocks(Family.SO, m, True)))
+                      for dims in _classical_dim_multisets(G, G.dim - 2 * a)]
+        for alpha, classical in product(iter_partitions(a), classicals):
+            try:
+                C = combine(Partition(alpha), classical, distinguished_eps(G, classical), G)
+            except InputError:
+                continue
+            image.add(C.data_key())
     return image
 
 
@@ -340,52 +348,47 @@ def _valid_splittings(C: ClassParam) -> list[tuple[Partition, Partition]]:
 PREIMAGE_MAX_DIM = 16
 
 
-def verify_minimal_levi(G: GroupSpec, preimage_max_dim: int = PREIMAGE_MAX_DIM) -> VerificationReport:
+def verify_minimal_levi(G: GroupSpec) -> VerificationReport:
     """Brute-force the splitting claims:
 
       - every class admits exactly one valid (alpha, beta) splitting, it is
         the one minimal_levi extracts, and beta is distinguished;
       - (Levi, distinguished class) pairs biject with classes, counting the
         split pairs twice;
-      - (dim <= preimage_max_dim) among all regular-subgroup preimages of a
+      - (dim <= PREIMAGE_MAX_DIM) among all regular-subgroup preimages of a
         class, the one with the most GL factors is unique and equals phi1.
     """
-    t0 = time.perf_counter()
-    classes = enumerate_classes(G)
-    preimages = None
-    if G.family is not Family.GL and G.dim <= preimage_max_dim:
-        preimages = _psi1_table(G)
-    return _minimal_levi(G, classes, [analyse(C) for C in classes], preimages, {}, t0)
+    return _minimal_levi(_GroupWork(G))
 
 
-def _distinguished_remainders(G: GroupSpec, rest: int) -> list[tuple[Partition, EpsilonMap]]:
+@lru_cache(maxsize=None)
+def _distinguished_remainders(family: Family, char: Char, rest: int
+                              ) -> tuple[tuple[Partition, EpsilonMap], ...]:
     """Every beta of the given total that is a valid distinguished class of the
-    classical factor, with its eps (the empty beta when rest is 0).  The list
-    depends on G only through its family and characteristic."""
+    classical factor of that dimension, with its eps (the empty beta when rest
+    is 0)."""
+    if rest == 0:
+        return ((Partition(), EpsilonMap()),)
+    H = GroupSpec(family, rest, char)
     out = []
     for beta_parts in iter_partitions(rest):
         beta = Partition(beta_parts)
-        eps_beta = distinguished_eps(G, beta)
-        if beta:
-            try:
-                if not is_distinguished(G.classical_factor(beta.total), beta, eps_beta):
-                    continue
-            except InputError:  # not a class of the factor at all
-                continue
-        out.append((beta, eps_beta))
-    return out
+        eps_beta = distinguished_eps(H, beta)
+        try:
+            if is_distinguished(H, beta, eps_beta):
+                out.append((beta, eps_beta))
+        except InputError:  # not a class of the factor at all
+            pass
+    return tuple(out)
 
 
-def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassAnalysis],
-                  preimages: ImageTable | None, remainders: dict[tuple, list], t0: float
-                  ) -> VerificationReport:
-    """preimages, when given, is G's psi1 table, and the phi1 maximality check
-    runs on it.  remainders keeps _distinguished_remainders lists by
-    (family, char, rest) and may be shared by several groups."""
+def _minimal_levi(work: _GroupWork) -> VerificationReport:
+    t0 = time.perf_counter()
+    G = work.G
     bad = []
     if G.family is Family.GL:
         return _finish("minimal-levi", G, G.dim, bad, t0, 0)
-    untagged = [(C, a) for C, a in zip(classes, analyses) if C.split_tag != "II"]
+    untagged = [(C, a) for C, a in zip(work.classes, work.analyses) if C.split_tag != "II"]
     for C, a in untagged:
         alpha, beta = a.alpha, a.beta
         eps_beta = distinguished_eps(G, beta)
@@ -403,11 +406,7 @@ def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassA
     seen: dict[tuple, tuple] = {}
     count = 0
     for a in range(G.dim // 2 + 1):
-        rest = G.dim - 2 * a
-        key = (G.family, G.char, rest)
-        if key not in remainders:
-            remainders[key] = _distinguished_remainders(G, rest)
-        betas = remainders[key]
+        betas = _distinguished_remainders(G.family, G.char, G.dim - 2 * a)
         for alpha_parts in iter_partitions(a):
             alpha = Partition(alpha_parts)
             for beta, eps_beta in betas:
@@ -419,8 +418,8 @@ def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassA
                 seen[key] = pair
                 doubled = G.family is Family.SO and splits_in_so(C.lam, C.eps, G.char)
                 count += 2 if doubled else 1
-    if count != len(classes):
-        bad.append(f"(Levi, class) pairs count {count} != class count {len(classes)}")
+    if count != len(work.classes):
+        bad.append(f"(Levi, class) pairs count {count} != class count {len(work.classes)}")
     if set(seen) != {C.data_key() for C, _ in untagged}:
         bad.append("(Levi, class) pairs miss some classes")
     # phi1 maximality among genuine preimages: phi1(C) attains the maximal
@@ -428,9 +427,9 @@ def _minimal_levi(G: GroupSpec, classes: list[ClassParam], analyses: list[ClassA
     # factors, and with that tiebreak it is unique.  (GL count alone does not
     # single it out: a remainder part m can also come from a larger factor
     # whose regular class has blocks (m, 1)-style, e.g. O_3 versus O_2 O_1.)
-    if preimages is not None:
+    if G.dim <= PREIMAGE_MAX_DIM:
         by_class: dict[tuple, list[RegularSubgroupDescriptor]] = defaultdict(list)
-        for X, key in preimages.items():
+        for X, key in work.table("psi1").items():
             by_class[key].append(X)
         for C, a in untagged:
             cands = by_class.get(C.data_key(), [])
@@ -459,42 +458,31 @@ def group_sweep(max_dim: int) -> list[GroupSpec]:
     return specs
 
 
+def check_bounds(max_dim: int, beta_bound: int) -> None:
+    """Refuse a bound below 1, which leaves every claim with nothing to check;
+    the errors name the flags of the verify command and the battery script."""
+    for flag, value in (("--max-dim", max_dim), ("--max-beta", beta_bound)):
+        if value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
+
+
 def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int = 30) -> list[VerificationReport]:
     """The release verification battery at the default bounds.
 
-    The reports are those of the public verifiers, in the same order, but each
-    group's classes are enumerated once and analysed once, each descriptor of
-    a group is mapped by psi1 or psi2 once, and the distinguished remainders
-    are filtered once per (family, char, size); that shared work is timed in
-    the first report of the group that uses it.
+    The reports are those of the public verifiers, in the same order, but a
+    group's checks in both sweeps share one _GroupWork, dropped after the
+    group's last check; its shared work is timed in the first report that uses it.
     """
+    check_bounds(max_dim, beta_bound)
     reports = []
-    enumerated: dict[GroupSpec, list[ClassParam]] = {}
-    psi1_tables: dict[GroupSpec, ImageTable] = {}
-    psi2_tables: dict[GroupSpec, ImageTable] = {}
-    remainders: dict[tuple, list] = {}
+    kept: dict[GroupSpec, _GroupWork] = {}
     for G in group_sweep(surjectivity_max_dim):
-        t0 = time.perf_counter()
-        classes = enumerated[G] = enumerate_classes(G)
-        table = psi1_tables[G] = _psi1_table(G)
-        reports.append(_surjectivity(G, "psi1", classes, set(table.values()), t0))
-        t0 = time.perf_counter()
-        table = psi2_tables[G] = _psi2_table(G)
-        reports.append(_surjectivity(G, "psi2", classes, set(table.values()), t0))
-        single = ((P, key) for P, key in table.items() if len(P.parabolics) <= 1)
-        reports.append(_psi2_injective(G, single, time.perf_counter()))
+        work = _GroupWork(G)
+        reports += [_surjectivity(work, "psi1"), _surjectivity(work, "psi2"), _psi2_injective(work)]
+        if G.dim <= max_dim:
+            kept[G] = work
     for G in group_sweep(max_dim):
-        t0 = time.perf_counter()
-        classes = enumerated.pop(G) if G in enumerated else enumerate_classes(G)
-        analyses = [analyse(C) for C in classes]
-        table = psi1_tables.pop(G, None)
-        if table is None and G.dim <= PREIMAGE_MAX_DIM:
-            table = _psi1_table(G)
-        reports.append(_right_inverse(G, "phi1", classes, analyses, table or {}, t0))
-        reports.append(_right_inverse(G, "phi2", classes, analyses, psi2_tables.pop(G, {}),
-                                      time.perf_counter()))
-        preimages = table if G.dim <= PREIMAGE_MAX_DIM else None
-        reports.append(_minimal_levi(G, classes, analyses, preimages, remainders,
-                                     time.perf_counter()))
+        work = kept.pop(G, None) or _GroupWork(G)
+        reports += [_right_inverse(work, "phi1"), _right_inverse(work, "phi2"), _minimal_levi(work)]
     reports.append(verify_proposition(beta_bound))
     return reports

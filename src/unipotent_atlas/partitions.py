@@ -52,6 +52,7 @@ class Partition:
         if s in ("", "0"):
             return cls()
         parts: list[int] = []
+        total = 0
         for chunk in s.split(","):
             chunk = chunk.strip()
             try:
@@ -64,10 +65,10 @@ class Partition:
                 raise InputError(f"cannot parse partition chunk {chunk!r} in {text!r}") from exc
             if value < 1 or mult < 1:
                 raise InputError(f"partition chunk {chunk!r} must have positive value and exponent")
-            parts.extend([value] * mult)
-        total = sum(parts)
-        if total > MAX_PARSE_TOTAL:
-            raise InputError(f"partition total {total} exceeds the supported bound {MAX_PARSE_TOTAL}")
+            total += value * mult  # checked before the chunk's parts are built
+            if total > MAX_PARSE_TOTAL:
+                raise InputError(f"partition total {total} exceeds the supported bound {MAX_PARSE_TOTAL}")
+            parts += [value] * mult
         return cls(tuple(parts))
 
     def __str__(self) -> str:

@@ -49,8 +49,7 @@ class ParabolicDescriptor:
     m0: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
-        object.__setattr__(self, "m0", int(self.m0))
+        object.__setattr__(self, "c", _integer_entries(self.c, self.m0))
         G = self.group
         if G.family not in (Family.GL, Family.SP, Family.SO):
             raise InputError("parabolic descriptors exist for gl, sp, and so only")
@@ -85,7 +84,7 @@ class ParabolicDescriptor:
     @classmethod
     def make(cls, group: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDescriptor:
         """Build a descriptor, normalizing the GL_1 <-> SO_2 redundancy of even orthogonal groups."""
-        c = tuple(int(x) for x in c)
+        c = _integer_entries(c, m0)
         while c and c[-1] == 0:
             c = c[:-1]
         if group.family is Family.SO and group.dim % 2 == 0 and m0 == 0:
@@ -154,6 +153,14 @@ class ParabolicDescriptor:
 
     def describe(self) -> str:
         return f"c={self.block_sizes()};m0={self.m0}"
+
+
+def _integer_entries(c, m0) -> tuple[int, ...]:
+    """c as a tuple, once its entries and m0 are known to be ints."""
+    c = tuple(c)
+    if not set(map(type, (*c, m0))) <= {int}:  # a float or a bool is not a multiplicity
+        raise InputError(f"descriptor entries must be integers, got c={c!r}, m0={m0!r}")
+    return c
 
 
 def _n_window(G: GroupSpec, m0: int) -> tuple[int, ...]:

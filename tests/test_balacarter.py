@@ -78,6 +78,13 @@ def test_psi1_validation():
         psi1(RegularSubgroupDescriptor(Partition(), ((6, False), (4, False), (4, False), (2, False))), SO16)
 
 
+@pytest.mark.parametrize("cl_parts", [((4.7, True),), ((4.0, True),), ((True, True),), ((4, 1),)])
+def test_regular_subgroup_descriptor_refuses_non_integer_factors(cl_parts):
+    # int() and bool() used to coerce these: (4.7, True) became a factor of dim 4
+    with pytest.raises(InputError, match=r"\(int, bool\) pairs"):
+        RegularSubgroupDescriptor(Partition(), cl_parts)
+
+
 def test_phi1_examples():
     C = cls(SO16, (6, 4, 4, 2), **{"6": 1, "4": 1, "2": 1})
     X = phi1(C)

@@ -37,6 +37,12 @@ def test_group_spec_validation():
     assert GroupSpec(Family.SO, 13, Char.TWO).rank == 6
 
 
+def test_group_spec_refuses_a_bool_dim():
+    # isinstance(True, int) let this through, described as "SOTrue (p=2)"
+    with pytest.raises(InputError, match="must be a positive integer"):
+        GroupSpec(Family.SO, True, Char.TWO)
+
+
 def test_epsilon_map():
     e = EpsilonMap.parse("8:1,4:0,2:1")
     assert e[8] == 1 and e[4] == 0

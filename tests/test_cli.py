@@ -337,6 +337,17 @@ def test_verification_script_tells_a_crash_from_a_limit(capsys, monkeypatch, exc
     assert (captured.out, captured.err) == ("", err)
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["--max-dim", "0"], "--max-dim", "0"),
+    (["--max-dim", "4", "--max-beta", "-1"], "--max-beta", "-1"),
+])
+def test_verification_script_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, flag, value):
+    # --max-dim 0 used to exit 0 after one vacuous report
+    assert load_script("run_verifications").main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {flag} must be at least 1, got {value}\n")
+
+
 def test_census_matches_the_separate_public_calls(capsys):
     # reference: the census as composed before it analysed each class once,
     # counting through count_extra_classes and labelling through label

@@ -67,8 +67,8 @@ def test_psi2_restricted_injectivity_spot():
 
 
 def test_single_factor_products_are_the_filtered_full_sweep():
-    # run_all checks psi2 injectivity on the entries of its full psi2 table
-    # with at most one classical factor, relying on this order
+    # the psi2 injectivity check reads the keys of these products from the
+    # full psi2 table when that table is built, so each must be an entry of it
     for G in group_sweep(12):
         full = [P for P in iter_parabolic_products(G) if len(P.parabolics) <= 1]
         assert list(iter_parabolic_products(G, max_factors=1)) == full, G.describe()

@@ -1,5 +1,7 @@
 """Partition algebra tests: examples, exhaustive laws, and property checks."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,19 @@ def test_parse_and_print():
         Partition.parse("4^0")
     with pytest.raises(InputError):
         Partition.parse("10001")
+
+
+def test_parse_refuses_an_oversized_total_before_building_the_parts():
+    # the whole parts list used to be built first: 3.2 MB here, and a billion
+    # parts for "1^1000000000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="partition total 200000 exceeds"):
+            Partition.parse("1^200000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @given(partitions_st)

@@ -126,6 +126,16 @@ def test_descriptor_validation_and_normalization():
         ParabolicDescriptor(spec(Family.SO, 9), (1,), 3)  # window violation
 
 
+@pytest.mark.parametrize("c, m0", [((2.9,), 0), ((2,), 0.0), ((True, True), 0), ((2,), False)])
+def test_descriptor_refuses_non_integer_entries(c, m0):
+    # int() used to truncate these: c=(2.9,) described as c=1^2;m0=0
+    sp4 = spec(Family.SP, 4)
+    with pytest.raises(InputError, match="must be integers"):
+        ParabolicDescriptor(sp4, c, m0)
+    with pytest.raises(InputError, match="must be integers"):
+        ParabolicDescriptor.make(sp4, c, m0)
+
+
 def test_richardson_blocks_examples():
     for m in (1, 2, 5):
         borel = ParabolicDescriptor.borel(spec(Family.SP, 2 * m))
