@@ -16,6 +16,12 @@ class; labels render the GL blocks as A-tokens and each Richardson piece as
 a B/C/D token, with (a_j) notation when the piece's Levi has only rank-1
 simple factors and a marked-diagram fallback otherwise.  All four read
 one ClassAnalysis of the class, which analyse builds once per class.
+
+Both kinds of product obey the rules of _check_product (gl, sp or so; no
+classical factors on GL; GL blocks and factors fill the module; at most one
+odd-dimensional factor of SO at p=2) and _full_factors (whole orthogonal
+factors exactly for SO at p=2).  Each validate_for adds its own kind's
+rules, and one generator, _products, feeds both enumerations.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from typing import Iterator
 
 from .classes import (
     ClassParam,
-    EpsilonMap,
     Family,
     GroupSpec,
     combine,
@@ -66,33 +71,16 @@ class RegularSubgroupDescriptor:
         object.__setattr__(self, "cl_parts", tuple(sorted(self.cl_parts, reverse=True)))
 
     def validate_for(self, G: GroupSpec) -> None:
-        if G.family is Family.GL:
-            if self.cl_parts:
-                raise InputError("GL admits no classical factors")
-            if self.gl_parts.total != G.dim:
-                raise InputError("GL block sizes must sum to the dimension")
-            return
-        if G.family not in (Family.SP, Family.SO):
-            raise InputError("regular-subgroup descriptors exist for gl, sp, and so")
-        if 2 * self.gl_parts.total + sum(m for m, _ in self.cl_parts) != G.dim:
-            raise InputError("factor dimensions do not fill the natural module")
-        full_expected = G.p2 and G.family is Family.SO
-        for m, full in self.cl_parts:
-            if full != full_expected:
-                kind = "full orthogonal" if full_expected else "connected"
+        _check_product(G, self.gl_parts, [m for m, _ in self.cl_parts])
+        full = _full_factors(G)
+        for m, f in self.cl_parts:
+            if f != full:
+                kind = "full orthogonal" if full else "connected"
                 raise InputError(f"classical factors of {G.describe()} must be {kind}")
             if G.family is Family.SP and m % 2 != 0:
                 raise InputError(f"symplectic factor dimension {m} must be even")
-        if G.family is Family.SO and G.p2:
-            # at p=2, each odd-dimensional orthogonal summand contributes a line
-            # to the bilinear radical, so their number equals dim mod 2
-            odd_dims = sum(1 for m, _ in self.cl_parts if m % 2 == 1)
-            if odd_dims != G.dim % 2:
-                raise InputError(
-                    f"{odd_dims} odd-dimensional factors cannot embed in {G.describe()} at p=2"
-                )
-            if G.dim % 2 == 0 and len(self.cl_parts) % 2 != 0:
-                raise InputError("an even-dimensional SO group needs an even number of factors")
+        if full and G.dim % 2 == 0 and len(self.cl_parts) % 2 != 0:
+            raise InputError("an even-dimensional SO group needs an even number of factors")
 
     def describe(self) -> str:
         chunks = [f"GL{p}" for p in self.gl_parts.parts]
@@ -112,29 +100,13 @@ class ParabolicProduct:
         object.__setattr__(self, "parabolics", tuple(sorted(self.parabolics)))
 
     def validate_for(self, G: GroupSpec) -> None:
-        if G.family is Family.GL:
-            if self.parabolics:
-                raise InputError("GL admits no classical parabolic factors")
-            if self.gl_parts.total != G.dim:
-                raise InputError("GL block sizes must sum to the dimension")
-            return
-        if G.family not in (Family.SP, Family.SO):
-            raise InputError("parabolic products exist for gl, sp, and so")
+        _check_product(G, self.gl_parts, [P.group.dim for P in self.parabolics])
         if len(self.parabolics) > 3:
             raise InputError("at most three classical parabolic factors are allowed")
-        dims = sum(P.group.dim for P in self.parabolics)
-        if 2 * self.gl_parts.total + dims != G.dim:
-            raise InputError("factor dimensions do not fill the natural module")
         for P in self.parabolics:
             if P.group.family is not G.family or P.group.char is not G.char:
                 raise InputError(
                     f"factor group {P.group.describe()} does not match {G.describe()}"
-                )
-        if G.family is Family.SO and G.p2:
-            odd_dims = sum(1 for P in self.parabolics if P.group.dim % 2 == 1)
-            if odd_dims > 1:
-                raise InputError(
-                    f"{odd_dims} odd-dimensional factors cannot embed in {G.describe()} at p=2"
                 )
 
     def describe(self) -> str:
@@ -144,16 +116,43 @@ class ParabolicProduct:
         return " ".join(chunks) if chunks else "1"
 
 
+# -- the rules every product obeys ---------------------------------------------------
+
+
+def _full_factors(G: GroupSpec) -> bool:
+    """Whether G's classical factors are whole orthogonal groups (O_m rather
+    than SO_m), which is so exactly for SO at p=2."""
+    return G.p2 and G.family is Family.SO
+
+
+def _check_product(G: GroupSpec, gl_parts: Partition, dims: list[int]) -> None:
+    """Refuse GL blocks plus classical factors of the given dimensions that
+    are no subgroup product of G, whichever the kind of factor."""
+    if G.family not in (Family.GL, Family.SP, Family.SO):
+        raise InputError("subgroup products exist for gl, sp, and so")
+    if G.family is Family.GL and dims:
+        raise InputError("GL admits no classical factors")
+    # a GL block of a classical group comes with its dual, so it fills twice its size
+    gl_dim = gl_parts.total if G.family is Family.GL else 2 * gl_parts.total
+    if gl_dim + sum(dims) != G.dim:
+        raise InputError("factor dimensions do not fill the natural module")
+    # at p=2, each odd-dimensional orthogonal summand adds a line to the
+    # bilinear radical, and an SO group's radical has dimension dim mod 2
+    odd_dims = sum(m % 2 for m in dims)
+    if _full_factors(G) and odd_dims > 1:
+        raise InputError(
+            f"{odd_dims} odd-dimensional factors cannot embed in {G.describe()} at p=2"
+        )
+
+
 # -- the four maps -----------------------------------------------------------------
 
 
 def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
     """Class of a product of regular elements, one per factor of X."""
     X.validate_for(G)
-    if G.family is Family.GL:
-        return combine(X.gl_parts, Partition(), EpsilonMap(), G)
     # validate_for has checked each factor as a group of its own: a positive
-    # dimension, even for Sp, and full (a whole O_m) exactly for SO at p=2
+    # dimension, even for Sp, and full (a whole O_m) exactly when _full_factors(G)
     parts: list[int] = []
     for m, full in X.cl_parts:
         family = Family.O if full else G.family
@@ -170,8 +169,6 @@ def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
     """Class of a product of Richardson elements, one per parabolic factor of P."""
     P.validate_for(G)
-    if G.family is Family.GL:
-        return combine(P.gl_parts, Partition(), EpsilonMap(), G)
     classical = Partition()
     for desc in P.parabolics:
         blocks, _ = richardson_jordan_blocks(desc)
@@ -224,7 +221,7 @@ class ClassAnalysis:
         return self._descriptors[i]
 
     def phi1(self) -> RegularSubgroupDescriptor:
-        full = self.group.p2 and self.group.family is Family.SO
+        full = _full_factors(self.group)
         return RegularSubgroupDescriptor(self.alpha, tuple((m, full) for m in self.beta.parts))
 
     def phi2(self) -> ParabolicProduct:
@@ -268,11 +265,8 @@ def analyse(C: ClassParam) -> ClassAnalysis:
 
 def _factor_type(G: GroupSpec, dim: int) -> tuple[str, int]:
     """Lie-type letter and rank of the classical factor of the given dimension."""
-    if G.family is Family.SP:
-        return "C", dim // 2
-    if dim % 2 == 1:
-        return "B", (dim - 1) // 2
-    return "D", dim // 2
+    letter = "C" if G.family is Family.SP else "B" if dim % 2 == 1 else "D"
+    return letter, dim // 2
 
 
 def diagram_string(P: ParabolicDescriptor) -> str:
@@ -330,10 +324,9 @@ def o_not_so_conjugate(C1: ClassParam, C2: ClassParam) -> bool:
 def _classical_dim_multisets(G: GroupSpec, total: int) -> Iterator[tuple[int, ...]]:
     """Dimension multisets of classical factors filling a space of the given total.
 
-    Symplectic factors are even-dimensional.  Orthogonal factors at p=2 must
-    include exactly total mod 2 odd dimensions (each odd nondegenerate
-    summand feeds the bilinear radical); in good characteristic any
-    dimensions embed.
+    Symplectic factors are even-dimensional.  At p=2, orthogonal factors
+    include at most one odd dimension (see _check_product), so exactly
+    total mod 2 of them; in good characteristic any dimensions embed.
     """
     if G.family is not Family.SP and not G.p2:
         yield from iter_partitions(total)
@@ -346,51 +339,41 @@ def _classical_dim_multisets(G: GroupSpec, total: int) -> Iterator[tuple[int, ..
                 yield tuple(sorted((odd,) + tuple(2 * p for p in parts), reverse=True))
 
 
-def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
-    """All regular-subgroup descriptors for G (conjugacy-class representatives)."""
+def _products(G: GroupSpec) -> Iterator[tuple[Partition, list[tuple[int, ...]]]]:
+    """(GL blocks, every dimension multiset of classical factors that fills
+    the rest of G) for each GL block partition, in enumeration order."""
     if G.family is Family.GL:
         for parts in iter_partitions(G.dim):
-            yield RegularSubgroupDescriptor(Partition(parts), ())
+            yield Partition(parts), [()]
         return
     if G.family not in (Family.SP, Family.SO):
-        raise InputError("regular subgroups are enumerated for gl, sp, and so")
-    full = G.p2 and G.family is Family.SO
+        raise InputError("subgroup products are enumerated for gl, sp, and so")
     for a in range(G.dim // 2 + 1):
-        rest = G.dim - 2 * a
+        multisets = list(_classical_dim_multisets(G, G.dim - 2 * a))
         for alpha in iter_partitions(a):
-            for dims in _classical_dim_multisets(G, rest):
-                if full and G.dim % 2 == 0 and len(dims) % 2 != 0:  # even SO needs evenly many
-                    continue
-                yield RegularSubgroupDescriptor(
-                    Partition(alpha), tuple((m, full) for m in dims)
-                )
+            yield Partition(alpha), multisets
+
+
+def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
+    """All regular-subgroup descriptors for G (conjugacy-class representatives)."""
+    full = _full_factors(G)
+    for gl, multisets in _products(G):
+        for dims in multisets:
+            if full and G.dim % 2 == 0 and len(dims) % 2 != 0:  # even SO needs evenly many
+                continue
+            yield RegularSubgroupDescriptor(gl, tuple((m, full) for m in dims))
 
 
 def iter_parabolic_products(G: GroupSpec, max_factors: int = 3) -> Iterator[ParabolicProduct]:
     """All parabolic products for G with at most max_factors classical factors."""
-    if G.family is Family.GL:
-        for parts in iter_partitions(G.dim):
-            yield ParabolicProduct(Partition(parts), ())
-        return
-    if G.family not in (Family.SP, Family.SO):
-        raise InputError("parabolic products are enumerated for gl, sp, and so")
-    for a in range(G.dim // 2 + 1):
-        rest = G.dim - 2 * a
-        for alpha in iter_partitions(a):
-            gl = Partition(alpha)
-            seen: set[tuple] = set()
-            for dims in _classical_dim_multisets(G, rest):
-                if len(dims) > max_factors:
-                    continue
-                choices = [
-                    enumerate_distinguished_parabolics(G.classical_factor(d)) for d in dims
-                ]
-                if any(not opts for opts in choices):
-                    continue
-                for combo in product(*choices):
-                    P = ParabolicProduct(gl, tuple(combo))
-                    key = P.parabolics
-                    if key in seen:
-                        continue
-                    seen.add(key)
+    for gl, multisets in _products(G):
+        seen: set[tuple] = set()
+        for dims in multisets:
+            if len(dims) > max_factors:
+                continue
+            choices = [enumerate_distinguished_parabolics(G.classical_factor(d)) for d in dims]
+            for combo in product(*choices):
+                P = ParabolicProduct(gl, combo)
+                if P.parabolics not in seen:
+                    seen.add(P.parabolics)
                     yield P

@@ -458,10 +458,11 @@ def group_sweep(max_dim: int) -> list[GroupSpec]:
     return specs
 
 
-def check_bounds(max_dim: int, beta_bound: int) -> None:
-    """Refuse a bound below 1, which leaves every claim with nothing to check;
-    the errors name the flags of the verify command and the battery script."""
-    for flag, value in (("--max-dim", max_dim), ("--max-beta", beta_bound)):
+def check_bounds(max_dim: int, beta_bound: int, surjectivity_max_dim: int = 1) -> None:
+    """Refuse a bound below 1, which leaves claims with nothing to check or out
+    of run_all; the errors name the flags of the verify command and the battery script."""
+    for flag, value in (("--max-dim", max_dim), ("--max-beta", beta_bound),
+                        ("--surjectivity-max-dim", surjectivity_max_dim)):
         if value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
 
@@ -473,7 +474,7 @@ def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int =
     group's checks in both sweeps share one _GroupWork, dropped after the
     group's last check; its shared work is timed in the first report that uses it.
     """
-    check_bounds(max_dim, beta_bound)
+    check_bounds(max_dim, beta_bound, surjectivity_max_dim)
     reports = []
     kept: dict[GroupSpec, _GroupWork] = {}
     for G in group_sweep(surjectivity_max_dim):

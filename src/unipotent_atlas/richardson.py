@@ -113,14 +113,11 @@ class ParabolicDescriptor:
         return _from_mults({i: ci for i, ci in reversed(tuple(enumerate(self.c, start=1))) if ci})
 
     def _remainder_simple_ranks(self) -> tuple[int, ...]:
-        fam, m0 = self.group.family, self.m0
-        if m0 == 0 or fam is Family.GL:
-            return ()
-        if fam is Family.SP or self.group.dim % 2 == 1:
-            return (m0,)
-        if m0 == 1:
+        # only SO descriptors have a remainder: the constructor refuses m0 > 0 on GL and Sp
+        m0 = self.m0
+        if m0 == 0 or (self.group.dim % 2 == 0 and m0 == 1):
             return ()  # SO_2 is a torus
-        if m0 == 2:
+        if self.group.dim % 2 == 0 and m0 == 2:
             return (1, 1)  # SO_4 has two rank-1 factors
         return (m0,)
 
@@ -141,14 +138,8 @@ class ParabolicDescriptor:
         for i, ci in enumerate(self.c, start=1):
             if ci >= 1:
                 chunks.append(f"GL{i}^{ci}" if ci > 1 else f"GL{i}")
-        fam = self.group.family
-        if self.m0 > 0:
-            if fam is Family.SP:
-                chunks.append(f"Sp{2 * self.m0}")
-            elif self.group.dim % 2 == 1:
-                chunks.append(f"SO{2 * self.m0 + 1}")
-            else:
-                chunks.append(f"SO{2 * self.m0}")
+        if self.m0 > 0:  # an SO remainder, of the group's dimension parity
+            chunks.append(f"SO{2 * self.m0 + self.group.dim % 2}")
         return " ".join(chunks) if chunks else "1"
 
     def describe(self) -> str:

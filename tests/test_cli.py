@@ -237,9 +237,12 @@ def test_table_1_rejects_a_dim_below_1(capsys, dim):
     (["--max-dim", "0", "verify", "--claim", "minimal-levi"], "--max-dim", "0"),
     (["verify", "--claim", "proposition", "--max-beta", "-1"], "--max-beta", "-1"),
     (["verify", "--claim", "all", "--max-beta", "0"], "--max-beta", "0"),
+    (["verify", "--max-dim", "2", "--surjectivity-max-dim", "-1", "--max-beta", "2"],
+     "--surjectivity-max-dim", "-1"),
 ])
 def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, flag, value):
-    # these used to pass with no report, or with reports that checked nothing
+    # these used to pass with no report, with reports that checked nothing,
+    # or without the surjectivity and injectivity reports
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} must be at least 1, got {value}\n"
@@ -340,9 +343,11 @@ def test_verification_script_tells_a_crash_from_a_limit(capsys, monkeypatch, exc
 @pytest.mark.parametrize("argv, flag, value", [
     (["--max-dim", "0"], "--max-dim", "0"),
     (["--max-dim", "4", "--max-beta", "-1"], "--max-beta", "-1"),
+    (["--max-dim", "4", "--surjectivity-max-dim", "0"], "--surjectivity-max-dim", "0"),
 ])
 def test_verification_script_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, flag, value):
-    # --max-dim 0 used to exit 0 after one vacuous report
+    # --max-dim 0 used to exit 0 after one vacuous report, and
+    # --surjectivity-max-dim 0 after leaving out two claims
     assert load_script("run_verifications").main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {flag} must be at least 1, got {value}\n")

@@ -8,6 +8,12 @@ is meant to alter one of these outputs recaptures them with
     PYTHONPATH=src python tests/test_golden_digests.py --write
 
 and says so; any other change must leave them byte-identical.
+
+The same command also recaptures ``enumeration_digests.json``: one sha256
+per group of ``group_sweep(ENUMERATION_MAX_DIM)`` and enumeration, over the
+``repr`` of each descriptor that ``iter_regular_subgroups(G)`` and
+``iter_parabolic_products(G, max_factors=k)`` (k = 1, 2, 3) yield, in order.
+They pin the enumeration order, which no CLI output shows in full.
 """
 
 import contextlib
@@ -17,12 +23,15 @@ import json
 import sys
 from pathlib import Path
 
+from unipotent_atlas.balacarter import iter_parabolic_products, iter_regular_subgroups
 from unipotent_atlas.classes import Char
 from unipotent_atlas.cli import main
 from unipotent_atlas.oracle import group_sweep
 
 GOLDEN_MAX_DIM = 20
+ENUMERATION_MAX_DIM = 16
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+ENUMERATION_DIGESTS = Path(__file__).with_name("enumeration_digests.json")
 
 
 def golden_argvs() -> list[list[str]]:
@@ -50,15 +59,38 @@ def compute_digests() -> dict[str, str]:
     return digests
 
 
-def test_golden_outputs_are_byte_identical():
-    want = json.loads(DIGESTS.read_text())
-    got = compute_digests()
+def compute_enumeration_digests() -> dict[str, str]:
+    digests = {}
+    for G in group_sweep(ENUMERATION_MAX_DIM):
+        sequences = {"regular": iter_regular_subgroups(G)}
+        for k in (1, 2, 3):
+            sequences[f"parabolic max_factors={k}"] = iter_parabolic_products(G, max_factors=k)
+        for name, items in sequences.items():
+            h = hashlib.sha256()
+            for item in items:
+                h.update(repr(item).encode() + b"\n")
+            digests[f"{G.describe()} {name}"] = h.hexdigest()
+    return digests
+
+
+def _assert_unchanged(path: Path, got: dict[str, str]) -> None:
+    want = json.loads(path.read_text())
     assert got.keys() == want.keys()
     changed = sorted(k for k in want if got[k] != want[k])
     assert not changed, f"{len(changed)} golden outputs changed, first: {changed[:5]}"
 
 
+def test_golden_outputs_are_byte_identical():
+    _assert_unchanged(DIGESTS, compute_digests())
+
+
+def test_enumeration_order_is_unchanged():
+    _assert_unchanged(ENUMERATION_DIGESTS, compute_enumeration_digests())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_digests.py --write")
-    DIGESTS.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
+    for path, digests in ((DIGESTS, compute_digests()),
+                          (ENUMERATION_DIGESTS, compute_enumeration_digests())):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -1,7 +1,14 @@
 """The eps law and the distinguished shape, each stated once in classes
 (eps_options, shape_violation), against the rules as each reader stated them
 before: every partition and every eps choice up to dim 18, in every family
-and both characteristics."""
+and both characteristics.
+
+The subgroup-product rules, stated once in balacarter._check_product, against
+the two validate_for bodies that stated them before: regular-subgroup
+descriptors and parabolic products up to dim 10, filling, one short and one
+over, with mixed full flags and with factors from other groups.  Each
+enumeration must yield exactly the accepted candidates, each once.
+"""
 
 import contextlib
 import io
@@ -10,6 +17,12 @@ from itertools import product
 import pytest
 
 from unipotent_atlas import cli
+from unipotent_atlas.balacarter import (
+    ParabolicProduct,
+    RegularSubgroupDescriptor,
+    iter_parabolic_products,
+    iter_regular_subgroups,
+)
 from unipotent_atlas.classes import (
     Char,
     ClassParam,
@@ -28,13 +41,14 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.decomp import decompose, satisfies_difference_condition
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.partitions import Partition, iter_partitions
-from unipotent_atlas.richardson import in_richardson_image
+from unipotent_atlas.richardson import enumerate_distinguished_parabolics, in_richardson_image
 
 MAX_DIM = 18
+PRODUCT_MAX_DIM = 10
 
 
-def groups():
-    for n in range(1, MAX_DIM + 1):
+def groups(max_dim=MAX_DIM):
+    for n in range(1, max_dim + 1):
         for family in Family:
             for char in Char:
                 if family is Family.SP and n % 2:
@@ -294,3 +308,154 @@ def test_shape_readings_match_the_reference_to_dim_18():
                     in_richardson_image(G, beta)
             else:
                 assert in_richardson_image(G, beta) == reference_in_richardson_image(G, beta)
+
+
+# -- the product rules, as each validate_for stated them --------------------------------
+
+
+def reference_regular_validate(X, G):
+    if G.family is Family.GL:
+        if X.cl_parts:
+            raise InputError("GL admits no classical factors")
+        if X.gl_parts.total != G.dim:
+            raise InputError("GL block sizes must sum to the dimension")
+        return
+    if G.family not in (Family.SP, Family.SO):
+        raise InputError("regular-subgroup descriptors exist for gl, sp, and so")
+    if 2 * X.gl_parts.total + sum(m for m, _ in X.cl_parts) != G.dim:
+        raise InputError("factor dimensions do not fill the natural module")
+    full_expected = G.p2 and G.family is Family.SO
+    for m, full in X.cl_parts:
+        if full != full_expected:
+            kind = "full orthogonal" if full_expected else "connected"
+            raise InputError(f"classical factors of {G.describe()} must be {kind}")
+        if G.family is Family.SP and m % 2 != 0:
+            raise InputError(f"symplectic factor dimension {m} must be even")
+    if G.family is Family.SO and G.p2:
+        odd_dims = sum(1 for m, _ in X.cl_parts if m % 2 == 1)
+        if odd_dims != G.dim % 2:
+            raise InputError(
+                f"{odd_dims} odd-dimensional factors cannot embed in {G.describe()} at p=2"
+            )
+        if G.dim % 2 == 0 and len(X.cl_parts) % 2 != 0:
+            raise InputError("an even-dimensional SO group needs an even number of factors")
+
+
+def reference_parabolic_validate(P, G):
+    if G.family is Family.GL:
+        if P.parabolics:
+            raise InputError("GL admits no classical parabolic factors")
+        if P.gl_parts.total != G.dim:
+            raise InputError("GL block sizes must sum to the dimension")
+        return
+    if G.family not in (Family.SP, Family.SO):
+        raise InputError("parabolic products exist for gl, sp, and so")
+    if len(P.parabolics) > 3:
+        raise InputError("at most three classical parabolic factors are allowed")
+    dims = sum(Q.group.dim for Q in P.parabolics)
+    if 2 * P.gl_parts.total + dims != G.dim:
+        raise InputError("factor dimensions do not fill the natural module")
+    for Q in P.parabolics:
+        if Q.group.family is not G.family or Q.group.char is not G.char:
+            raise InputError(
+                f"factor group {Q.group.describe()} does not match {G.describe()}"
+            )
+    if G.family is Family.SO and G.p2:
+        odd_dims = sum(1 for Q in P.parabolics if Q.group.dim % 2 == 1)
+        if odd_dims > 1:
+            raise InputError(
+                f"{odd_dims} odd-dimensional factors cannot embed in {G.describe()} at p=2"
+            )
+
+
+# -- the product sweeps -------------------------------------------------------------------
+
+
+def accepts(validate, *args):
+    try:
+        validate(*args)
+    except InputError:
+        return False
+    return True
+
+
+def gl_splits(G):
+    """(GL blocks, classical total) pairs that fill G, fall one short, or go one over."""
+    scale = 1 if G.family is Family.GL else 2
+    for a in range(G.dim // scale + 2):
+        for total in range(max(G.dim - scale * a - 1, 0), G.dim - scale * a + 2):
+            for alpha in iter_partitions(a):
+                yield Partition(alpha), total
+
+
+def flag_variants(dims):
+    """All factors connected, all full, and either with one factor flipped."""
+    for base in (False, True):
+        yield tuple((m, base) for m in dims)
+        for i in range(len(dims)):
+            yield tuple((m, base != (j == i)) for j, m in enumerate(dims))
+
+
+def enumerated(iterate, G, **kwargs):
+    """The descriptors iterate yields for G, each once; none for O, which it refuses."""
+    if G.family is Family.O:
+        with pytest.raises(InputError):
+            list(iterate(G, **kwargs))
+        return set()
+    items = list(iterate(G, **kwargs))
+    assert len(set(items)) == len(items), G
+    return set(items)
+
+
+def test_regular_subgroup_rules_match_the_reference_to_dim_10():
+    for G in groups(PRODUCT_MAX_DIM):
+        accepted = set()
+        for gl, total in gl_splits(G):
+            for dims in iter_partitions(total):
+                for cl_parts in flag_variants(dims):
+                    X = RegularSubgroupDescriptor(gl, cl_parts)
+                    ok = accepts(X.validate_for, G)
+                    assert ok == accepts(reference_regular_validate, X, G), (G, X)
+                    if ok:
+                        accepted.add(X)
+        assert enumerated(iter_regular_subgroups, G) == accepted, G
+
+
+def _factor_pool():
+    """Distinguished parabolics of every gl, sp and so group up to dim 10."""
+    return {(S.family, S.char, S.dim): enumerate_distinguished_parabolics(S)
+            for S in groups(PRODUCT_MAX_DIM) if S.family is not Family.O}
+
+
+def parabolic_candidates(G, dims, pool):
+    """Every product of distinguished parabolics of the given dims from G's
+    family and characteristic, then each product with one factor taken from
+    another group of its dim."""
+    own = [pool.get((G.family, G.char, d), []) for d in dims]
+    yield from product(*own)
+    foreign = [[opts[0] for (family, char, n), opts in pool.items()
+                if n == d and opts and (family, char) != (G.family, G.char)] for d in dims]
+    first = [own[i][:1] or foreign[i][:1] for i in range(len(dims))]
+    if all(first):
+        for i in range(len(dims)):
+            for Q in foreign[i]:
+                yield tuple(Q if j == i else first[j][0] for j in range(len(dims)))
+
+
+def test_parabolic_product_rules_match_the_reference_to_dim_10():
+    pool = _factor_pool()
+    for G in groups(PRODUCT_MAX_DIM):
+        accepted = set()
+        for gl, total in gl_splits(G):
+            for dims in iter_partitions(total):
+                if len(dims) > 4:
+                    continue
+                for combo in parabolic_candidates(G, dims, pool):
+                    P = ParabolicProduct(gl, combo)
+                    ok = accepts(P.validate_for, G)
+                    assert ok == accepts(reference_parabolic_validate, P, G), (G, P)
+                    if ok:
+                        accepted.add(P)
+        for k in (1, 2, 3):
+            want = {P for P in accepted if len(P.parabolics) <= k}
+            assert enumerated(iter_parabolic_products, G, max_factors=k) == want, (G, k)
