@@ -17,8 +17,10 @@ from unipotent_atlas.oracle import run_all
 
 
 def print_summary(reports, elapsed: float) -> None:
-    """One line per claim (runs, objects checked, seconds, status), then the
-    failed reports and the groups a claim passed without checking anything."""
+    """One line per claim (runs, objects checked, summed check seconds,
+    status), then the failed reports and the groups a claim passed without
+    checking anything, then the total in wall seconds.  The checks run on
+    every usable CPU, so the summed seconds can exceed the wall time."""
     by_claim: dict[str, list] = {}
     for rep in reports:
         by_claim.setdefault(rep.claim, []).append(rep)
@@ -27,13 +29,13 @@ def print_summary(reports, elapsed: float) -> None:
         status = "ok" if not failed else f"{len(failed)} FAILED"
         checked = sum(r.checked for r in reps)
         seconds = sum(r.elapsed_seconds for r in reps)
-        print(f"{claim:<28} {len(reps):>4} runs {checked:>8} checked {seconds:>8.2f}s  {status}")
+        print(f"{claim:<28} {len(reps):>4} runs {checked:>8} checked {seconds:>8.2f}s summed  {status}")
         for rep in failed:
             print(f"    {rep.group}: {rep.counterexamples[:3]}")
         vacuous = [r.group or "-" for r in reps if r.checked == 0]
         if vacuous:
             print(f"    checked 0: {', '.join(vacuous)}")
-    print(f"total: {len(reports)} reports in {elapsed:.1f}s")
+    print(f"total: {len(reports)} reports in {elapsed:.1f}s wall")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from .balacarter import analyse, diagram_string
 from .classes import (
@@ -25,7 +26,7 @@ from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
 from .oracle import (
     check_bounds,
-    group_sweep,
+    map_sweep,
     run_all,
     verify_extra_count,
     verify_minimal_levi,
@@ -309,11 +310,11 @@ def cmd_label(args) -> int:
 
 #: The claims verify checks group by group over group_sweep(--max-dim).
 GROUP_CLAIMS = {
-    "psi1-surjective": lambda G: verify_surjectivity(G, "psi1"),
-    "psi2-surjective": lambda G: verify_surjectivity(G, "psi2"),
+    "psi1-surjective": partial(verify_surjectivity, which="psi1"),
+    "psi2-surjective": partial(verify_surjectivity, which="psi2"),
     "psi2-injective-r1": verify_psi2_restricted_injective,
-    "phi1-right-inverse": lambda G: verify_right_inverse(G, "phi1"),
-    "phi2-right-inverse": lambda G: verify_right_inverse(G, "phi2"),
+    "phi1-right-inverse": partial(verify_right_inverse, which="phi1"),
+    "phi2-right-inverse": partial(verify_right_inverse, which="phi2"),
     "minimal-levi": verify_minimal_levi,
 }
 
@@ -321,9 +322,9 @@ GROUP_CLAIMS = {
 def cmd_verify(args) -> int:
     reports = []
     max_dim = args.max_dim if args.max_dim is not None else 24
-    check_bounds(max_dim, args.max_beta)
+    surj = args.surjectivity_max_dim if args.surjectivity_max_dim is not None else min(max_dim, 16)
+    check_bounds(max_dim, args.max_beta, surj)
     if args.claim == "all":
-        surj = args.surjectivity_max_dim if args.surjectivity_max_dim is not None else min(max_dim, 16)
         reports = run_all(max_dim=max_dim, surjectivity_max_dim=surj, beta_bound=args.max_beta)
     elif args.claim == "proposition":
         reports = [verify_proposition(args.max_beta)]
@@ -331,7 +332,7 @@ def cmd_verify(args) -> int:
         for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5)):
             reports.append(verify_extra_count(GroupSpec(Family.SO, dim, Char.TWO), want))
     else:
-        reports = [GROUP_CLAIMS[args.claim](G) for G in group_sweep(max_dim)]
+        reports = map_sweep(GROUP_CLAIMS[args.claim], max_dim)
     for rep in reports:
         print(rep.to_json_line())
     failed = [rep for rep in reports if not rep.passed]

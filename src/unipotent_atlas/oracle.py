@@ -10,6 +10,7 @@ right-inverse maps.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -467,23 +468,92 @@ def check_bounds(max_dim: int, beta_bound: int, surjectivity_max_dim: int = 1) -
             raise InputError(f"{flag} must be at least 1, got {value}")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _call(task: tuple):
+    fn, *args = task
+    return fn(*args)
+
+
+#: In a pool process of run_tasks, the tasks it was forked with.
+_forked_tasks: list[tuple] = []
+
+
+def _keep_tasks(tasks: list[tuple]) -> None:
+    global _forked_tasks
+    _forked_tasks = tasks
+
+
+def _call_forked(i: int):
+    return _call(_forked_tasks[i])
+
+
+def run_tasks(tasks: list[tuple]) -> list:
+    """The result of each task (fn, *args), in task order.
+
+    The tasks run on one forked process per usable CPU, never more processes
+    than tasks, and start in list order, so list the costliest first.  With
+    one usable CPU, or where the platform cannot fork, they run in this
+    process.  The pool processes inherit the tasks, with this process's state
+    as it is, monkeypatched or wrapped functions included, so only task
+    indices and results are pickled.  A task's exception is raised here, and
+    no pool process outlives the call.
+    """
+    processes = min(_usable_cpus(), len(tasks))
+    if processes > 1:
+        import multiprocessing  # imported here: only the verifiers pay for it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(processes, _keep_tasks, (tasks,))
+            try:
+                return pool.map(_call_forked, range(len(tasks)), chunksize=1)
+            finally:
+                pool.terminate()
+                pool.join()
+    return list(map(_call, tasks))
+
+
+def map_sweep(check, max_dim: int) -> list:
+    """[check(G) for G in group_sweep(max_dim)], each group one task of
+    run_tasks, the largest groups first so the processes end together."""
+    return run_tasks([(check, G) for G in reversed(group_sweep(max_dim))])[::-1]
+
+
+def _group_checks(G: GroupSpec, surjectivity: bool, class_level: bool
+                  ) -> tuple[list[VerificationReport], list[VerificationReport]]:
+    """G's reports in run_all's first sweep (surjectivity and injectivity)
+    and second sweep (right inverses and minimal Levi), all read from one
+    _GroupWork."""
+    work = _GroupWork(G)
+    first, second = [], []
+    if surjectivity:
+        first = [_surjectivity(work, "psi1"), _surjectivity(work, "psi2"), _psi2_injective(work)]
+    if class_level:
+        second = [_right_inverse(work, "phi1"), _right_inverse(work, "phi2"), _minimal_levi(work)]
+    return first, second
+
+
 def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int = 30) -> list[VerificationReport]:
     """The release verification battery at the default bounds.
 
-    The reports are those of the public verifiers, in the same order, but a
-    group's checks in both sweeps share one _GroupWork, dropped after the
-    group's last check; its shared work is timed in the first report that uses it.
+    The reports are those of the public verifiers, in the same order: the
+    surjectivity and injectivity checks of group_sweep(surjectivity_max_dim),
+    the right-inverse and minimal-Levi checks of group_sweep(max_dim), then
+    the decomposition properties.  Each group is one task of run_tasks, its
+    checks sharing one _GroupWork whose shared work is timed in the first
+    report that uses it; each report is timed in the process that ran it.
     """
     check_bounds(max_dim, beta_bound, surjectivity_max_dim)
-    reports = []
-    kept: dict[GroupSpec, _GroupWork] = {}
-    for G in group_sweep(surjectivity_max_dim):
-        work = _GroupWork(G)
-        reports += [_surjectivity(work, "psi1"), _surjectivity(work, "psi2"), _psi2_injective(work)]
-        if G.dim <= max_dim:
-            kept[G] = work
-    for G in group_sweep(max_dim):
-        work = kept.pop(G, None) or _GroupWork(G)
-        reports += [_right_inverse(work, "phi1"), _right_inverse(work, "phi2"), _minimal_levi(work)]
-    reports.append(verify_proposition(beta_bound))
-    return reports
+    groups = group_sweep(max(max_dim, surjectivity_max_dim))
+    # the proposition, then the largest groups first, so the processes end together
+    tasks = [(verify_proposition, beta_bound)]
+    tasks += [(_group_checks, G, G.dim <= surjectivity_max_dim, G.dim <= max_dim) for G in reversed(groups)]
+    proposition, *per_group = run_tasks(tasks)
+    per_group.reverse()
+    return ([r for first, _ in per_group for r in first]
+            + [r for _, second in per_group for r in second] + [proposition])

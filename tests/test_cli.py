@@ -202,6 +202,17 @@ def test_verify_single_claim_small(capsys):
     assert json.loads(out.splitlines()[0])["outcome"] == "pass"
 
 
+@pytest.mark.parametrize("claim", list(cli.GROUP_CLAIMS))
+def test_verify_group_claim_reports_in_sweep_order(capsys, claim):
+    code, out, _ = run_cli(capsys, "verify", "--claim", claim, "--max-dim", "7")
+    assert code == 0
+    got = [json.loads(line) for line in out.splitlines()]
+    want = [cli.GROUP_CLAIMS[claim](G).to_json() for G in group_sweep(7)]
+    for line in got + want:
+        del line["elapsed_seconds"]
+    assert got == want
+
+
 def test_tables(capsys):
     code, out, _ = run_cli(capsys, "tables", "1", "--dim", "13")
     assert code == 0 and "12,1" in out
@@ -239,10 +250,13 @@ def test_table_1_rejects_a_dim_below_1(capsys, dim):
     (["verify", "--claim", "all", "--max-beta", "0"], "--max-beta", "0"),
     (["verify", "--max-dim", "2", "--surjectivity-max-dim", "-1", "--max-beta", "2"],
      "--surjectivity-max-dim", "-1"),
+    (["verify", "--claim", "minimal-levi", "--max-dim", "2", "--surjectivity-max-dim", "-1"],
+     "--surjectivity-max-dim", "-1"),
 ])
 def test_verify_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, flag, value):
     # these used to pass with no report, with reports that checked nothing,
-    # or without the surjectivity and injectivity reports
+    # or without the surjectivity and injectivity reports; the last one, a
+    # bound the claim does not read, used to be ignored unchecked
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} must be at least 1, got {value}\n"

@@ -1,11 +1,14 @@
 """Verifier tests: report plumbing plus passing runs at modest bounds."""
 
 import json
+import multiprocessing
+import os
+import re
 import time
 
 import pytest
 
-from unipotent_atlas import balacarter
+from unipotent_atlas import balacarter, cli, oracle
 from unipotent_atlas.classes import Char, Family, GroupSpec, distinguished_eps, enumerate_classes
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
@@ -189,3 +192,38 @@ def test_battery_reports_a_wrong_right_inverse(monkeypatch, which):
     assert {r.group for r in failures} >= {"SO10 (p=2)", "SO6 (p=2)", "Sp10 (p odd)"}
     assert all(c.startswith(f"psi({which}(") for r in failures for c in r.counterexamples)
     assert _rows(battery) == _rows(_separate_battery(10, 8, 12))
+
+
+def test_one_usable_cpu_runs_the_battery_serially_with_the_same_reports(monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    pooled = run_all(12, 10, 20)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    assert _rows(run_all(12, 10, 20)) == _rows(pooled)
+
+
+def _crash_in_a_pool_process(monkeypatch):
+    """Make every group's injectivity check raise, naming its process, and
+    force two usable CPUs, so the checks run in pool processes."""
+    def crash(work):
+        raise ArithmeticError(f"table lost in process {os.getpid()}")
+
+    monkeypatch.setattr(oracle, "_psi2_injective", crash)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+
+
+def test_a_check_that_raises_in_a_pool_process_raises_in_the_caller(monkeypatch):
+    _crash_in_a_pool_process(monkeypatch)
+    with pytest.raises(ArithmeticError) as info:
+        run_all(8, 6, 8)
+    pid = re.fullmatch(r"table lost in process (\d+)", str(info.value)).group(1)
+    assert int(pid) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_check_that_raises_in_a_pool_process_exits_3(monkeypatch, capsys):
+    _crash_in_a_pool_process(monkeypatch)
+    code = cli.main(["verify", "--claim", "all", "--max-dim", "8", "--max-beta", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert re.fullmatch(r"internal error: ArithmeticError: table lost in process \d+\n", captured.err)
+    assert multiprocessing.active_children() == []
