@@ -15,7 +15,7 @@ that splitting is proper, i.e. the remainder itself is not a Richardson
 class; labels render the GL blocks as A-tokens and each Richardson piece as
 a B/C/D token, with (a_j) notation when the piece's Levi has only rank-1
 simple factors and a marked-diagram fallback otherwise.  All four read
-one ClassAnalysis of the class, which analyse builds once per class.
+one ClassAnalysis, whose remainder record analyse_all shares per beta.
 
 Both kinds of product obey the rules of _check_product (gl, sp or so; no
 classical factors on GL; GL blocks and factors fill the module; at most one
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .classes import (
     ClassParam,
@@ -190,21 +190,14 @@ def is_extra_class(C: ClassParam) -> bool:
 
 
 @dataclass(frozen=True)
-class ClassAnalysis:
-    """A class read through its minimal Levi: GL block sizes alpha and the
-    distinguished remainder beta, then, on first use, beta's Richardson
-    pieces and the parabolic descriptor of each piece (inverted once).
-
-    phi1, phi2, is_extra_class and label each read their answer from an
-    analysis; a caller that needs several of them builds one with analyse.
-    """
+class RemainderAnalysis:
+    """A distinguished remainder beta, read on first use into its Richardson
+    pieces, their parabolic descriptors (kept in _inverses, shared by the
+    records of one analyse_all call) and the label's B/C/D tokens."""
 
     group: GroupSpec
-    alpha: Partition
     beta: Partition
-    _descriptors: dict[int, ParabolicDescriptor] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _inverses: dict[tuple[GroupSpec, Partition], ParabolicDescriptor] = field(repr=False, compare=False)
 
     @cached_property
     def pieces(self) -> tuple[Partition, ...]:
@@ -213,12 +206,51 @@ class ClassAnalysis:
 
     def descriptor(self, i: int) -> ParabolicDescriptor:
         """The distinguished parabolic whose Richardson class is piece i."""
-        if i not in self._descriptors:
-            piece = self.pieces[i]
-            self._descriptors[i] = parabolic_from_blocks(
-                self.group.classical_factor(piece.total), piece
-            )
-        return self._descriptors[i]
+        piece = self.pieces[i]
+        key = (self.group.classical_factor(piece.total), piece)
+        if key not in self._inverses:
+            self._inverses[key] = parabolic_from_blocks(*key)
+        return self._inverses[key]
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The label's B/C/D tokens (none for a rank-0 piece), by decreasing rank."""
+        ranked = [t for t in map(self._piece_token, range(len(self.pieces))) if t]
+        ranked.sort(key=lambda t: (-t[0], t[1]))
+        return tuple(token for _, token in ranked)
+
+    def _piece_token(self, i: int) -> tuple[int, str] | None:
+        """(rank, B/C/D token) of piece i; None for a rank-0 piece."""
+        letter, rank = _factor_type(self.group, self.pieces[i].total)
+        if rank == 0:
+            return None
+        P = self.descriptor(i)
+        if P.is_borel():
+            return rank, f"{letter}{rank}"
+        if P.max_simple_factor_rank() <= 1:
+            return rank, f"{letter}{rank}(a{P.semisimple_rank()})"
+        return rank, f"{letter}{rank}[{diagram_string(P)}]"
+
+
+@dataclass(frozen=True)
+class ClassAnalysis:
+    """A class read through its minimal Levi: GL block sizes alpha and the
+    record of the distinguished remainder beta, shared by the analyses of one
+    analyse_all call with the same group and beta.
+
+    phi1, phi2, is_extra_class and label each read their answer from an
+    analysis; a caller that needs several of them, or many classes, builds
+    the analyses with analyse_all."""
+
+    alpha: Partition
+    remainder: RemainderAnalysis
+
+    group = property(lambda self: self.remainder.group)
+    beta = property(lambda self: self.remainder.beta)
+    pieces = property(lambda self: self.remainder.pieces)
+
+    def descriptor(self, i: int) -> ParabolicDescriptor:
+        return self.remainder.descriptor(i)
 
     def phi1(self) -> RegularSubgroupDescriptor:
         full = _full_factors(self.group)
@@ -236,28 +268,28 @@ class ClassAnalysis:
 
     def label(self) -> str:
         tokens = [f"A{p - 1}" for p in self.alpha.parts if p >= 2]
-        classical = [t for t in map(self._piece_token, range(len(self.pieces))) if t]
-        classical.sort(key=lambda t: (-t[0], t[1]))
-        tokens.extend(token for _, token in classical)
+        tokens.extend(self.remainder.tokens)
         return "".join(tokens) or "0"
 
-    def _piece_token(self, i: int) -> tuple[int, str] | None:
-        """(rank, B/C/D token) of piece i; None for a rank-0 piece."""
-        letter, rank = _factor_type(self.group, self.pieces[i].total)
-        if rank == 0:
-            return None
-        P = self.descriptor(i)
-        if P.is_borel():
-            return rank, f"{letter}{rank}"
-        if P.max_simple_factor_rank() <= 1:
-            return rank, f"{letter}{rank}(a{P.semisimple_rank()})"
-        return rank, f"{letter}{rank}[{diagram_string(P)}]"
+
+def analyse_all(classes: Iterable[ClassParam]) -> Iterator[ClassAnalysis]:
+    """The analysis of each class (gl, sp, or so), in order, through its
+    minimal Levi.  The analyses of one call share one RemainderAnalysis per
+    distinct (group, beta) and one descriptor per distinct (factor group,
+    piece); separate calls share nothing."""
+    inverses: dict[tuple[GroupSpec, Partition], ParabolicDescriptor] = {}
+    remainders: dict[tuple[GroupSpec, Partition], RemainderAnalysis] = {}
+    for C in classes:
+        alpha, beta, _ = minimal_levi(C)
+        key = (C.group, beta)
+        if key not in remainders:
+            remainders[key] = RemainderAnalysis(C.group, beta, inverses)
+        yield ClassAnalysis(alpha, remainders[key])
 
 
 def analyse(C: ClassParam) -> ClassAnalysis:
     """The analysis of C (gl, sp, or so) through its minimal Levi."""
-    alpha, beta, _ = minimal_levi(C)
-    return ClassAnalysis(C.group, alpha, beta)
+    return next(analyse_all((C,)))
 
 
 # -- labels and diagrams -------------------------------------------------------------

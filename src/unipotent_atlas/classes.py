@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import product
 
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, _from_mults, iter_partitions
+from .partitions import Partition, _count, _from_mults, iter_partitions
 
 #: Largest dimension enumerate_classes accepts unless the caller raises it.
 DEFAULT_ENUM_BOUND = 40
@@ -363,11 +363,11 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
     """
     if G.dim > max_dim:
         raise ResourceLimitError(
-            f"dimension {G.dim} exceeds the enumeration bound {max_dim}; raise max_dim explicitly"
+            f"dimension {G.dim} exceeds the enumeration bound {max_dim}; pass --max-dim to classes to raise it"
         )
     out: list[ClassParam] = []
     for parts in iter_partitions(G.dim):
-        lam = Partition(parts)
+        lam = Partition(parts, _mults=_count(parts))  # canonical parts: trusted
         if not _lambda_admissible(G, lam, lam.multiplicities()):
             continue
         for eps in _eps_choices(G, lam):

@@ -10,7 +10,7 @@ import os
 import sys
 from functools import partial
 
-from .balacarter import analyse, diagram_string
+from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string
 from .classes import (
     DEFAULT_ENUM_BOUND,
     Char,
@@ -129,22 +129,21 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _class_row(C: ClassParam, full: bool) -> dict:
-    """One classes row; with full, phi1 and phi2 are the JSON payloads."""
-    G = C.group
-    row = {
-        "lambda": str(C.lam),
-        "eps": str(C.eps),
-        "split": C.split_tag,
-    }
-    if G.family is Family.O:
-        # an O-class is read through SO; a class outside SO has no SO data
-        so = GroupSpec(Family.SO, G.dim, G.char)
-        if not is_valid_class(so, C.lam, C.eps):
-            row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
-            return row
-        C = ClassParam(so, C.lam, C.eps)
-    a = analyse(C)
+def _as_so(C: ClassParam) -> ClassParam | None:
+    """C, an O-class read through SO; None for a class outside SO."""
+    if C.group.family is not Family.O:
+        return C
+    so = GroupSpec(Family.SO, C.group.dim, C.group.char)
+    return ClassParam(so, C.lam, C.eps) if is_valid_class(so, C.lam, C.eps) else None
+
+
+def _class_row(C: ClassParam, a: ClassAnalysis | None, full: bool) -> dict:
+    """One classes row from C's analysis (None: no SO data); with full, phi1
+    and phi2 are the JSON payloads."""
+    row = {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
+    if a is None:
+        row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
+        return row
     row["extra"] = a.is_extra()
     row["label"] = a.label()
     if full:
@@ -176,9 +175,11 @@ def cmd_classes(args) -> int:
     G = _group_from_args(args)
     max_dim = args.max_dim if args.max_dim is not None else DEFAULT_ENUM_BOUND
     classes = enumerate_classes(G, max_dim=max_dim)
+    in_so = [_as_so(C) for C in classes]
+    analyses = analyse_all(S for S in in_so if S is not None)
     rows = []
-    for C in classes:
-        row = _class_row(C, full=args.format == "json")
+    for C, S in zip(classes, in_so):
+        row = _class_row(C, next(analyses) if S is not None else None, args.format == "json")
         if args.extra_only and row.get("extra") is not True:
             continue
         if args.format == "json":
@@ -400,10 +401,8 @@ def cmd_tables(args) -> int:
     # table 4: the five extra classes of SO_16 at p=2
     G = GroupSpec(Family.SO, 16, Char.TWO)
     rows = []
-    for C in enumerate_classes(G):
-        if C.split_tag == "II":
-            continue
-        a = analyse(C)
+    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
+    for C, a in zip(untagged, analyse_all(untagged)):
         if not a.is_extra():
             continue
         pieces = " + ".join(str(p) for p in a.pieces)

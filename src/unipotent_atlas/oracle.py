@@ -22,8 +22,7 @@ from .balacarter import (
     ClassAnalysis,
     ParabolicProduct,
     RegularSubgroupDescriptor,
-    analyse,
-    is_extra_class,
+    analyse_all,
     iter_parabolic_products,
     iter_regular_subgroups,
     psi1,
@@ -101,8 +100,8 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
 # -- the work a group's checks share ------------------------------------------------
 #
 # A _GroupWork holds what several checks of one group read: the class list, one
-# analysis per class, and the psi1 and psi2 image tables, which send each
-# descriptor of G to the data_key of its class.  Each part is built on first
+# analysis per class (from one analyse_all call), and the psi1 and psi2 image
+# tables, which send each descriptor of G to the data_key of its class.  Each part is built on first
 # use, inside the timed region of the check that needs it first.  A public
 # verifier runs its check on a fresh record; run_all keeps one record per group.
 
@@ -123,7 +122,7 @@ class _GroupWork:
 
     @cached_property
     def analyses(self) -> list[ClassAnalysis]:
-        return [analyse(C) for C in self.classes]
+        return list(analyse_all(self.classes))
 
     def table(self, which: str) -> ImageTable:
         if which not in self._tables:
@@ -296,14 +295,15 @@ def verify_proposition(bound: int = 30) -> VerificationReport:
 
 def count_extra_classes(G: GroupSpec) -> int:
     """Number of classes whose minimal-Levi remainder is not a Richardson class."""
-    return sum(1 for C in enumerate_classes(G) if C.split_tag != "II" and is_extra_class(C))
+    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
+    return sum(1 for a in analyse_all(untagged) if a.is_extra())
 
 
 def verify_extra_count(G: GroupSpec, expected: int) -> VerificationReport:
     """Check that G has the expected number of extra classes."""
     t0 = time.perf_counter()
     untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    got = sum(1 for C in untagged if is_extra_class(C))
+    got = sum(1 for a in analyse_all(untagged) if a.is_extra())
     bad = [] if got == expected else [f"counted {got}, expected {expected}"]
     return _finish("extra-count", G, G.dim, bad, t0, len(untagged))
 

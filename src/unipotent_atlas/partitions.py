@@ -3,8 +3,9 @@
 Partitions are stored weakly decreasing, with their multiplicities, and are
 immutable.  The constructor checks and normalizes its parts; dual, merge and
 double build canonical results, which skip the checks through the private
-``_mults`` keyword.  The empty partition is a first-class value, printed and parsed
-as ``"0"``.  The textual syntax used everywhere (CLI, JSON) is comma-separated
+``_mults`` keyword (as enumeration does with the parts iter_partitions yields).
+The empty partition is a first-class value, printed and parsed as ``"0"``.
+The textual syntax used everywhere (CLI, JSON) is comma-separated
 parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
 """
 
@@ -37,9 +38,7 @@ class Partition:
             parts = tuple(sorted(parts, reverse=True))
             if parts and parts[-1] < 1:
                 raise InputError(f"partition parts must be positive integers, got {self.parts!r}")
-            _mults = {}
-            for p in parts:
-                _mults[p] = _mults.get(p, 0) + 1
+            _mults = _count(parts)
             object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_counts", _mults)  # not _mults: replace() would pass it on
 
@@ -138,6 +137,14 @@ class Partition:
     def double(self) -> Partition:
         """Each part repeated with twice its multiplicity."""
         return _from_mults({x: 2 * m for x, m in self._counts.items()})
+
+
+def _count(parts: tuple[int, ...]) -> dict[int, int]:
+    """Multiplicities of canonical (positive, decreasing) parts, keys decreasing."""
+    mults: dict[int, int] = {}
+    for p in parts:
+        mults[p] = mults.get(p, 0) + 1
+    return mults
 
 
 def _from_mults(mults: dict[int, int]) -> Partition:

@@ -2,9 +2,12 @@
 
 import pytest
 
+from unipotent_atlas import balacarter
 from unipotent_atlas.balacarter import (
     ParabolicProduct,
     RegularSubgroupDescriptor,
+    analyse,
+    analyse_all,
     diagram_string,
     is_extra_class,
     iter_parabolic_products,
@@ -26,6 +29,7 @@ from unipotent_atlas.classes import (
     enumerate_classes,
 )
 from unipotent_atlas.errors import InputError
+from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition
 from unipotent_atlas.richardson import ParabolicDescriptor, parabolic_from_blocks
 
@@ -257,8 +261,6 @@ def test_o_not_so_conjugate():
 
 
 def test_right_inverse_laws_exhaustive_dim_24():
-    from unipotent_atlas.oracle import group_sweep
-
     for G in group_sweep(24):
         for C in enumerate_classes(G):
             assert psi1(phi1(C), G).same_class(C), (G.describe(), str(C.lam))
@@ -280,3 +282,73 @@ def test_iterators_respect_descriptor_constraints():
         X.validate_for(SO16)
     for P in iter_parabolic_products(GroupSpec(Family.SO, 9, Char.TWO)):
         P.validate_for(GroupSpec(Family.SO, 9, Char.TWO))
+
+
+# -- sharing the remainder among the analyses of one request --------------------------
+
+#: Groups whose classes share many remainders (SO30 at p=2: 1,256 classes, 158 betas).
+SHARING_GROUPS = group_sweep(16) + [
+    GroupSpec(Family.SO, 30, Char.TWO),
+    GroupSpec(Family.SP, 30, Char.TWO),
+]
+
+
+def _all_classes(groups):
+    return [C for G in groups for C in enumerate_classes(G)]
+
+
+def test_analyse_all_agrees_with_analysing_each_class_alone():
+    # one call over every group at once: records are keyed by group and beta
+    classes = _all_classes(SHARING_GROUPS)
+    shared = list(analyse_all(classes))
+    assert len(shared) == len(classes)
+    for C, a in zip(classes, shared):
+        b = analyse(C)
+        assert (a.group, a.alpha, a.beta, a.pieces) == (b.group, b.alpha, b.beta, b.pieces)
+        assert (a.label(), a.is_extra()) == (b.label(), b.is_extra()), (C.group, str(C.lam))
+        assert (a.phi1(), a.phi2()) == (b.phi1(), b.phi2()), (C.group, str(C.lam))
+
+
+def test_one_call_builds_one_remainder_record_per_distinct_beta():
+    classes = _all_classes(SHARING_GROUPS)
+    records = {}
+    for a in analyse_all(classes):
+        assert records.setdefault((a.group, a.beta), a.remainder) is a.remainder
+        assert (a.remainder.group, a.remainder.beta) == (a.group, a.beta)
+    assert len({id(r) for r in records.values()}) == len(records)
+    assert sum(1 for G, _ in records if G == SHARING_GROUPS[-2]) == 158
+
+
+def _count_inversions(monkeypatch) -> list:
+    calls = []
+    invert = balacarter.parabolic_from_blocks
+
+    def counted(G, lam):
+        calls.append((G, lam))
+        return invert(G, lam)
+
+    monkeypatch.setattr(balacarter, "parabolic_from_blocks", counted)
+    return calls
+
+
+def test_one_call_inverts_each_distinct_piece_at_most_once(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    classes = _all_classes(SHARING_GROUPS[-2:])
+    analyses = list(analyse_all(classes))
+    for a in analyses:
+        a.label()
+        a.phi2()
+    pieces = {(a.group.classical_factor(p.total), p) for a in analyses for p in a.pieces}
+    assert len(calls) == len(set(calls)) <= len(pieces)
+    assert set(calls) == pieces
+
+
+def test_separate_analyse_calls_share_nothing(monkeypatch):
+    # a cache that outlived one call would let the second call skip its inversions
+    C = next(C for C in enumerate_classes(SO16) if is_extra_class(C))
+    calls = _count_inversions(monkeypatch)
+    first, second = analyse(C), analyse(C)
+    assert first.remainder is not second.remainder
+    assert first.remainder._inverses is not second.remainder._inverses
+    assert first.label() == second.label()
+    assert len(calls) == 2 * len(first.pieces) > 0

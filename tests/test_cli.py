@@ -235,6 +235,14 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_classes_past_the_enumeration_bound_names_the_flag_that_raises_it(capsys):
+    # the refusal used to say "raise max_dim explicitly", which no flag spells
+    code, out, err = run_cli(capsys, "classes", "--group", "so", "--dim", "50", "--char", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: dimension 50 exceeds the enumeration bound 40")
+    assert "--max-dim" in err
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 def test_table_1_rejects_a_dim_below_1(capsys, dim):
     code, out, err = run_cli(capsys, "tables", "1", "--dim", dim)

@@ -2,7 +2,10 @@
 
 The digests cover ``--format json`` output of ``classes``, ``tables 2`` and
 ``tables 3`` on every group of ``group_sweep(GOLDEN_MAX_DIM)``, plus
-``classes`` on O in both characteristics at the same dims.  A change that
+``classes`` on O in both characteristics at the same dims.  Past those
+dims, where many classes share one distinguished remainder, they also cover
+``classes`` on SO and O at p=2 for dims 25-30 and on Sp at p=2 for dims 26,
+28 and 30, and ``tables 4`` in every format.  A change that
 is meant to alter one of these outputs recaptures them with
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -29,6 +32,8 @@ from unipotent_atlas.cli import main
 from unipotent_atlas.oracle import group_sweep
 
 GOLDEN_MAX_DIM = 20
+#: The p=2 classes documents past GOLDEN_MAX_DIM: (family, dims).
+LARGE_CLASSES = (("so", range(25, 31)), ("o", range(25, 31)), ("sp", (26, 28, 30)))
 ENUMERATION_MAX_DIM = 16
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ENUMERATION_DIGESTS = Path(__file__).with_name("enumeration_digests.json")
@@ -45,6 +50,12 @@ def golden_argvs() -> list[list[str]]:
         for char in (Char.TWO, Char.GOOD):
             argvs.append(["--format", "json", "classes", "--group", "o", "--dim", str(n),
                           "--char", char.value])
+    for family, dims in LARGE_CLASSES:
+        for n in dims:
+            argvs.append(["--format", "json", "classes", "--group", family, "--dim", str(n),
+                          "--char", "2"])
+    for fmt in ("text", "csv", "json"):
+        argvs.append(["--format", fmt, "tables", "4"])
     return argvs
 
 

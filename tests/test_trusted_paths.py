@@ -34,14 +34,14 @@ from unipotent_atlas.classes import (
 )
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import group_sweep
-from unipotent_atlas.partitions import Partition
+from unipotent_atlas.partitions import Partition, iter_partitions
 
 MIN_DIM, MAX_DIM = 40, 200
 SWEEP_MAX_DIM = 20
 SRC = Path(inspect.getfile(partitions)).parent
 
-#: The private keywords and helper through which the library builds values unchecked.
-TRUSTED_NAMES = {"_mults", "_trusted", "_from_mults"}
+#: The private keywords and helpers through which the library builds values unchecked.
+TRUSTED_NAMES = {"_mults", "_trusted", "_from_mults", "_count"}
 
 
 def assert_same_partition(built: Partition, checked: Partition) -> None:
@@ -129,6 +129,14 @@ def test_enumerated_classes_and_their_minimal_levis_match_the_validating_constru
             assert eps_beta == EpsilonMap(eps_beta.items) == distinguished_eps(G, beta)
             untagged = ClassParam(G, Partition(C.lam.parts), EpsilonMap(C.eps.items))
             assert_same_class(combine(alpha, beta, eps_beta, G), untagged)
+
+
+def test_partitions_counted_from_canonical_parts_match_the_validating_constructor():
+    # enumerate_classes builds each lam this way from the parts iter_partitions
+    # yields; the test above compares the lams it keeps
+    for n in range(SWEEP_MAX_DIM + 1):
+        for parts in iter_partitions(n):
+            assert_same_partition(Partition(parts, _mults=partitions._count(parts)), Partition(parts))
 
 
 def test_multiplicities_hands_out_a_copy():
