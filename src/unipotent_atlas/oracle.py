@@ -37,7 +37,6 @@ from .classes import (
     distinguished_eps,
     combine,
     enumerate_classes,
-    is_distinguished,
     minimal_levi,  # noqa: F401  (unused here; perfbench's tracer test rebinds it in this namespace)
     splits_in_so,
 )
@@ -118,7 +117,7 @@ class _GroupWork:
 
     @cached_property
     def classes(self) -> list[ClassParam]:
-        return enumerate_classes(self.G)
+        return enumerate_classes(self.G, max_dim=self.G.dim)  # the sweep bounds the dimension
 
     @cached_property
     def analyses(self) -> list[ClassAnalysis]:
@@ -139,10 +138,6 @@ class _GroupWork:
 
 def psi1_image(G: GroupSpec) -> set[tuple]:
     return set(_GroupWork(G).table("psi1").values())
-
-
-def psi2_image(G: GroupSpec) -> set[tuple]:
-    return set(_GroupWork(G).table("psi2").values())
 
 
 # -- surjectivity and right inverses -----------------------------------------------
@@ -222,24 +217,47 @@ def so_connected_only_psi1_image(G: GroupSpec) -> set[tuple]:
     return image
 
 
+# -- distinguished shapes -----------------------------------------------------------
+
+
+def _capped_partitions(total: int, largest: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of total into parts of largest's parity, none above largest,
+    each used at most cap times, lexicographically decreasing."""
+    if total == 0:
+        yield ()
+    for x in range(largest, 0, -2):
+        for k in range(min(cap, total // x), 0, -1):
+            for rest in _capped_partitions(total - k * x, x - 2, cap):
+                yield (x,) * k + rest
+
+
+def distinguished_shapes(family: Family, char: Char, total: int) -> Iterator[Partition]:
+    """The block shapes of the distinguished classes of Sp or SO of dimension
+    total, lexicographically decreasing (Hesselink, Math. Z. 1979):
+
+      - odd characteristic: distinct parts, odd for SO and even for Sp;
+      - p = 2: even parts, each at most twice; SO may add one part 1, and
+        without it needs an even number of parts.
+    """
+    if family not in (Family.SP, Family.SO):
+        raise InputError(f"distinguished shapes are stated for sp and so, not {family.value}")
+    so2, good = family is Family.SO and char is Char.TWO, char is Char.GOOD
+    ones = total % 2 if so2 else 0  # the part 1 SO may add at p=2 makes the total odd
+    parity = int(family is Family.SO and good)  # of every other part
+    for parts in _capped_partitions(total - ones, total - (total - parity) % 2, 1 if good else 2):
+        if not so2 or ones or len(parts) % 2 == 0:
+            yield Partition(parts + (1,) * ones)
+
+
 # -- decomposition properties -------------------------------------------------------
 
 
 def iter_admissible_beta(bound: int) -> Iterator[Partition]:
-    """Partitions with at most one part 1, other parts even of multiplicity
-    at most 2, and an even number of parts when no part equals 1."""
+    """The distinguished shapes of SO at p = 2 of totals 1..bound: at most
+    one part 1, the other parts even of multiplicity at most 2, and an even
+    number of parts when no part equals 1."""
     for total in range(1, bound + 1):
-        for ones in (0, 1):
-            rest = total - ones
-            if rest % 2 != 0:
-                continue
-            for halves in iter_partitions(rest // 2):
-                if any(halves.count(v) > 2 for v in set(halves)):
-                    continue
-                parts = tuple(2 * p for p in halves) + ((1,) * ones)
-                if ones == 0 and len(parts) % 2 != 0:
-                    continue
-                yield Partition(parts)
+        yield from distinguished_shapes(Family.SO, Char.TWO, total)
 
 
 def _two_coloring_exists(beta: Partition) -> bool:
@@ -312,35 +330,20 @@ def verify_extra_count(G: GroupSpec, expected: int) -> VerificationReport:
 
 
 def _valid_splittings(C: ClassParam) -> list[tuple[Partition, Partition]]:
-    """All (alpha, beta) with lam = double(alpha) + beta, beta of distinguished
-    shape, and the eps data realized by the split."""
-    G = C.group
-    per_value: list[list[tuple[int, int]]] = []
-    for x, m in C.lam.multiplicities().items():
-        options = []
-        cap = 1 if x == 1 else 2
-        for take in range(0, min(m, cap) + 1):
-            if (m - take) % 2 != 0:
-                continue
-            if G.p2:
-                if x % 2 == 1 and x > 1 and take > 0:
-                    continue
-                if x % 2 == 0 and (take >= 1) != (C.eps[x] == 1):
-                    continue
-            options.append((x, take))
-        per_value.append(options)
+    """All (alpha, beta) with lam = double(alpha) + beta, beta one of the
+    distinguished_shapes, and at p=2 eps 1 on exactly the even parts beta
+    takes (a free eps set to 1 is what a distinguished class carries)."""
+    G, mults = C.group, C.lam.multiplicities()
+    # no distinguished shape has a part more than twice
+    per_value = [[(x, take) for take in range(min(m, 2) + 1) if (m - take) % 2 == 0
+                  and not (G.p2 and x % 2 == 0 and (take >= 1) != (C.eps[x] == 1))]
+                 for x, m in mults.items()]
     out = []
     for picks in product(*per_value):
-        beta_parts: list[int] = []
-        alpha_parts: list[int] = []
-        for x, take in picks:
-            m = C.lam.multiplicity(x)
-            beta_parts.extend([x] * take)
-            alpha_parts.extend([x] * ((m - take) // 2))
-        beta = Partition(tuple(beta_parts))
-        if not G.p2 and any(beta.multiplicity(v) > 1 for v in beta.values()):
-            continue
-        out.append((Partition(tuple(alpha_parts)), beta))
+        beta = Partition(tuple(x for x, take in picks for _ in range(take)))
+        if beta in _distinguished_remainders(G.family, G.char, beta.total):
+            alpha = Partition(tuple(x for x, take in picks for _ in range((mults[x] - take) // 2)))
+            out.append((alpha, beta))
     return out
 
 
@@ -363,24 +366,11 @@ def verify_minimal_levi(G: GroupSpec) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _distinguished_remainders(family: Family, char: Char, rest: int
-                              ) -> tuple[tuple[Partition, EpsilonMap], ...]:
-    """Every beta of the given total that is a valid distinguished class of the
-    classical factor of that dimension, with its eps (the empty beta when rest
-    is 0)."""
-    if rest == 0:
-        return ((Partition(), EpsilonMap()),)
-    H = GroupSpec(family, rest, char)
-    out = []
-    for beta_parts in iter_partitions(rest):
-        beta = Partition(beta_parts)
-        eps_beta = distinguished_eps(H, beta)
-        try:
-            if is_distinguished(H, beta, eps_beta):
-                out.append((beta, eps_beta))
-        except InputError:  # not a class of the factor at all
-            pass
-    return tuple(out)
+def _distinguished_remainders(family: Family, char: Char, rest: int) -> dict[Partition, EpsilonMap]:
+    """Each of the distinguished_shapes of the given total, with the eps of its
+    distinguished class (the empty beta when rest is 0).  Shared: do not modify."""
+    H = GroupSpec(family, 2, char)  # distinguished_eps reads only the family and characteristic
+    return {beta: distinguished_eps(H, beta) for beta in distinguished_shapes(family, char, rest)}
 
 
 def _minimal_levi(work: _GroupWork) -> VerificationReport:
@@ -399,7 +389,7 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
             continue
         if splittings[0] != (alpha, beta):
             bad.append(f"{C.lam}: extraction {alpha}|{beta} vs brute force {splittings[0]}")
-        if beta and not is_distinguished(G.classical_factor(beta.total), beta, eps_beta):
+        if beta not in _distinguished_remainders(G.family, G.char, beta.total):
             bad.append(f"{C.lam}: extracted remainder {beta} is not distinguished")
         if not combine(alpha, beta, eps_beta, G).same_class(C):
             bad.append(f"{C.lam}: combine does not invert the extraction")
@@ -407,11 +397,14 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
     seen: dict[tuple, tuple] = {}
     count = 0
     for a in range(G.dim // 2 + 1):
-        betas = _distinguished_remainders(G.family, G.char, G.dim - 2 * a)
-        for alpha_parts in iter_partitions(a):
-            alpha = Partition(alpha_parts)
-            for beta, eps_beta in betas:
-                C = combine(alpha, beta, eps_beta, G)
+        alphas = [Partition(parts) for parts in iter_partitions(a)]
+        for beta, eps_beta in _distinguished_remainders(G.family, G.char, G.dim - 2 * a).items():
+            for alpha in alphas:
+                try:
+                    C = combine(alpha, beta, eps_beta, G)
+                except InputError as exc:  # the library refuses a shape: one report per shape
+                    bad.append(f"combine refuses the distinguished shape {beta}: {exc}")
+                    break
                 key = C.data_key()
                 pair = (alpha.parts, beta.parts)
                 if key in seen and seen[key] != pair:

@@ -8,13 +8,21 @@ import time
 
 import pytest
 
-from unipotent_atlas import balacarter, cli, oracle
-from unipotent_atlas.classes import Char, Family, GroupSpec, distinguished_eps, enumerate_classes
+from unipotent_atlas import balacarter, classes, cli, oracle
+from unipotent_atlas.classes import (
+    Char,
+    Family,
+    GroupSpec,
+    distinguished_eps,
+    enumerate_classes,
+    shape_violation,
+)
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
 from unipotent_atlas.oracle import (
     VerificationReport,
     count_extra_classes,
+    distinguished_shapes,
     group_sweep,
     iter_admissible_beta,
     psi1_image,
@@ -26,7 +34,7 @@ from unipotent_atlas.oracle import (
     verify_right_inverse,
     verify_surjectivity,
 )
-from unipotent_atlas.partitions import Partition
+from unipotent_atlas.partitions import Partition, iter_partitions
 
 
 def test_report_invariants():
@@ -94,6 +102,28 @@ def test_admissible_beta_shapes():
         assert all(beta.multiplicity(x) <= 2 for x in beta.values() if x != 1)
         if ones == 0:
             assert len(beta) % 2 == 0
+    # the SO p=2 case of the oracle's one statement of the shapes
+    assert betas == [b for n in range(1, 13) for b in distinguished_shapes(Family.SO, Char.TWO, n)]
+
+
+@pytest.mark.parametrize("family", [Family.SP, Family.SO])
+@pytest.mark.parametrize("char", list(Char))
+def test_distinguished_shapes_match_the_library_reading_to_dim_24(family, char):
+    for n in range(1, 25):
+        shapes = list(distinguished_shapes(family, char, n))
+        if family is Family.SP and n % 2:
+            assert shapes == []
+            continue
+        H = GroupSpec(family, n, char)
+        want = {p for p in iter_partitions(n) if shape_violation(H, Partition(p)) is None}
+        # each shape once, lexicographically decreasing
+        assert [beta.parts for beta in shapes] == sorted(want, reverse=True), H.describe()
+    assert list(distinguished_shapes(family, char, 0)) == [Partition()]
+
+
+def test_distinguished_shapes_are_stated_for_sp_and_so_only():
+    with pytest.raises(InputError):
+        list(distinguished_shapes(Family.GL, Char.GOOD, 4))
 
 
 def test_extra_class_counts():
@@ -110,6 +140,27 @@ def test_minimal_levi_verifier_sweep_dim_16():
     for G in group_sweep(16):
         rep = verify_minimal_levi(G)
         assert rep.passed, (G.describe(), rep.counterexamples[:3])
+
+
+def test_a_shape_the_library_refuses_fails_the_minimal_levi_claim(monkeypatch, capsys):
+    # plant a library that knows no class with blocks (16, 1): enumeration
+    # drops it, and combine refuses that remainder; the oracle still states it
+    # (past PREIMAGE_MAX_DIM, so no regular-subgroup image meets the refusal)
+    real = classes._lambda_admissible
+    monkeypatch.setattr(classes, "_lambda_admissible",
+                        lambda G, lam, mults: lam.parts != (16, 1) and real(G, lam, mults))
+    rep = verify_minimal_levi(GroupSpec(Family.SO, 17, Char.TWO))
+    assert not rep.passed
+    refusals = [c for c in rep.counterexamples if c.startswith("combine refuses the distinguished shape 16,1:")]
+    assert len(refusals) == 1
+    assert cli.main(["verify", "--claim", "minimal-levi", "--max-dim", "17"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["group"] for r in reports if r["outcome"] == "fail"] == ["SO17 (p=2)"]
+
+
+def test_a_swept_group_enumerates_under_the_sweep_bound():
+    # past the library's default enumeration bound: verify --max-dim sets it
+    assert len(oracle._GroupWork(GroupSpec(Family.GL, 41, Char.GOOD)).classes) == 44_583
 
 
 def test_connected_only_image_misses_the_witness_class():

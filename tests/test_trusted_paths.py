@@ -4,9 +4,10 @@ Values the library derives itself (enumeration, minimal_levi, combine, the
 partition algebra) skip the checks of the public constructors.  These tests
 rebuild such values through the public constructors and require the same
 fields, hash and multiplicities, and for combine the same refusals, at dims
-40-200 and on every class up to dim 20.  The last test keeps the trusted
+40-200 and on every class up to dim 20.  The last tests keep the trusted
 paths out of the oracle and the CLI, whose independence rests on checking
-what they build.
+what they build, and the library's shape and eps rules out of the oracle,
+which states its own.
 """
 
 import ast
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipotent_atlas import partitions
+from unipotent_atlas import classes, partitions
 from unipotent_atlas.classes import (
     Char,
     ClassParam,
@@ -42,6 +43,9 @@ SRC = Path(inspect.getfile(partitions)).parent
 
 #: The private keywords and helpers through which the library builds values unchecked.
 TRUSTED_NAMES = {"_mults", "_trusted", "_from_mults", "_count"}
+
+#: The library's statements of the distinguished shape and the eps law.
+SHAPE_RULE_NAMES = {"is_distinguished", "shape_violation", "eps_options"}
 
 
 def assert_same_partition(built: Partition, checked: Partition) -> None:
@@ -161,17 +165,17 @@ def test_replace_goes_through_the_checks():
         dataclasses.replace(C, split_tag="III")
 
 
-def _trusted_uses(module: str) -> list[str]:
+def _names_used(module: str, names: set[str] = TRUSTED_NAMES) -> list[str]:
     tree = ast.parse((SRC / f"{module}.py").read_text())
     uses = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.keyword) and node.arg in TRUSTED_NAMES:
+        if isinstance(node, ast.keyword) and node.arg in names:
             uses.append(f"{module}.py:{node.value.lineno}: keyword {node.arg}")
-        elif isinstance(node, ast.Name) and node.id in TRUSTED_NAMES:
+        elif isinstance(node, ast.Name) and node.id in names:
             uses.append(f"{module}.py:{node.lineno}: {node.id}")
-        elif isinstance(node, ast.Attribute) and node.attr in TRUSTED_NAMES:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             uses.append(f"{module}.py:{node.lineno}: .{node.attr}")
-        elif isinstance(node, ast.alias) and node.name in TRUSTED_NAMES:
+        elif isinstance(node, ast.alias) and node.name in names:
             uses.append(f"{module}.py: imports {node.name}")
     return uses
 
@@ -181,6 +185,13 @@ def test_oracle_and_cli_build_only_through_the_validating_constructors():
     assert "_mults" in inspect.signature(Partition).parameters
     assert "_trusted" in inspect.signature(EpsilonMap).parameters
     assert "_trusted" in inspect.signature(ClassParam).parameters
-    assert _trusted_uses("classes") and _trusted_uses("partitions")
-    assert _trusted_uses("oracle") == []
-    assert _trusted_uses("cli") == []
+    assert _names_used("classes") and _names_used("partitions")
+    assert _names_used("oracle") == []
+    assert _names_used("cli") == []
+
+
+def test_oracle_states_the_shape_rules_itself():
+    # the names are the library's real rule functions, so the guard is not vacuous
+    assert {name for name in SHAPE_RULE_NAMES if hasattr(classes, name)} == SHAPE_RULE_NAMES
+    assert _names_used("classes", SHAPE_RULE_NAMES)
+    assert _names_used("oracle", SHAPE_RULE_NAMES) == []
