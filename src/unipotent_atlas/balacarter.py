@@ -26,6 +26,7 @@ rules, and one generator, _products, feeds both enumerations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -35,8 +36,7 @@ from .classes import (
     ClassParam,
     Family,
     GroupSpec,
-    combine,
-    distinguished_eps,
+    _combine,
     minimal_levi,
     splits_in_so,
 )
@@ -45,10 +45,10 @@ from .errors import InputError
 from .partitions import Partition, iter_partitions
 from .richardson import (
     ParabolicDescriptor,
+    _richardson_blocks,
     enumerate_distinguished_parabolics,
     parabolic_from_blocks,
     regular_blocks,
-    richardson_jordan_blocks,
 )
 
 
@@ -153,12 +153,9 @@ def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
     X.validate_for(G)
     # validate_for has checked each factor as a group of its own: a positive
     # dimension, even for Sp, and full (a whole O_m) exactly when _full_factors(G)
-    parts: list[int] = []
-    for m, full in X.cl_parts:
-        family = Family.O if full else G.family
-        parts.extend(regular_blocks(family, m, G.p2, nonidentity=full and m % 2 == 0))
-    classical = Partition(tuple(parts))
-    return combine(X.gl_parts, classical, distinguished_eps(G, classical), G)
+    return _product_class(G, X.gl_parts, (
+        b for m, full in X.cl_parts
+        for b in regular_blocks(Family.O if full else G.family, m, G.p2, nonidentity=full and m % 2 == 0)))
 
 
 def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
@@ -169,16 +166,18 @@ def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
     """Class of a product of Richardson elements, one per parabolic factor of P."""
     P.validate_for(G)
-    classical = Partition()
-    for desc in P.parabolics:
-        blocks, _ = richardson_jordan_blocks(desc)
-        classical = classical + blocks
-    return combine(P.gl_parts, classical, distinguished_eps(G, classical), G)
+    return _product_class(G, P.gl_parts, (b for desc in P.parabolics for b in _richardson_blocks(desc)))
 
 
 def phi2(C: ClassParam) -> ParabolicProduct:
     """The canonical parabolic product mapping to C under psi2."""
     return analyse(C).phi2()
+
+
+def _product_class(G: GroupSpec, gl_parts: Partition, blocks: Iterable[int]) -> ClassParam:
+    """The class of a product that validate_for accepted: GL blocks gl_parts, and
+    classical blocks, listed in any order, that carry the distinguished eps."""
+    return _combine(G, gl_parts.multiplicities(), Counter(blocks), None)
 
 
 def is_extra_class(C: ClassParam) -> bool:

@@ -228,10 +228,11 @@ def _eps_law(G: GroupSpec, x_odd: int, m_odd: int) -> tuple[int, ...]:
     return (0, 1) if G.p2 and not m_odd else (G.delta,)
 
 
-#: eps_options keyed by (family, char, x % 2, m % 2).
-_EPS_OPTIONS = {
-    (family, char, x_odd, m_odd): _eps_law(GroupSpec(family, 2, char), x_odd, m_odd)
-    for family in Family for char in Char for x_odd in (0, 1) for m_odd in (0, 1)
+#: The eps law of each (family, char), indexed [x % 2][m % 2].
+_EPS_LAW = {
+    (family, char): tuple(tuple(_eps_law(GroupSpec(family, 2, char), x_odd, m_odd) for m_odd in (0, 1))
+                          for x_odd in (0, 1))
+    for family in Family for char in Char
 }
 
 
@@ -241,7 +242,7 @@ def eps_options(G: GroupSpec, x: int, m: int) -> tuple[int, ...]:
     The first value is the canonical one, the last the value a distinguished
     class carries.
     """
-    return _EPS_OPTIONS[G.family, G.char, x % 2, m % 2]
+    return _EPS_LAW[G.family, G.char][x % 2][m % 2]
 
 
 def shape_violation(G: GroupSpec, beta: Partition) -> str | None:
@@ -376,8 +377,7 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
                 out.append(ClassParam(G, lam, eps, "II", _trusted=True))
             else:
                 out.append(ClassParam(G, lam, eps, _trusted=True))
-    out.sort(key=ClassParam.key)
-    return out
+    return out  # iter_partitions and product yield ClassParam.key order
 
 
 # -- minimal Levi extraction and its inverse ------------------------------------
@@ -397,12 +397,14 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
         raise InputError("minimal Levi extraction requires gl, sp, or so")
     if G.family is Family.GL:
         return C.lam, Partition(), EpsilonMap()
-    split: dict[int, tuple[int, int]] = {}  # part value -> (copies in alpha, copies in beta)
-    for x, m in C.lam.multiplicities().items():
-        take = 2 if len(eps_options(G, x, m)) == 2 and C.eps[x] == 1 else m % 2
+    law, split = _EPS_LAW[G.family, G.char], {}  # part value -> (copies in alpha, copies in beta)
+    # a class's eps items list its part values in the order of its multiplicities
+    for (x, m), (_, v) in zip(C.lam.multiplicities().items(), C.eps.items):
+        take = 2 if len(law[x % 2][m % 2]) == 2 and v == 1 else m % 2
         split[x] = ((m - take) // 2, take)
-    beta = _from_mults({x: b for x, (_, b) in split.items() if b})
-    return _from_mults({x: a for x, (a, _) in split.items() if a}), beta, distinguished_eps(G, beta)
+    beta = {x: b for x, (_, b) in split.items() if b}
+    eps_beta = EpsilonMap(tuple((x, law[x % 2][b % 2][-1]) for x, b in beta.items()), _trusted=True)
+    return _from_mults({x: a for x, (a, _) in split.items() if a}), _from_mults(beta), eps_beta
 
 
 def distinguished_eps(G: GroupSpec, beta: Partition) -> EpsilonMap:
@@ -414,14 +416,13 @@ def distinguished_eps(G: GroupSpec, beta: Partition) -> EpsilonMap:
 
 
 def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpec) -> ClassParam:
-    """Reassemble the class with blocks double(alpha) + beta.
+    """Reassemble the class with blocks double(alpha) + beta (on GL, alpha).
 
     Each part value that beta carries gets eps_beta's value, every other part
     its canonical value.  Family parity violations and eps_beta values the
-    eps law forbids raise InputError.  Beta's parts alone decide this, as
-    is_valid_class would on the whole class: double(alpha) keeps the parities
-    of every multiplicity and of the number of parts, and canonical values obey the law.
+    eps law forbids raise the validating constructor's InputError.
     """
+    beta_mults, given = beta.multiplicities(), eps_beta.as_dict()
     if G.family is Family.O:
         raise InputError("combine requires gl, sp, or so")
     if G.family is Family.GL:
@@ -429,19 +430,29 @@ def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpe
             raise InputError("GL classes have no classical factor")
         if alpha.total != G.dim:
             raise InputError(f"GL blocks of {alpha.total} do not fill dimension {G.dim}")
-        return ClassParam(G, alpha, canonical_eps(G, alpha), _trusted=True)
-    if 2 * alpha.total + beta.total != G.dim:
+    elif 2 * alpha.total + beta.total != G.dim:
         raise InputError(f"2*{alpha.total} + {beta.total} does not match dimension {G.dim}")
-    beta_mults = beta.multiplicities()
-    given = eps_beta.as_dict()
-    if given.keys() != beta_mults.keys():
+    elif given.keys() != beta_mults.keys():
         raise InputError("eps_beta domain does not match beta's part values")
-    lam = alpha.double() + beta
-    eps = EpsilonMap(tuple(
-        (x, given[x] if x in given else eps_options(G, x, m)[0])
-        for x, m in lam.multiplicities().items()
-    ), _trusted=True)
-    if not _lambda_admissible(G, beta, beta_mults) or any(
-            given[x] not in eps_options(G, x, m) for x, m in beta_mults.items()):
+    return _combine(G, alpha.multiplicities(), beta_mults, given)
+
+
+def _combine(G: GroupSpec, alpha: dict[int, int], beta: dict[int, int],
+             eps_beta: dict[int, int] | None) -> ClassParam:
+    """combine on multiplicities, in one pass over their part values: lam's are
+    beta's plus twice alpha's (on GL, alpha's).  Where eps_beta is None, beta's
+    parts carry the values a distinguished class carries."""
+    law, copies = _EPS_LAW[G.family, G.char], 1 if G.family is Family.GL else 2
+    mults, parts, items, lawful = {}, [], [], True
+    for x in sorted(alpha.keys() | beta.keys(), reverse=True):
+        b = beta.get(x, 0)
+        m = mults[x] = b + copies * alpha.get(x, 0)
+        parts += [x] * m
+        options = law[x % 2][m % 2]
+        v = (options[-1] if eps_beta is None else eps_beta[x]) if b else options[0]
+        items.append((x, v))
+        lawful &= v in options
+    lam, eps = Partition(tuple(parts), _mults=mults), EpsilonMap(tuple(items), _trusted=True)
+    if not lawful or not _lambda_admissible(G, lam, mults):
         raise InputError(f"({lam}, {eps}) is not a valid class of {G.describe()}")
     return ClassParam(G, lam, eps, _trusted=True)

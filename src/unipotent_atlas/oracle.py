@@ -100,11 +100,12 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
 #
 # A _GroupWork holds what several checks of one group read: the class list, one
 # analysis per class (from one analyse_all call), and the psi1 and psi2 image
-# tables, which send each descriptor of G to the data_key of its class.  Each part is built on first
-# use, inside the timed region of the check that needs it first.  A public
+# tables, which send each descriptor of G to the data_key of its class or to the
+# map's refusal, a counterexample of each claim that reads it.  Each part is built
+# on first use, inside the timed region of the check that needs it first.  A public
 # verifier runs its check on a fresh record; run_all keeps one record per group.
 
-ImageTable = dict[object, tuple]
+ImageTable = dict[object, tuple | str]
 
 #: Each descriptor map with the enumeration of its descriptors.
 _MAPS = {"psi1": (psi1, iter_regular_subgroups), "psi2": (psi2, iter_parabolic_products)}
@@ -125,15 +126,20 @@ class _GroupWork:
 
     def table(self, which: str) -> ImageTable:
         if which not in self._tables:
-            psi, descriptors = _MAPS[which]
-            self._tables[which] = {X: psi(X, self.G).data_key() for X in descriptors(self.G)}
+            self._tables[which] = {X: self._image(which, X) for X in _MAPS[which][1](self.G)}
         return self._tables[which]
 
-    def key(self, which: str, X) -> tuple:
-        """The data_key of X's class: read from the image table when that
-        table is built, computed by the map otherwise."""
+    def key(self, which: str, X) -> tuple | str:
+        """The data_key of X's class, or the map's refusal: read from the
+        image table when that table is built, computed by the map otherwise."""
         key = self._tables.get(which, {}).get(X)
-        return key if key is not None else _MAPS[which][0](X, self.G).data_key()
+        return key if key is not None else self._image(which, X)
+
+    def _image(self, which: str, X) -> tuple | str:
+        try:
+            return _MAPS[which][0](X, self.G).data_key()
+        except InputError as exc:
+            return f"{which} refuses {X.describe()}: {exc}"
 
 
 def psi1_image(G: GroupSpec) -> set[tuple]:
@@ -152,9 +158,11 @@ def _surjectivity(work: _GroupWork, which: str) -> VerificationReport:
     t0 = time.perf_counter()
     if which not in _MAPS:
         raise InputError(f"which must be 'psi1' or 'psi2', got {which!r}")
-    image = set(work.table(which).values())
+    table = work.table(which)
+    bad = [k for k in table.values() if isinstance(k, str)]
+    image = {k for k in table.values() if not isinstance(k, str)}
     target = {C.data_key() for C in work.classes}
-    bad = [f"class not reached: lambda={Partition(k[0])} eps={dict(k[1])}" for k in sorted(target - image)]
+    bad += [f"class not reached: lambda={Partition(k[0])} eps={dict(k[1])}" for k in sorted(target - image)]
     bad += [f"image outside the class list: lambda={Partition(k[0])}" for k in sorted(image - target)]
     return _finish(f"{which}-surjective", work.G, work.G.dim, bad, t0, len(target))
 
@@ -172,9 +180,10 @@ def _right_inverse(work: _GroupWork, which: str) -> VerificationReport:
     bad = []
     for C, a in zip(work.classes, work.analyses):
         X = a.phi1() if which == "phi1" else a.phi2()
-        if work.key(psi, X) != C.data_key():
-            back = _MAPS[psi][0](X, work.G)
-            bad.append(f"psi({which}({C.lam}, {C.eps})) gave ({back.lam}, {back.eps})")
+        key = work.key(psi, X)
+        if key != C.data_key():  # a refusal, or another class
+            bad.append(key if isinstance(key, str) else
+                       f"psi({which}({C.lam}, {C.eps})) gave ({Partition(key[0])}, {EpsilonMap(key[1])})")
     return _finish(f"{which}-right-inverse", work.G, work.G.dim, bad, t0, len(work.classes))
 
 
@@ -190,7 +199,9 @@ def _psi2_injective(work: _GroupWork) -> VerificationReport:
     products = list(iter_parabolic_products(work.G, max_factors=1))
     for P in products:
         key = work.key("psi2", P)
-        if key in seen and seen[key] != P:
+        if isinstance(key, str):
+            bad.append(key)
+        elif key in seen and seen[key] != P:
             bad.append(f"{seen[key].describe()} and {P.describe()} both map to {Partition(key[0])}")
         seen[key] = P
     return _finish("psi2-injective-r<=1", work.G, work.G.dim, bad, t0, len(products))
@@ -391,8 +402,11 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
             bad.append(f"{C.lam}: extraction {alpha}|{beta} vs brute force {splittings[0]}")
         if beta not in _distinguished_remainders(G.family, G.char, beta.total):
             bad.append(f"{C.lam}: extracted remainder {beta} is not distinguished")
-        if not combine(alpha, beta, eps_beta, G).same_class(C):
-            bad.append(f"{C.lam}: combine does not invert the extraction")
+        try:
+            if not combine(alpha, beta, eps_beta, G).same_class(C):
+                bad.append(f"{C.lam}: combine does not invert the extraction")
+        except InputError as exc:
+            bad.append(f"{C.lam}: combine refuses the extraction: {exc}")
     # bijection of (Levi, distinguished class) pairs with classes
     seen: dict[tuple, tuple] = {}
     count = 0
@@ -422,9 +436,10 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
     # single it out: a remainder part m can also come from a larger factor
     # whose regular class has blocks (m, 1)-style, e.g. O_3 versus O_2 O_1.)
     if G.dim <= PREIMAGE_MAX_DIM:
-        by_class: dict[tuple, list[RegularSubgroupDescriptor]] = defaultdict(list)
+        by_class: dict[tuple | str, list[RegularSubgroupDescriptor]] = defaultdict(list)
         for X, key in work.table("psi1").items():
             by_class[key].append(X)
+        bad += [key for key in by_class if isinstance(key, str)]  # refusals
         for C, a in untagged:
             cands = by_class.get(C.data_key(), [])
             if not cands:

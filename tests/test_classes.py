@@ -17,6 +17,7 @@ from unipotent_atlas.classes import (
     splits_in_so,
 )
 from unipotent_atlas.errors import InputError, ResourceLimitError
+from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition
 
 SO16 = GroupSpec(Family.SO, 16, Char.TWO)
@@ -113,10 +114,12 @@ def test_enumerate_classes_is_duplicate_free_and_valid():
 
 
 def test_enumerate_classes_canonical_order():
-    # blocks lexicographically decreasing, then eps values, then tag
-    for G in (SO16, GroupSpec(Family.SO, 8, Char.GOOD), GroupSpec(Family.SP, 8, Char.TWO)):
+    # blocks lexicographically decreasing, then eps values, then tag: the order
+    # enumeration yields unsorted, on every group up to dim 24
+    o_groups = [GroupSpec(Family.O, n, char) for n in (8, 23, 24) for char in Char]
+    for G in group_sweep(24) + o_groups:
         classes = enumerate_classes(G)
-        assert classes == sorted(classes, key=ClassParam.key)
+        assert classes == sorted(classes, key=ClassParam.key), G.describe()
         lams = [C.lam.parts for C in classes]
         assert lams == sorted(lams, reverse=True)
 

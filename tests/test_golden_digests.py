@@ -31,7 +31,7 @@ from unipotent_atlas.classes import Char
 from unipotent_atlas.cli import main
 from unipotent_atlas.oracle import group_sweep
 
-GOLDEN_MAX_DIM = 20
+GOLDEN_MAX_DIM = 24
 #: The p=2 classes documents past GOLDEN_MAX_DIM: (family, dims).
 LARGE_CLASSES = (("so", range(25, 31)), ("o", range(25, 31)), ("sp", (26, 28, 30)))
 ENUMERATION_MAX_DIM = 16

@@ -142,13 +142,18 @@ def test_minimal_levi_verifier_sweep_dim_16():
         assert rep.passed, (G.describe(), rep.counterexamples[:3])
 
 
-def test_a_shape_the_library_refuses_fails_the_minimal_levi_claim(monkeypatch, capsys):
-    # plant a library that knows no class with blocks (16, 1): enumeration
-    # drops it, and combine refuses that remainder; the oracle still states it
-    # (past PREIMAGE_MAX_DIM, so no regular-subgroup image meets the refusal)
+def _refuse_blocks(monkeypatch, parts):
+    """Plant a library that knows no class with the given blocks: enumeration
+    drops such a class, and combine, psi1 and psi2 refuse to build one."""
     real = classes._lambda_admissible
     monkeypatch.setattr(classes, "_lambda_admissible",
-                        lambda G, lam, mults: lam.parts != (16, 1) and real(G, lam, mults))
+                        lambda G, lam, mults: lam.parts != parts and real(G, lam, mults))
+
+
+def test_a_shape_the_library_refuses_fails_the_minimal_levi_claim(monkeypatch, capsys):
+    # the oracle still states the shape (16, 1); past PREIMAGE_MAX_DIM, no
+    # regular-subgroup image meets the refusal
+    _refuse_blocks(monkeypatch, (16, 1))
     rep = verify_minimal_levi(GroupSpec(Family.SO, 17, Char.TWO))
     assert not rep.passed
     refusals = [c for c in rep.counterexamples if c.startswith("combine refuses the distinguished shape 16,1:")]
@@ -156,6 +161,35 @@ def test_a_shape_the_library_refuses_fails_the_minimal_levi_claim(monkeypatch, c
     assert cli.main(["verify", "--claim", "minimal-levi", "--max-dim", "17"]) == 1
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["group"] for r in reports if r["outcome"] == "fail"] == ["SO17 (p=2)"]
+
+
+@pytest.mark.parametrize("claim, psi", [("psi1-surjective", "psi1"), ("psi2-surjective", "psi2"),
+                                       ("psi2-injective-r1", "psi2"), ("minimal-levi", "psi1")])
+def test_a_descriptor_the_library_refuses_fails_the_claim_that_reads_it(monkeypatch, capsys, claim, psi):
+    # at dim 6 the minimal-Levi claim reads the psi1 image table too
+    _refuse_blocks(monkeypatch, (4, 2))
+    assert cli.main(["verify", "--claim", claim, "--max-dim", "6"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = {r["group"]: r["counterexamples"] for r in reports if r["outcome"] == "fail"}
+    assert {"Sp6 (p odd)", "SO6 (p=2)"} <= failed.keys()
+    for group, counterexamples in failed.items():
+        assert any(c.startswith(f"{psi} refuses ") and c.endswith(f"is not a valid class of {group}")
+                   for c in counterexamples), group
+
+
+def test_a_class_the_library_refuses_to_rebuild_fails_the_class_level_claims(monkeypatch):
+    # the class (4, 2) is enumerated and analysed before the refusal is planted,
+    # so only its rebuilding meets it: by combine on the extraction path, and by
+    # psi1 and psi2 on the right-inverse paths
+    work = oracle._GroupWork(GroupSpec(Family.SP, 6, Char.GOOD))
+    assert Partition((4, 2)) in {a.beta for a in work.analyses}
+    _refuse_blocks(monkeypatch, (4, 2))
+    refusal = "(4,2, 4:1,2:1) is not a valid class of Sp6 (p odd)"
+    levi = oracle._minimal_levi(work)
+    assert f"4,2: combine refuses the extraction: {refusal}" in levi.counterexamples
+    assert oracle._right_inverse(work, "phi1").counterexamples == [f"psi1 refuses Cl4 Cl2: {refusal}"]
+    [phi2] = oracle._right_inverse(work, "phi2").counterexamples
+    assert phi2.startswith("psi2 refuses ") and phi2.endswith(refusal)
 
 
 def test_a_swept_group_enumerates_under_the_sweep_bound():
