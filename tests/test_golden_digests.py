@@ -5,7 +5,10 @@ The digests cover ``--format json`` output of ``classes``, ``tables 2`` and
 ``classes`` on O in both characteristics at the same dims.  Past those
 dims, where many classes share one distinguished remainder, they also cover
 ``classes`` on SO and O at p=2 for dims 25-30 and on Sp at p=2 for dims 26,
-28 and 30, and ``tables 4`` in every format.  A change that
+28 and 30, and ``tables 4`` in every format.  The other commands' documents
+(``label``, ``richardson`` in both directions, ``decompose`` in each family
+and characteristic, ``tables 1``) are covered in every format, and
+``classes`` on a few groups in text and csv.  A change that
 is meant to alter one of these outputs recaptures them with
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -34,6 +37,35 @@ from unipotent_atlas.oracle import group_sweep
 GOLDEN_MAX_DIM = 24
 #: The p=2 classes documents past GOLDEN_MAX_DIM: (family, dims).
 LARGE_CLASSES = (("so", range(25, 31)), ("o", range(25, 31)), ("sp", (26, 28, 30)))
+#: Commands whose documents are covered in text, json and csv.
+EVERY_FORMAT = (
+    ("label", "--group", "so", "--dim", "16", "--char", "2", "--blocks", "8,4,2,2",
+     "--eps", "8:1,4:1,2:1"),
+    ("label", "--group", "so", "--dim", "12", "--char", "2", "--blocks", "4,4,2,2"),
+    ("label", "--group", "sp", "--dim", "12", "--char", "odd", "--blocks", "6,4,2"),
+    ("label", "--group", "gl", "--dim", "7", "--blocks", "4,2,1"),
+    ("richardson", "--group", "so", "--dim", "12", "--char", "2", "--levi", "1^3,2;m0=1"),
+    ("richardson", "--group", "sp", "--dim", "12", "--char", "2", "--levi", "1^2,2^2"),
+    ("richardson", "--group", "gl", "--dim", "5", "--levi", "1,2^2"),
+    ("richardson", "--group", "so", "--dim", "12", "--char", "2", "--invert", "--blocks", "8,4"),
+    ("richardson", "--group", "sp", "--dim", "12", "--char", "odd", "--invert", "--blocks", "6,4,2"),
+    ("richardson", "--group", "gl", "--dim", "5", "--invert", "--blocks", "3,2"),
+    ("decompose", "12,12,10,8,6,6,4,2"),
+    ("decompose", "6,4,4,2,2,1", "--group", "so", "--char", "2"),
+    ("decompose", "8,8,6,4,4,2", "--group", "sp", "--char", "2"),
+    ("decompose", "8,6,2", "--group", "sp", "--char", "odd"),
+    ("decompose", "9,5,3,1", "--group", "so", "--char", "odd"),
+    ("tables", "1"),
+    ("tables", "1", "--dim", "13"),
+)
+#: classes documents covered in text and csv (json is covered above).
+CLASSES_TEXT = (
+    ("--group", "so", "--dim", "16", "--char", "2"),
+    ("--group", "so", "--dim", "16", "--char", "2", "--extra-only"),
+    ("--group", "o", "--dim", "10", "--char", "2"),
+    ("--group", "sp", "--dim", "8", "--char", "odd"),
+    ("--group", "gl", "--dim", "5"),
+)
 ENUMERATION_MAX_DIM = 16
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ENUMERATION_DIGESTS = Path(__file__).with_name("enumeration_digests.json")
@@ -56,6 +88,9 @@ def golden_argvs() -> list[list[str]]:
                           "--char", "2"])
     for fmt in ("text", "csv", "json"):
         argvs.append(["--format", fmt, "tables", "4"])
+        argvs += [["--format", fmt, *command] for command in EVERY_FORMAT]
+        if fmt != "json":
+            argvs += [["--format", fmt, "classes", *group] for group in CLASSES_TEXT]
     return argvs
 
 
