@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the exhaustive verification battery and print a summary.
 
+The summary covers the reports of ``unipotent-atlas verify --claim all``
+under the same bound flags, with the same defaults and exit statuses.
+
 Example:
     python scripts/run_verifications.py --max-dim 24 --surjectivity-max-dim 16
 """
@@ -11,9 +14,7 @@ import argparse
 import sys
 import time
 
-from unipotent_atlas.cli import internal_error, stdout_closed
-from unipotent_atlas.errors import InputError, ResourceLimitError
-from unipotent_atlas.oracle import run_all
+from unipotent_atlas.cli import run_guarded, verify_reports
 
 
 def print_summary(reports, elapsed: float) -> None:
@@ -40,37 +41,20 @@ def print_summary(reports, elapsed: float) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-dim", type=int, default=24,
+    parser.add_argument("--max-dim", type=int,
                         help="bound for class-level checks (right inverses, minimal Levi)")
-    parser.add_argument("--surjectivity-max-dim", type=int, default=16,
+    parser.add_argument("--surjectivity-max-dim", type=int,
                         help="bound for the surjectivity and injectivity sweeps")
-    parser.add_argument("--max-beta", type=int, default=30,
-                        help="bound for the decomposition property suite")
-    parser.add_argument("--jsonl", action="store_true", help="emit raw JSON lines instead")
+    parser.add_argument("--max-beta", type=int, help="bound for the decomposition property suite")
     args = parser.parse_args(argv)
 
-    try:
+    def summarize() -> int:
         t0 = time.perf_counter()
-        reports = run_all(
-            max_dim=args.max_dim,
-            surjectivity_max_dim=args.surjectivity_max_dim,
-            beta_bound=args.max_beta,
-        )
-        elapsed = time.perf_counter() - t0
-        if args.jsonl:
-            for rep in reports:
-                print(rep.to_json_line())
-        else:
-            print_summary(reports, elapsed)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        return stdout_closed()
-    except (InputError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a crash, told apart from a failed claim by its status
-        return internal_error(exc)
-    return 0 if all(rep.passed for rep in reports) else 1
+        reports = verify_reports(claim="all", **vars(args))
+        print_summary(reports, time.perf_counter() - t0)
+        return 0 if all(rep.passed for rep in reports) else 1
+
+    return run_guarded(summarize)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import io
 import json
 import os
 import sys
-from functools import partial
+from collections.abc import Callable, Iterable, Iterator
 
 from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string
 from .classes import (
@@ -25,15 +25,13 @@ from .classes import (
 from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
 from .oracle import (
+    GROUP_CLAIMS,
+    VerificationReport,
     check_bounds,
-    map_sweep,
     run_all,
+    sweep_claim,
     verify_extra_count,
-    verify_minimal_levi,
     verify_proposition,
-    verify_psi2_restricted_injective,
-    verify_right_inverse,
-    verify_surjectivity,
 )
 from .partitions import Partition
 from .richardson import (
@@ -56,19 +54,26 @@ EXIT_STDOUT_CLOSED = 141
 EXIT_INTERNAL_ERROR = 3
 
 
-def stdout_closed() -> int:
-    """Handle a BrokenPipeError on stdout: point stdout at the null device, so
-    the flush at interpreter exit cannot fail again, and return the status."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    return EXIT_STDOUT_CLOSED
-
-
-def internal_error(exc: Exception) -> int:
-    """Report an unexpected exception on one stderr line; return the status."""
-    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return EXIT_INTERNAL_ERROR
+def run_guarded(action: Callable[[], int]) -> int:
+    """The exit status of action, which prints to stdout, or of what it raised:
+    2 after an input error or a resource limit and 3 after a crash, each with
+    one line on stderr, and EXIT_STDOUT_CLOSED after the reader closed stdout."""
+    try:
+        code = action()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at the null device, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+    except (InputError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash, told apart from a failed claim by its status
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def _group_from_args(args) -> GroupSpec:
@@ -100,23 +105,30 @@ def _resolve_eps(G: GroupSpec, lam: Partition, eps_text: str | None) -> EpsilonM
     return eps
 
 
-def _emit_table(rows: list[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:
+def _emit(fmt: str, doc: dict, lines: Iterable[str]) -> None:
+    """Print one document: in json format the schema and doc as one indented
+    JSON dump, otherwise the command's lines, which are read only then."""
     if fmt == "json":
-        doc = {"schema": SCHEMA, **meta, payload_key: rows}
-        print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _plain(row.get(k)) for k in columns})
-        sys.stdout.write(buf.getvalue())
+        print(json.dumps({"schema": SCHEMA, **doc}, indent=2))
     else:
-        widths = {c: max([len(c)] + [len(_plain(r.get(c))) for r in rows]) for c in columns}
-        print("  ".join(c.ljust(widths[c]) for c in columns))
-        print("  ".join("-" * widths[c] for c in columns))
-        for row in rows:
-            print("  ".join(_plain(row.get(c)).ljust(widths[c]) for c in columns))
+        for line in lines:
+            print(line)
+
+
+def _emit_table(rows: list[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:
+    _emit(fmt, {**meta, payload_key: rows}, _table_lines(rows, columns, fmt == "csv"))
+
+
+def _table_lines(rows: list[dict], columns: list[str], as_csv: bool) -> Iterator[str]:
+    cells = [[_plain(row.get(c)) for c in columns] for row in rows]
+    if as_csv:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([columns, *cells])
+        yield buf.getvalue()[:-1]  # every row ends in "\r\n"; print writes the last "\n"
+        return
+    widths = [max(map(len, column)) for column in zip(columns, *cells)]
+    for line in (columns, ["-" * w for w in widths], *cells):
+        yield "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
 
 
 def _plain(value) -> str:
@@ -138,9 +150,9 @@ def _as_so(C: ClassParam) -> ClassParam | None:
 
 
 def _class_row(C: ClassParam, a: ClassAnalysis | None, full: bool) -> dict:
-    """One classes row from C's analysis (None: no SO data); with full, phi1
-    and phi2 are the JSON payloads."""
-    row = {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
+    """C's classes row from its analysis (None: no SO data): with full, the
+    JSON row (C's JSON, then the payloads of phi1 and phi2), else the table row."""
+    row = C.to_json() if full else {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
     if a is None:
         row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
         return row
@@ -177,20 +189,10 @@ def cmd_classes(args) -> int:
     classes = enumerate_classes(G, max_dim=max_dim)
     in_so = [_as_so(C) for C in classes]
     analyses = analyse_all(S for S in in_so if S is not None)
-    rows = []
-    for C, S in zip(classes, in_so):
-        row = _class_row(C, next(analyses) if S is not None else None, args.format == "json")
-        if args.extra_only and row.get("extra") is not True:
-            continue
-        if args.format == "json":
-            row = {
-                **C.to_json(),
-                "extra": row["extra"],
-                "label": row["label"],
-                "phi1": row["phi1"],
-                "phi2": row["phi2"],
-            }
-        rows.append(row)
+    rows = [_class_row(C, next(analyses) if S is not None else None, args.format == "json")
+            for C, S in zip(classes, in_so)]
+    if args.extra_only:
+        rows = [row for row in rows if row["extra"] is True]
     meta = {"group": G.describe(), "count": len(rows)}
     _emit_table(rows, ["lambda", "eps", "split", "extra", "label", "phi1", "phi2"], args.format, "classes", meta)
     return 0
@@ -202,27 +204,20 @@ def cmd_decompose(args) -> int:
         raise InputError("nothing to decompose: the partition is empty")
     G = GroupSpec(Family(args.group), beta.total, Char.TWO if args.char == "2" else Char.GOOD)
     dec = decompose(beta, G)
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "group": G.describe(),
-            "beta": list(beta.parts),
-            "beta1": list(dec.beta1.parts),
-            "beta2": list(dec.beta2.parts),
-            "beta3": list(dec.beta3.parts),
-            "trace1": list(dec.trace1.bits),
-            "trace2": list(dec.trace2.bits),
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(render_trace(dec.trace1, "beta"))
+    doc = {
+        "group": G.describe(),
+        "beta": list(beta.parts),
+        "beta1": list(dec.beta1.parts),
+        "beta2": list(dec.beta2.parts),
+        "beta3": list(dec.beta3.parts),
+        "trace1": list(dec.trace1.bits),
+        "trace2": list(dec.trace2.bits),
+    }
+    lines = [render_trace(dec.trace1, "beta")]
     if dec.trace2.beta:
-        print()
-        print(render_trace(dec.trace2, "delta"))
-    print()
-    print(f"beta1 = {dec.beta1}")
-    print(f"beta2 = {dec.beta2}")
-    print(f"beta3 = {dec.beta3}")
+        lines += ["", render_trace(dec.trace2, "delta")]
+    lines += ["", f"beta1 = {dec.beta1}", f"beta2 = {dec.beta2}", f"beta3 = {dec.beta3}"]
+    _emit(args.format, doc, lines)
     return 0
 
 
@@ -251,7 +246,6 @@ def cmd_richardson(args) -> int:
         lam = Partition.parse(args.blocks)
         P = parabolic_from_blocks(G, lam)
         doc = {
-            "schema": SCHEMA,
             "group": G.describe(),
             "blocks": list(lam.parts),
             "levi": P.levi_name(),
@@ -259,32 +253,23 @@ def cmd_richardson(args) -> int:
             "m0": P.m0,
             "diagram": diagram_string(P),
         }
-        if args.format == "json":
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"levi: {P.levi_name()}")
-            print(f"descriptor: {P.describe()}")
-            print(f"diagram: {diagram_string(P)}")
+        _emit(args.format, doc, [f"levi: {doc['levi']}", f"descriptor: {P.describe()}",
+                                 f"diagram: {doc['diagram']}"])
         return 0
     if not args.levi:
         raise InputError("provide --levi (forward map) or --invert --blocks")
     P = _parse_levi(args.levi, G)
     lam, eps = richardson_jordan_blocks(P)
     member = in_richardson_image(G, lam)
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "group": G.describe(),
-            "levi": P.levi_name(),
-            "blocks": list(lam.parts),
-            "eps": {str(x): v for x, v in eps.items},
-            "in_image": member,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"blocks: {lam}")
-        print(f"eps: {eps}")
-        print(f"in richardson image: {'yes' if member else 'no'}")
+    doc = {
+        "group": G.describe(),
+        "levi": P.levi_name(),
+        "blocks": list(lam.parts),
+        "eps": {str(x): v for x, v in eps.items},
+        "in_image": member,
+    }
+    _emit(args.format, doc, [f"blocks: {lam}", f"eps: {eps}",
+                             f"in richardson image: {'yes' if member else 'no'}"])
     return 0
 
 
@@ -294,46 +279,38 @@ def cmd_label(args) -> int:
     eps = _resolve_eps(G, lam, args.eps)
     C = ClassParam(G, lam, eps)
     a = analyse(C)
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            **C.to_json(),
-            "label": a.label(),
-            "extra": a.is_extra(),
-            "phi1": _phi1_json(a.phi1()),
-            "phi2": _phi2_json(a.phi2()),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(a.label())
+    doc = {
+        **C.to_json(),
+        "label": a.label(),
+        "extra": a.is_extra(),
+        "phi1": _phi1_json(a.phi1()),
+        "phi2": _phi2_json(a.phi2()),
+    }
+    _emit(args.format, doc, [doc["label"]])
     return 0
 
 
-#: The claims verify checks group by group over group_sweep(--max-dim).
-GROUP_CLAIMS = {
-    "psi1-surjective": partial(verify_surjectivity, which="psi1"),
-    "psi2-surjective": partial(verify_surjectivity, which="psi2"),
-    "psi2-injective-r1": verify_psi2_restricted_injective,
-    "phi1-right-inverse": partial(verify_right_inverse, which="phi1"),
-    "phi2-right-inverse": partial(verify_right_inverse, which="phi2"),
-    "minimal-levi": verify_minimal_levi,
-}
+def verify_reports(claim: str, max_dim: int | None, surjectivity_max_dim: int | None,
+                   max_beta: int | None) -> list[VerificationReport]:
+    """The reports of verify --claim claim.  A bound left as None takes its
+    default (max_dim 24, surjectivity_max_dim min(max_dim, 16), max_beta 30),
+    and all three are checked before any claim runs."""
+    max_dim = max_dim if max_dim is not None else 24
+    surj = surjectivity_max_dim if surjectivity_max_dim is not None else min(max_dim, 16)
+    max_beta = max_beta if max_beta is not None else 30
+    check_bounds(max_dim, max_beta, surj)
+    if claim == "all":
+        return run_all(max_dim=max_dim, surjectivity_max_dim=surj, beta_bound=max_beta)
+    if claim == "proposition":
+        return [verify_proposition(max_beta)]
+    if claim == "extra-counts":
+        return [verify_extra_count(GroupSpec(Family.SO, dim, Char.TWO), want)
+                for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5))]
+    return sweep_claim(claim, max_dim)
 
 
 def cmd_verify(args) -> int:
-    reports = []
-    max_dim = args.max_dim if args.max_dim is not None else 24
-    surj = args.surjectivity_max_dim if args.surjectivity_max_dim is not None else min(max_dim, 16)
-    check_bounds(max_dim, args.max_beta, surj)
-    if args.claim == "all":
-        reports = run_all(max_dim=max_dim, surjectivity_max_dim=surj, beta_bound=args.max_beta)
-    elif args.claim == "proposition":
-        reports = [verify_proposition(args.max_beta)]
-    elif args.claim == "extra-counts":
-        for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5)):
-            reports.append(verify_extra_count(GroupSpec(Family.SO, dim, Char.TWO), want))
-    else:
-        reports = map_sweep(GROUP_CLAIMS[args.claim], max_dim)
+    reports = verify_reports(args.claim, args.max_dim, args.surjectivity_max_dim, args.max_beta)
     for rep in reports:
         print(rep.to_json_line())
     failed = [rep for rep in reports if not rep.passed]
@@ -468,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="run the exhaustive verifiers (JSON lines)")
     p.add_argument("--claim", default="all", choices=["all", *GROUP_CLAIMS, "proposition", "extra-counts"])
     p.add_argument("--surjectivity-max-dim", type=int, default=None)
-    p.add_argument("--max-beta", type=int, default=30)
+    p.add_argument("--max-beta", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("tables", help="regenerate a block table")
@@ -481,19 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        return stdout_closed()
-    except (InputError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a crash, told apart from a failed claim by its status
-        return internal_error(exc)
+    args = build_parser().parse_args(argv)
+    return run_guarded(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Recursive decomposition of distinguished Jordan data into Richardson pieces.
 
-The orthogonal p=2 case runs a left-to-right scan ``f`` over the indexed
-parts twice; the symplectic p=2 case splits off one copy of each repeated
-part; in good characteristic the data is already a single piece.
+Two passes of a left-to-right 0/1 scan, the second over the parts the first
+assigned 0: the scan ``f`` for orthogonal groups at p=2, the first copy of
+each value for symplectic ones, and every part (one piece) in good characteristic.
 """
 
 from __future__ import annotations
@@ -76,6 +76,17 @@ def apply_f(beta: Partition) -> FAssignment:
     return FAssignment(beta, tuple(bits))
 
 
+def _first_copies(beta: Partition) -> FAssignment:
+    """The symplectic p=2 scan: 1 on the first copy of each value, 0 on a repeat."""
+    parts = beta.parts
+    return FAssignment(beta, tuple(int(i == 0 or parts[i - 1] != p) for i, p in enumerate(parts)))
+
+
+def _all_ones(beta: Partition) -> FAssignment:
+    """The good-characteristic scan: every part is assigned 1."""
+    return FAssignment(beta, (1,) * len(beta))
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """beta = beta1 + beta2 + beta3 with the two scan traces that produced it."""
@@ -104,33 +115,20 @@ class Decomposition:
 def decompose(beta: Partition, G: GroupSpec) -> Decomposition:
     """Split distinguished blocks into at most three Richardson pieces.
 
-    Good characteristic: (beta, 0, 0).  Sp at p=2: beta2 takes one copy of
-    each repeated part.  SO at p=2: two passes of the scan map.  Only G's
-    family and characteristic are read, so G may be any group of them (a
-    remainder is decomposed with the whole group's spec).
+    beta1 is what the first pass of the family's scan assigns 1, and beta2
+    and beta3 what the second assigns 1 and 0 (Sp at p=2 leaves beta3 empty:
+    no value repeats more than twice).  Only G's family and characteristic
+    are read, so G may be any group of them (a remainder is decomposed with
+    the whole group's spec).
     """
     if G.family not in (Family.SP, Family.SO):
         raise InputError("decomposition requires a symplectic or special orthogonal group")
     reason = shape_violation(G, beta)
     if reason is not None:
         raise InputError(reason)
-    if not G.p2:
-        trace1 = FAssignment(beta, (1,) * len(beta))
-        trace2 = FAssignment(Partition(), ())
-        return Decomposition(beta, Partition(), Partition(), trace1, trace2)
-    if G.family is Family.SP:
-        seen: set[int] = set()
-        bits = []
-        for p in beta.parts:
-            bits.append(1 if p not in seen else 0)
-            seen.add(p)
-        trace1 = FAssignment(beta, tuple(bits))
-        beta2 = trace1.zeros()
-        trace2 = FAssignment(beta2, (1,) * len(beta2))
-        return Decomposition(trace1.ones(), beta2, Partition(), trace1, trace2)
-    trace1 = apply_f(beta)
-    delta = trace1.zeros()
-    trace2 = apply_f(delta)
+    scan = (apply_f if G.family is Family.SO else _first_copies) if G.p2 else _all_ones
+    trace1 = scan(beta)
+    trace2 = scan(trace1.zeros())
     return Decomposition(trace1.ones(), trace2.ones(), trace2.zeros(), trace1, trace2)
 
 

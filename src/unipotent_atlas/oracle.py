@@ -526,24 +526,31 @@ def run_tasks(tasks: list[tuple]) -> list:
     return list(map(_call, tasks))
 
 
-def map_sweep(check, max_dim: int) -> list:
-    """[check(G) for G in group_sweep(max_dim)], each group one task of
-    run_tasks, the largest groups first so the processes end together."""
-    return run_tasks([(check, G) for G in reversed(group_sweep(max_dim))])[::-1]
+#: The claims checked group by group, in report order: the module-global name
+#: of each one's check of a _GroupWork, and the check's arguments.
+GROUP_CLAIMS = {
+    "psi1-surjective": ("_surjectivity", "psi1"),
+    "psi2-surjective": ("_surjectivity", "psi2"),
+    "psi2-injective-r1": ("_psi2_injective",),
+    "phi1-right-inverse": ("_right_inverse", "phi1"),
+    "phi2-right-inverse": ("_right_inverse", "phi2"),
+    "minimal-levi": ("_minimal_levi",),
+}
 
 
-def _group_checks(G: GroupSpec, surjectivity: bool, class_level: bool
-                  ) -> tuple[list[VerificationReport], list[VerificationReport]]:
-    """G's reports in run_all's first sweep (surjectivity and injectivity)
-    and second sweep (right inverses and minimal Levi), all read from one
-    _GroupWork."""
+def _group_checks(G: GroupSpec, *sweeps: tuple[str, ...]) -> list[list[VerificationReport]]:
+    """G's reports of each sweep's claims, all read from one _GroupWork.  Each
+    check is looked up when it runs, so a rebound or monkeypatched one runs."""
     work = _GroupWork(G)
-    first, second = [], []
-    if surjectivity:
-        first = [_surjectivity(work, "psi1"), _surjectivity(work, "psi2"), _psi2_injective(work)]
-    if class_level:
-        second = [_right_inverse(work, "phi1"), _right_inverse(work, "phi2"), _minimal_levi(work)]
-    return first, second
+    return [[globals()[name](work, *args) for name, *args in (GROUP_CLAIMS[c] for c in claims)]
+            for claims in sweeps]
+
+
+def sweep_claim(claim: str, max_dim: int) -> list[VerificationReport]:
+    """The reports of one of GROUP_CLAIMS on each group of group_sweep(max_dim),
+    in sweep order; each group is one task of run_tasks, the largest first."""
+    tasks = [(_group_checks, G, (claim,)) for G in reversed(group_sweep(max_dim))]
+    return [report for [[report]] in reversed(run_tasks(tasks))]
 
 
 def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int = 30) -> list[VerificationReport]:
@@ -558,9 +565,11 @@ def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int =
     """
     check_bounds(max_dim, beta_bound, surjectivity_max_dim)
     groups = group_sweep(max(max_dim, surjectivity_max_dim))
+    surjective, class_level = tuple(GROUP_CLAIMS)[:3], tuple(GROUP_CLAIMS)[3:]
     # the proposition, then the largest groups first, so the processes end together
     tasks = [(verify_proposition, beta_bound)]
-    tasks += [(_group_checks, G, G.dim <= surjectivity_max_dim, G.dim <= max_dim) for G in reversed(groups)]
+    tasks += [(_group_checks, G, surjective if G.dim <= surjectivity_max_dim else (),
+               class_level if G.dim <= max_dim else ()) for G in reversed(groups)]
     proposition, *per_group = run_tasks(tasks)
     per_group.reverse()
     return ([r for first, _ in per_group for r in first]

@@ -211,14 +211,10 @@ def _dual_exponents(P: ParabolicDescriptor) -> list[int]:
     exps: list[int] = []
     for i, ci in enumerate(P.c + (0,) * (top - len(P.c)), start=1):
         if G.p2:
+            # never negative: c(i) >= 1 at odd i <= 2*m0, as the chain and window rules give i <= N
             e = 2 * ci + (2 if i % 2 == 0 else -2) if i <= 2 * P.m0 else 2 * ci
         else:
             e = 2 * ci + (1 if i == top else 0)
-        if e < 0:
-            raise InputError(
-                f"descriptor {P.describe()} is not distinguished in {G.describe()} "
-                f"(negative multiplicity at block size {i})"
-            )
         exps.append(e)
     return exps
 

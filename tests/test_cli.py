@@ -5,8 +5,10 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,16 @@ from unipotent_atlas.classes import Char, Family, GroupSpec, enumerate_classes, 
 from unipotent_atlas.cli import SCHEMA, _phi1_json, _phi2_json, main
 from unipotent_atlas.decomp import decompose
 from unipotent_atlas.errors import ResourceLimitError
-from unipotent_atlas.oracle import count_extra_classes, group_sweep
+from unipotent_atlas.oracle import (
+    GROUP_CLAIMS,
+    VerificationReport,
+    count_extra_classes,
+    group_sweep,
+    verify_minimal_levi,
+    verify_psi2_restricted_injective,
+    verify_right_inverse,
+    verify_surjectivity,
+)
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import in_richardson_image
 
@@ -202,12 +213,23 @@ def test_verify_single_claim_small(capsys):
     assert json.loads(out.splitlines()[0])["outcome"] == "pass"
 
 
-@pytest.mark.parametrize("claim", list(cli.GROUP_CLAIMS))
+#: The public verifier of each claim verify sweeps group by group.
+PUBLIC_VERIFIERS = {
+    "psi1-surjective": partial(verify_surjectivity, which="psi1"),
+    "psi2-surjective": partial(verify_surjectivity, which="psi2"),
+    "psi2-injective-r1": verify_psi2_restricted_injective,
+    "phi1-right-inverse": partial(verify_right_inverse, which="phi1"),
+    "phi2-right-inverse": partial(verify_right_inverse, which="phi2"),
+    "minimal-levi": verify_minimal_levi,
+}
+
+
+@pytest.mark.parametrize("claim", list(GROUP_CLAIMS))
 def test_verify_group_claim_reports_in_sweep_order(capsys, claim):
     code, out, _ = run_cli(capsys, "verify", "--claim", claim, "--max-dim", "7")
     assert code == 0
     got = [json.loads(line) for line in out.splitlines()]
-    want = [cli.GROUP_CLAIMS[claim](G).to_json() for G in group_sweep(7)]
+    want = [PUBLIC_VERIFIERS[claim](G).to_json() for G in group_sweep(7)]
     for line in got + want:
         del line["elapsed_seconds"]
     assert got == want
@@ -356,7 +378,7 @@ def test_verification_script_tells_a_crash_from_a_limit(capsys, monkeypatch, exc
     def fail(**bounds):
         raise exc
 
-    monkeypatch.setattr(script, "run_all", fail)
+    monkeypatch.setattr(script, "verify_reports", fail)
     assert script.main(["--max-dim", "4"]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
@@ -373,6 +395,22 @@ def test_verification_script_rejects_a_bound_that_leaves_nothing_to_check(capsys
     assert load_script("run_verifications").main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {flag} must be at least 1, got {value}\n")
+
+
+def test_verification_script_summarizes_the_reports_of_verify(capsys):
+    # the script used to sweep the surjectivity claims to dim 16 whatever
+    # --max-dim said: 265 reports at --max-dim 6, where verify gives 145
+    assert main(["verify", "--max-dim", "6"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    reports = [VerificationReport(**{k: v for k, v in line.items() if k != "schema"}) for line in lines]
+    script = load_script("run_verifications")
+    script.print_summary(reports, 0.0)
+    want = capsys.readouterr().out
+    assert script.main(["--max-dim", "6"]) == 0
+    got = capsys.readouterr().out
+    seconds = re.compile(r"[\d.]+s (summed|wall)")
+    assert seconds.sub(r"\1", got) == seconds.sub(r"\1", want)
+    assert len(reports) == 145 and want.endswith("total: 145 reports in 0.0s wall\n")
 
 
 def test_census_matches_the_separate_public_calls(capsys):
@@ -422,7 +460,7 @@ def test_cli_exits_quietly_when_stdout_closes():
 
 def test_verification_script_exits_quietly_when_stdout_closes():
     code, err = run_with_stdout_closed(
-        "scripts/run_verifications.py", "--jsonl", "--max-dim", "6",
+        "scripts/run_verifications.py", "--max-dim", "6",
         "--surjectivity-max-dim", "4", "--max-beta", "8",
     )
     assert (code, err) == (141, "")
