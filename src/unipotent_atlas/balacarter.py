@@ -26,7 +26,6 @@ rules, and one generator, _products, feeds both enumerations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -42,7 +41,7 @@ from .classes import (
 )
 from .decomp import decompose
 from .errors import InputError
-from .partitions import Partition, iter_partitions
+from .partitions import Partition, _count, iter_partitions
 from .richardson import (
     ParabolicDescriptor,
     _richardson_blocks,
@@ -177,7 +176,7 @@ def phi2(C: ClassParam) -> ParabolicProduct:
 def _product_class(G: GroupSpec, gl_parts: Partition, blocks: Iterable[int]) -> ClassParam:
     """The class of a product that validate_for accepted: GL blocks gl_parts, and
     classical blocks, listed in any order, that carry the distinguished eps."""
-    return _combine(G, gl_parts.multiplicities(), Counter(blocks), None)
+    return _combine(G, gl_parts.multiplicities(), _count(blocks), None)
 
 
 def is_extra_class(C: ClassParam) -> bool:

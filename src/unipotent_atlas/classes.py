@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 from itertools import product
+from typing import Iterator
 
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, _count, _from_mults, iter_partitions
+from .partitions import Partition, _from_mults
 
 #: Largest dimension enumerate_classes accepts unless the caller raises it.
 DEFAULT_ENUM_BOUND = 40
@@ -280,23 +281,24 @@ def shape_violation(G: GroupSpec, beta: Partition) -> str | None:
 # -- validity -----------------------------------------------------------------
 
 
+#: The parity rule of each (family, char): parts > 1 of this parity (0 even,
+#: 1 odd) have even multiplicity.  GL has no rule.
+_PARITY_RULE = {(family, char): None if family is Family.GL else int(family is Family.SP or char is Char.TWO)
+                for family in Family for char in Char}
+
+
+def _even_block_count(G: GroupSpec) -> bool:
+    """Whether G's classes need an even number of blocks (even SO at p=2: in SO, not O)."""
+    return G.family is Family.SO and G.char is Char.TWO and G.dim % 2 == 0
+
+
 def _lambda_admissible(G: GroupSpec, lam: Partition, mults: dict[int, int]) -> bool:
     """The family's parity rules on lam, whose multiplicities are mults."""
-    if G.family is Family.GL:
-        return True
-    if G.is_orthogonal and not G.p2:
-        # good characteristic, orthogonal: every even part has even multiplicity
-        if any(x % 2 == 0 and m % 2 != 0 for x, m in mults.items()):
+    rule = _PARITY_RULE[G.family, G.char]
+    for x, m in mults.items():
+        if m % 2 and x % 2 == rule and x > 1:
             return False
-    else:
-        # symplectic (any char) or orthogonal at p=2: every odd part > 1 has even multiplicity
-        if any(x % 2 == 1 and x > 1 and m % 2 != 0 for x, m in mults.items()):
-            return False
-    if G.family is Family.SO and G.p2 and G.dim % 2 == 0:
-        # membership in SO rather than O: even number of Jordan blocks
-        if len(lam) % 2 != 0:
-            return False
-    return True
+    return len(lam) % 2 == 0 or not _even_block_count(G)
 
 
 def canonical_eps(G: GroupSpec, lam: Partition) -> EpsilonMap:
@@ -356,6 +358,18 @@ def _eps_choices(G: GroupSpec, lam: Partition) -> list[EpsilonMap]:
     return [EpsilonMap(tuple(zip(mults, values)), _trusted=True) for values in product(*options)]
 
 
+def _block_shapes(n: int, cap: int, rule: int | None) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The (value, multiplicity) runs of the partitions of n with parts <= cap
+    that obey the parity rule, lexicographically decreasing: the largest value
+    first, and of one value the larger multiplicity first.  Part 1 has no rule."""
+    for x in range(min(n, cap), 1, -1):
+        step = 2 if x % 2 == rule else 1
+        for m in range(n // x // step * step, 0, -step):
+            for rest in _block_shapes(n - m * x, x - 1, rule):
+                yield ((x, m), *rest)
+    yield ((1, n),) if n else ()
+
+
 def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[ClassParam]:
     """All unipotent classes of G, canonically sorted.
 
@@ -367,9 +381,10 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
             f"dimension {G.dim} exceeds the enumeration bound {max_dim}; pass --max-dim to classes to raise it"
         )
     out: list[ClassParam] = []
-    for parts in iter_partitions(G.dim):
-        lam = Partition(parts, _mults=_count(parts))  # canonical parts: trusted
-        if not _lambda_admissible(G, lam, lam.multiplicities()):
+    even_blocks = _even_block_count(G)
+    for runs in _block_shapes(G.dim, G.dim, _PARITY_RULE[G.family, G.char]):
+        lam = _from_mults(dict(runs))
+        if even_blocks and len(lam) % 2:
             continue
         for eps in _eps_choices(G, lam):
             if G.family is Family.SO and splits_in_so(lam, eps, G.char):
@@ -377,7 +392,7 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
                 out.append(ClassParam(G, lam, eps, "II", _trusted=True))
             else:
                 out.append(ClassParam(G, lam, eps, _trusted=True))
-    return out  # iter_partitions and product yield ClassParam.key order
+    return out  # _block_shapes and product yield ClassParam.key order
 
 
 # -- minimal Levi extraction and its inverse ------------------------------------

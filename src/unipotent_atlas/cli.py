@@ -9,6 +9,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 
 from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string
 from .classes import (
@@ -109,10 +110,31 @@ def _emit(fmt: str, doc: dict, lines: Iterable[str]) -> None:
     """Print one document: in json format the schema and doc as one indented
     JSON dump, otherwise the command's lines, which are read only then."""
     if fmt == "json":
-        print(json.dumps({"schema": SCHEMA, **doc}, indent=2))
+        print(_json_text({"schema": SCHEMA, **doc}))
     else:
         for line in lines:
             print(line)
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), joined from the texts of value's items (the
+    stdlib writes an indented document token by token, in pure Python)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # an empty container, a bool, None or a float
+    inner = newline + "  "
+    # str and int items, most of a document, are written in place
+    if isinstance(value, dict):
+        return "{" + inner + ("," + inner).join([
+            f"{_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "  # json's key text
+            f"{_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner)}"
+            for k, v in value.items()]) + newline + "}"
+    return "[" + inner + ("," + inner).join([
+        _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+        else _json_text(v, inner) for v in value]) + newline + "]"
 
 
 def _emit_table(rows: list[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:

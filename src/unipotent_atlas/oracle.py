@@ -322,19 +322,24 @@ def verify_proposition(bound: int = 30) -> VerificationReport:
 # -- extra classes ------------------------------------------------------------------
 
 
+def _extra_count(G: GroupSpec) -> tuple[int, int]:
+    """The number of classes whose minimal-Levi remainder is not a Richardson
+    class, and the number of classes read (one of each split pair)."""
+    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
+    return sum(1 for a in analyse_all(untagged) if a.is_extra()), len(untagged)
+
+
 def count_extra_classes(G: GroupSpec) -> int:
     """Number of classes whose minimal-Levi remainder is not a Richardson class."""
-    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    return sum(1 for a in analyse_all(untagged) if a.is_extra())
+    return _extra_count(G)[0]
 
 
 def verify_extra_count(G: GroupSpec, expected: int) -> VerificationReport:
     """Check that G has the expected number of extra classes."""
     t0 = time.perf_counter()
-    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    got = sum(1 for a in analyse_all(untagged) if a.is_extra())
+    got, checked = _extra_count(G)
     bad = [] if got == expected else [f"counted {got}, expected {expected}"]
-    return _finish("extra-count", G, G.dim, bad, t0, len(untagged))
+    return _finish("extra-count", G, G.dim, bad, t0, checked)
 
 
 # -- minimal Levi splitting ----------------------------------------------------------

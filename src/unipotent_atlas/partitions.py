@@ -3,7 +3,7 @@
 Partitions are stored weakly decreasing, with their multiplicities, and are
 immutable.  The constructor checks and normalizes its parts; dual, merge and
 double build canonical results, which skip the checks through the private
-``_mults`` keyword (as enumeration does with the parts iter_partitions yields).
+``_mults`` keyword (as the library does with the multiplicities it derives).
 The empty partition is a first-class value, printed and parsed as ``"0"``.
 The textual syntax used everywhere (CLI, JSON) is comma-separated
 parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -139,8 +139,8 @@ class Partition:
         return _from_mults({x: 2 * m for x, m in self._counts.items()})
 
 
-def _count(parts: tuple[int, ...]) -> dict[int, int]:
-    """Multiplicities of canonical (positive, decreasing) parts, keys decreasing."""
+def _count(parts: Iterable[int]) -> dict[int, int]:
+    """Multiplicities of parts, keys in order of first appearance."""
     mults: dict[int, int] = {}
     for p in parts:
         mults[p] = mults.get(p, 0) + 1

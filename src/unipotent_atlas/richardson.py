@@ -26,7 +26,6 @@ is exactly the set accepted by in_richardson_image.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -34,7 +33,7 @@ from itertools import accumulate
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
 from .decomp import satisfies_difference_condition
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, _from_mults, iter_partitions
+from .partitions import Partition, _count, _from_mults, iter_partitions
 
 #: Largest rank enumerate_distinguished_parabolics accepts by default.
 DEFAULT_RANK_BOUND = 32
@@ -224,7 +223,7 @@ def _richardson_blocks(P: ParabolicDescriptor) -> Partition:
     the dual of lambda*, whose j-th part counts the parts of lambda* of size >= j."""
     odd_p2 = P.group.family is Family.SO and P.group.dim % 2 == 1 and P.group.p2
     parts = [*accumulate(reversed(_dual_exponents(P)))][::-1] + [1] * odd_p2
-    return _from_mults(dict(Counter(x for x in parts if x)))
+    return _from_mults(_count(x for x in parts if x))
 
 
 def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, EpsilonMap]:

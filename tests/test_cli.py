@@ -12,11 +12,13 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unipotent_atlas import cli
 from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
 from unipotent_atlas.classes import Char, Family, GroupSpec, enumerate_classes, minimal_levi
-from unipotent_atlas.cli import SCHEMA, _phi1_json, _phi2_json, main
+from unipotent_atlas.cli import SCHEMA, _json_text, _phi1_json, _phi2_json, main
 from unipotent_atlas.decomp import decompose
 from unipotent_atlas.errors import ResourceLimitError
 from unipotent_atlas.oracle import (
@@ -91,6 +93,36 @@ def test_classes_deterministic(capsys):
     _, first, _ = run_cli(capsys, "classes", "--group", "so", "--dim", "12", "--char", "2")
     _, second, _ = run_cli(capsys, "classes", "--group", "so", "--dim", "12", "--char", "2")
     assert first == second
+
+
+# text with quotes, backslashes, control characters, non-ASCII and astral characters
+JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é", "\u2028", "\U0001f600"])
+JSON_SCALARS = (JSON_TEXT | st.integers() | st.integers(min_value=-2**80, max_value=2**80) | st.booleans()
+                | st.none() | st.floats())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT | st.integers(), children)),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None)
+@given(JSON_VALUES)
+@example({True: 0, False: [], None: {}, 1.5: (), -2: "", "-2": [None]})
+def test_the_json_writer_prints_what_the_stdlib_prints(value):
+    # the stdlib call is the reference: dicts, lists and tuples, empty or not,
+    # nested, holding str, int, bool, None and float items, keyed by str and
+    # int (and, in the example, by bool, None and float, which json converts)
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_the_json_writer_refuses_what_the_stdlib_refuses():
+    for value in ({(1, 2): 0}, [object()], {"a": {1.5: set()}}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
 
 
 def test_decompose_text(capsys):

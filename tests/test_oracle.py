@@ -143,8 +143,9 @@ def test_minimal_levi_verifier_sweep_dim_16():
 
 
 def _refuse_blocks(monkeypatch, parts):
-    """Plant a library that knows no class with the given blocks: enumeration
-    drops such a class, and combine, psi1 and psi2 refuse to build one."""
+    """Plant a library that knows no class with the given blocks: combine, psi1
+    and psi2 refuse to build one.  Enumeration, which generates the admissible
+    shapes from the parity rule without this check, still lists such a class."""
     real = classes._lambda_admissible
     monkeypatch.setattr(classes, "_lambda_admissible",
                         lambda G, lam, mults: lam.parts != parts and real(G, lam, mults))

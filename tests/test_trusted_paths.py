@@ -136,8 +136,9 @@ def test_enumerated_classes_and_their_minimal_levis_match_the_validating_constru
 
 
 def test_partitions_counted_from_canonical_parts_match_the_validating_constructor():
-    # enumerate_classes builds each lam this way from the parts iter_partitions
-    # yields; the test above compares the lams it keeps
+    # _richardson_blocks counts its canonical parts this way, as the reference
+    # scan in test_enumeration_reference.py does; enumerate_classes builds its
+    # lams from generated multiplicities, and the test above compares those
     for n in range(SWEEP_MAX_DIM + 1):
         for parts in iter_partitions(n):
             assert_same_partition(Partition(parts, _mults=partitions._count(parts)), Partition(parts))
