@@ -117,8 +117,8 @@ def _emit(fmt: str, doc: dict, lines: Iterable[str]) -> None:
 
 
 def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2), joined from the texts of value's items (the
-    stdlib writes an indented document token by token, in pure Python)."""
+    """value's JSON text with a two-space indent, exactly as json.dumps writes it,
+    joined from its items' texts (the stdlib writes it token by token in Python)."""
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, int) and not isinstance(value, bool):
