@@ -330,6 +330,15 @@ def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
     return True
 
 
+def as_so(C: ClassParam) -> ClassParam | None:
+    """C read through SO: C itself unless it is an O class, else the SO class
+    of the same dim, char and (lam, eps), checked once, or None outside SO."""
+    if C.group.family is not Family.O:
+        return C
+    so = GroupSpec(Family.SO, C.group.dim, C.group.char)
+    return ClassParam(so, C.lam, C.eps, _trusted=True) if is_valid_class(so, C.lam, C.eps) else None
+
+
 def splits_in_so(lam: Partition, eps: EpsilonMap, char: Char) -> bool:
     """Whether the O-class forms two SO-classes: every part even with eps != 1.
 

@@ -19,6 +19,7 @@ from .classes import (
     EpsilonMap,
     Family,
     GroupSpec,
+    as_so,
     enumerate_classes,
     eps_options,
     is_valid_class,
@@ -116,25 +117,51 @@ def _emit(fmt: str, doc: dict, lines: Iterable[str]) -> None:
             print(line)
 
 
-def _json_text(value, newline: str = "\n") -> str:
+#: The JSON text of the three constants, looked up only for None, True and False.
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value) -> str:
     """value's JSON text with a two-space indent, exactly as json.dumps writes it,
-    joined from its items' texts (the stdlib writes it token by token in Python)."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)  # an empty container, a bool, None or a float
-    inner = newline + "  "
-    # str and int items, most of a document, are written in place
-    if isinstance(value, dict):
-        return "{" + inner + ("," + inner).join([
-            f"{_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "  # json's key text
-            f"{_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner)}"
-            for k, v in value.items()]) + newline + "}"
-    return "[" + inner + ("," + inner).join([
-        _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-        else _json_text(v, inner) for v in value]) + newline + "]"
+    joined from its items' texts (the stdlib writes it token by token in Python).
+    A tuple held more than once, as each distinguished remainder's payloads
+    are in a classes document, is rendered once per indent depth: the memo,
+    local to this call, keys a tuple's text by (id, newline), and value keeps
+    every tuple alive while the call runs."""
+    memo: dict[tuple[int, str], str] = {}
+
+    def text(value, newline: str) -> str:
+        if isinstance(value, str):
+            return _quote(value)
+        if value is None or value is True or value is False:
+            return _JSON_CONSTANTS[value]
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, tuple):
+            key = (id(value), newline)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = container(value, newline)
+            return got
+        if isinstance(value, (dict, list)):
+            return container(value, newline)
+        return json.dumps(value)  # a float, or what json refuses, with its TypeError
+
+    def container(value, newline: str) -> str:
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = newline + "  "
+        # str and int items, most of a document, are written in place
+        if isinstance(value, dict):
+            return "{" + inner + ("," + inner).join([
+                f"{_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "  # json's key text
+                f"{_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else text(v, inner)}"
+                for k, v in value.items()]) + newline + "}"
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else text(v, inner) for v in value]) + newline + "]"
+
+    return text(value, "\n")
 
 
 def _emit_table(rows: list[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:
@@ -163,17 +190,12 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _as_so(C: ClassParam) -> ClassParam | None:
-    """C, an O-class read through SO; None for a class outside SO."""
-    if C.group.family is not Family.O:
-        return C
-    so = GroupSpec(Family.SO, C.group.dim, C.group.char)
-    return ClassParam(so, C.lam, C.eps) if is_valid_class(so, C.lam, C.eps) else None
-
-
-def _class_row(C: ClassParam, a: ClassAnalysis | None, full: bool) -> dict:
-    """C's classes row from its analysis (None: no SO data): with full, the
-    JSON row (C's JSON, then the payloads of phi1 and phi2), else the table row."""
+def _class_row(C: ClassParam, a: ClassAnalysis | None, payloads: dict | None) -> dict:
+    """C's classes row from its analysis (None: no SO data).  With payloads,
+    the JSON row: C's JSON, then phi1 and phi2, whose factors and parabolics
+    are tuples built once per distinguished remainder and kept in payloads
+    (keyed by the analysis's shared RemainderAnalysis); else the table row."""
+    full = payloads is not None
     row = C.to_json() if full else {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
     if a is None:
         row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
@@ -181,8 +203,13 @@ def _class_row(C: ClassParam, a: ClassAnalysis | None, full: bool) -> dict:
     row["extra"] = a.is_extra()
     row["label"] = a.label()
     if full:
-        row["phi1"] = _phi1_json(a.phi1())
-        row["phi2"] = _phi2_json(a.phi2())
+        shared = payloads.get(a.remainder)
+        if shared is None:
+            shared = payloads[a.remainder] = (tuple(_phi1_json(a.phi1())["factors"]),
+                                              tuple(_phi2_json(a.phi2())["parabolics"]))
+        gl = list(a.alpha.parts)
+        row["phi1"] = {"gl": gl, "factors": shared[0]}
+        row["phi2"] = {"gl": gl, "parabolics": shared[1]}
     else:
         row["phi1"] = a.phi1().describe()
         row["phi2"] = "(" + ")(".join(map(str, a.pieces)) + ")" if a.pieces else "-"
@@ -209,9 +236,10 @@ def cmd_classes(args) -> int:
     G = _group_from_args(args)
     max_dim = args.max_dim if args.max_dim is not None else DEFAULT_ENUM_BOUND
     classes = enumerate_classes(G, max_dim=max_dim)
-    in_so = [_as_so(C) for C in classes]
+    in_so = [as_so(C) for C in classes]
     analyses = analyse_all(S for S in in_so if S is not None)
-    rows = [_class_row(C, next(analyses) if S is not None else None, args.format == "json")
+    payloads = {} if args.format == "json" else None
+    rows = [_class_row(C, next(analyses) if S is not None else None, payloads)
             for C, S in zip(classes, in_so)]
     if args.extra_only:
         rows = [row for row in rows if row["extra"] is True]

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from unipotent_atlas import cli
 from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
-from unipotent_atlas.classes import Char, Family, GroupSpec, enumerate_classes, minimal_levi
+from unipotent_atlas.classes import (
+    Char,
+    Family,
+    GroupSpec,
+    enumerate_classes,
+    is_valid_class,
+    minimal_levi,
+)
 from unipotent_atlas.cli import SCHEMA, _json_text, _phi1_json, _phi2_json, main
 from unipotent_atlas.decomp import decompose
 from unipotent_atlas.errors import ResourceLimitError
@@ -123,6 +130,71 @@ def test_the_json_writer_refuses_what_the_stdlib_refuses():
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+#: A list, tuple or dict that a document holds more than once.
+SHARED_VALUES = (st.lists(JSON_VALUES, max_size=4) | st.lists(JSON_VALUES, max_size=4).map(tuple)
+                 | st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4))
+
+
+@settings(deadline=None)
+@given(SHARED_VALUES, JSON_VALUES)
+@example((({"dim": 4, "full": True},), [2]), 0)
+def test_the_json_writer_prints_a_shared_object_as_the_stdlib_does(shared, other):
+    # one object at the same depth twice (siblings, and items of one tuple),
+    # and at depths 1 to 4, as a classes document holds a remainder's payloads
+    doc = {"a": shared, "b": [shared, other, {"c": shared, "d": (shared, shared)}], "e": (shared,)}
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_the_json_writer_keeps_no_memo_between_calls():
+    # the same tuple, its list item changed between two calls: a memo kept
+    # past the first call would print the old text in the second
+    items = [1]
+    shared = (items, "x")
+    doc = [shared, [shared], {"k": shared}]
+    first = _json_text(doc)
+    items.append(2)
+    assert _json_text(doc) == json.dumps(doc, indent=2) != first
+    # fresh tuples, one per call, each free to reuse the last one's id
+    for n in range(50):
+        assert _json_text([(n, [n])]) == json.dumps([(n, [n])], indent=2)
+
+
+def test_o_classes_are_validated_in_so_once_each(capsys, monkeypatch):
+    # classes reads each O class through SO (classes.as_so); counted in cli
+    # and classes, so a class validated again by the constructor that builds
+    # its SO form counts twice
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_valid_class(*args)
+
+    monkeypatch.setattr(cli, "is_valid_class", counted)
+    monkeypatch.setattr("unipotent_atlas.classes.is_valid_class", counted)
+    code, out, _ = run_cli(capsys, "--format", "json", "classes", "--group", "o", "--dim", "24",
+                           "--char", "2")
+    assert code == 0
+    assert len(calls) == json.loads(out)["count"] == 800
+
+
+def test_json_classes_build_each_remainder_payload_once(capsys, monkeypatch):
+    built = {"_phi1_json": 0, "_phi2_json": 0}
+    for name in built:
+        def counted(X, name=name, real=getattr(cli, name)):
+            built[name] += 1
+            return real(X)
+        monkeypatch.setattr(cli, name, counted)
+    code, out, _ = run_cli(capsys, "--format", "json", "classes", "--group", "so", "--dim", "30",
+                           "--char", "2")
+    G = GroupSpec(Family.SO, 30, Char.TWO)
+    classes = enumerate_classes(G)
+    remainders = {minimal_levi(C)[1] for C in classes}
+    assert code == 0
+    assert json.loads(out)["count"] == len(classes) == 1256
+    assert len(remainders) == 158
+    assert built == {"_phi1_json": 158, "_phi2_json": 158}
 
 
 def test_decompose_text(capsys):

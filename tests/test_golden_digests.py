@@ -5,7 +5,8 @@ The digests cover ``--format json`` output of ``classes``, ``tables 2`` and
 ``classes`` on O in both characteristics at the same dims.  Past those
 dims, where many classes share one distinguished remainder, they also cover
 ``classes`` on SO and O at p=2 for dims 25-30 and on Sp at p=2 for dims 26,
-28 and 30, and ``tables 4`` in every format.  The other commands' documents
+28 and 30, ``classes --extra-only`` on SO at p=2 (dims 16, 24, 30) and on
+O at p=2 (dim 24), and ``tables 4`` in every format.  The other commands' documents
 (``label``, ``richardson`` in both directions, ``decompose`` in each family
 and characteristic, ``tables 1``) are covered in every format, and
 ``classes`` on a few groups in text and csv.  A change that
@@ -37,6 +38,8 @@ from unipotent_atlas.oracle import group_sweep
 GOLDEN_MAX_DIM = 24
 #: The p=2 classes documents past GOLDEN_MAX_DIM: (family, dims).
 LARGE_CLASSES = (("so", range(25, 31)), ("o", range(25, 31)), ("sp", (26, 28, 30)))
+#: The p=2 classes --extra-only documents in json: (family, dims).
+EXTRA_ONLY = (("so", (16, 24, 30)), ("o", (24,)))
 #: Commands whose documents are covered in text, json and csv.
 EVERY_FORMAT = (
     ("label", "--group", "so", "--dim", "16", "--char", "2", "--blocks", "8,4,2,2",
@@ -86,6 +89,10 @@ def golden_argvs() -> list[list[str]]:
         for n in dims:
             argvs.append(["--format", "json", "classes", "--group", family, "--dim", str(n),
                           "--char", "2"])
+    for family, dims in EXTRA_ONLY:
+        for n in dims:
+            argvs.append(["--format", "json", "classes", "--group", family, "--dim", str(n),
+                          "--char", "2", "--extra-only"])
     for fmt in ("text", "csv", "json"):
         argvs.append(["--format", fmt, "tables", "4"])
         argvs += [["--format", fmt, *command] for command in EVERY_FORMAT]
