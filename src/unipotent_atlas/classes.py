@@ -6,7 +6,8 @@ Jordan block sizes) together with a map ``eps`` from part values to
 that share block sizes; in good characteristic eps is redundant but stored
 anyway so the data model is uniform.  EpsilonMap and ClassParam check
 their input, except for the values this module derives, which it builds
-through the private ``_trusted`` keyword.
+on private trusted paths: ``_trusted_eps`` and ClassParam's ``_trusted``
+keyword.
 """
 
 from __future__ import annotations
@@ -158,6 +159,13 @@ class EpsilonMap:
         return tuple(v for _, v in self.items)
 
 
+def _trusted_eps(items: tuple[tuple[int, int], ...]) -> EpsilonMap:
+    """EpsilonMap(items, _trusted=True), its field set without the generated __init__."""
+    eps = object.__new__(EpsilonMap)
+    object.__setattr__(eps, "items", items)
+    return eps
+
+
 @dataclass(frozen=True)
 class ClassParam:
     """A unipotent class: group, Jordan blocks, epsilon, optional split tag.
@@ -303,9 +311,7 @@ def _lambda_admissible(G: GroupSpec, lam: Partition, mults: dict[int, int]) -> b
 
 def canonical_eps(G: GroupSpec, lam: Partition) -> EpsilonMap:
     """The canonical eps: the first of each part's eps_options (0 where free)."""
-    return EpsilonMap(
-        tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()), _trusted=True
-    )
+    return _trusted_eps(tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()))
 
 
 def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
@@ -364,7 +370,7 @@ def is_distinguished(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:
 def _eps_choices(G: GroupSpec, lam: Partition) -> list[EpsilonMap]:
     mults = lam.multiplicities()
     options = [eps_options(G, x, m) for x, m in mults.items()]
-    return [EpsilonMap(tuple(zip(mults, values)), _trusted=True) for values in product(*options)]
+    return [_trusted_eps(tuple(zip(mults, values))) for values in product(*options)]
 
 
 def _block_shapes(n: int, cap: int, rule: int | None) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -427,16 +433,14 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
         take = 2 if len(law[x % 2][m % 2]) == 2 and v == 1 else m % 2
         split[x] = ((m - take) // 2, take)
     beta = {x: b for x, (_, b) in split.items() if b}
-    eps_beta = EpsilonMap(tuple((x, law[x % 2][b % 2][-1]) for x, b in beta.items()), _trusted=True)
+    eps_beta = _trusted_eps(tuple((x, law[x % 2][b % 2][-1]) for x, b in beta.items()))
     return _from_mults({x: a for x, (a, _) in split.items() if a}), _from_mults(beta), eps_beta
 
 
 def distinguished_eps(G: GroupSpec, beta: Partition) -> EpsilonMap:
     """The eps carried by a distinguished class with blocks beta: the last of
     each part's eps_options (on GL, the canonical 0)."""
-    return EpsilonMap(
-        tuple((x, eps_options(G, x, m)[-1]) for x, m in beta.multiplicities().items()), _trusted=True
-    )
+    return _trusted_eps(tuple((x, eps_options(G, x, m)[-1]) for x, m in beta.multiplicities().items()))
 
 
 def combine(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpec) -> ClassParam:
@@ -467,16 +471,15 @@ def _combine(G: GroupSpec, alpha: dict[int, int], beta: dict[int, int],
     beta's plus twice alpha's (on GL, alpha's).  Where eps_beta is None, beta's
     parts carry the values a distinguished class carries."""
     law, copies = _EPS_LAW[G.family, G.char], 1 if G.family is Family.GL else 2
-    mults, parts, items, lawful = {}, [], [], True
+    mults, items, lawful = {}, [], True
     for x in sorted(alpha.keys() | beta.keys(), reverse=True):
         b = beta.get(x, 0)
         m = mults[x] = b + copies * alpha.get(x, 0)
-        parts += [x] * m
         options = law[x % 2][m % 2]
         v = (options[-1] if eps_beta is None else eps_beta[x]) if b else options[0]
         items.append((x, v))
         lawful &= v in options
-    lam, eps = Partition(tuple(parts), _mults=mults), EpsilonMap(tuple(items), _trusted=True)
+    lam, eps = _from_mults(mults), _trusted_eps(tuple(items))
     if not lawful or not _lambda_admissible(G, lam, mults):
         raise InputError(f"({lam}, {eps}) is not a valid class of {G.describe()}")
     return ClassParam(G, lam, eps, _trusted=True)

@@ -238,11 +238,11 @@ def cmd_classes(args) -> int:
     classes = enumerate_classes(G, max_dim=max_dim)
     in_so = [as_so(C) for C in classes]
     analyses = analyse_all(S for S in in_so if S is not None)
+    pairs = ((C, next(analyses) if S is not None else None) for C, S in zip(classes, in_so))
+    if args.extra_only:  # before the rows are built: a dropped class gets no label
+        pairs = ((C, a) for C, a in pairs if a is not None and a.is_extra())
     payloads = {} if args.format == "json" else None
-    rows = [_class_row(C, next(analyses) if S is not None else None, payloads)
-            for C, S in zip(classes, in_so)]
-    if args.extra_only:
-        rows = [row for row in rows if row["extra"] is True]
+    rows = [_class_row(C, a, payloads) for C, a in pairs]
     meta = {"group": G.describe(), "count": len(rows)}
     _emit_table(rows, ["lambda", "eps", "split", "extra", "label", "phi1", "phi2"], args.format, "classes", meta)
     return 0

@@ -13,6 +13,7 @@ import json
 import os
 import time
 from collections import defaultdict
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -177,6 +178,8 @@ def _right_inverse(work: _GroupWork, which: str) -> VerificationReport:
     if which not in ("phi1", "phi2"):
         raise InputError(f"which must be 'phi1' or 'phi2', got {which!r}")
     psi = "psi" + which[-1]
+    if which == "phi1" and work.G.family is not Family.GL and work.G.dim <= PREIMAGE_MAX_DIM:
+        work.table("psi1")  # _minimal_levi reads the whole table here: build it once, not per class first
     bad = []
     for C, a in zip(work.classes, work.analyses):
         X = a.phi1() if which == "phi1" else a.phi2()
@@ -493,42 +496,88 @@ def _call(task: tuple):
     return fn(*args)
 
 
-#: In a pool process of run_tasks, the tasks it was forked with.
-_forked_tasks: list[tuple] = []
+#: The bytes of a task index in run_tasks' task pipe: fewer than PIPE_BUF,
+#: so each write and each read moves one whole index.
+_INDEX_BYTES = 4
 
 
-def _keep_tasks(tasks: list[tuple]) -> None:
-    global _forked_tasks
-    _forked_tasks = tasks
+def _pipe(stack: ExitStack, buffering: int) -> tuple:
+    """The read and write ends of a new pipe, as files that stack closes."""
+    return tuple(stack.enter_context(open(fd, mode, buffering)) for fd, mode in zip(os.pipe(), ("rb", "wb")))
 
 
-def _call_forked(i: int):
-    return _call(_forked_tasks[i])
+def _serve(tasks: list[tuple], queue) -> list[tuple]:
+    """A run_tasks worker's outcomes, (index, ok, result or exception), of the
+    tasks whose indices it reads from queue until the queue is empty."""
+    done = []
+    while record := queue.read(_INDEX_BYTES):
+        i = int.from_bytes(record, "little")
+        try:
+            done.append((i, True, _call(tasks[i])))
+        except Exception as exc:  # raised again in the caller
+            done.append((i, False, exc))
+    return done
 
 
 def run_tasks(tasks: list[tuple]) -> list:
     """The result of each task (fn, *args), in task order.
 
-    The tasks run on one forked process per usable CPU, never more processes
-    than tasks, and start in list order, so list the costliest first.  With
-    one usable CPU, or where the platform cannot fork, they run in this
-    process.  The pool processes inherit the tasks, with this process's state
-    as it is, monkeypatched or wrapped functions included, so only task
-    indices and results are pickled.  A task's exception is raised here, and
-    no pool process outlives the call.
+    The tasks run on one forked worker process per usable CPU, never more
+    workers than tasks, and start in list order, so list the costliest first.
+    With one usable CPU, or where the platform cannot fork, they run in this
+    process.  The workers inherit the tasks, with this process's state as it
+    is, monkeypatched or wrapped functions included, so only task indices and
+    results cross a pipe.  A task's exception is raised here, tasks whose
+    worker died raise RuntimeError, and no worker outlives the call.
     """
     processes = min(_usable_cpus(), len(tasks))
-    if processes > 1:
-        import multiprocessing  # imported here: only the verifiers pay for it
+    if processes < 2 or not hasattr(os, "fork"):
+        return list(map(_call, tasks))
+    import pickle  # imported here, as signal is: only the verifiers pay for them
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(processes, _keep_tasks, (tasks,))
-            try:
-                return pool.map(_call_forked, range(len(tasks)), chunksize=1)
-            finally:
-                pool.terminate()
-                pool.join()
-    return list(map(_call, tasks))
+    pids, outs, outcomes = [], [], {}
+    try:
+        with ExitStack() as stack:
+            queue, feed = _pipe(stack, 0)
+            for _ in range(processes):
+                out, into = _pipe(stack, -1)
+                pid = os.fork()
+                if pid == 0:  # the worker never returns, whatever a task does
+                    code = 1
+                    try:
+                        feed.close()
+                        into.write(pickle.dumps(_serve(tasks, queue)))  # all pickled, or nothing sent
+                        into.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+                outs.append(out)
+                into.close()
+            queue.close()
+            # one write per index, after the fork, so a long list cannot fill the pipe first
+            with suppress(BrokenPipeError):  # every worker died; the lost tasks are named below
+                for i in range(len(tasks)):
+                    feed.write(i.to_bytes(_INDEX_BYTES, "little"))
+            feed.close()
+            # a worker writes only once the queue is empty, so reading each pipe
+            # to its end in turn stalls no worker that still has tasks
+            for out in outs:
+                if data := out.read():
+                    outcomes.update((i, (ok, value)) for i, ok, value in pickle.loads(data))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    lost = [i for i in range(len(tasks)) if i not in outcomes]
+    if lost:
+        raise RuntimeError(f"no result for tasks {lost}: a worker process died")
+    results = [outcomes[i] for i in range(len(tasks))]
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
 
 
 #: The claims checked group by group, in report order: the module-global name

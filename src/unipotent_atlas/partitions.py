@@ -2,8 +2,9 @@
 
 Partitions are stored weakly decreasing, with their multiplicities, and are
 immutable.  The constructor checks and normalizes its parts; dual, merge and
-double build canonical results, which skip the checks through the private
-``_mults`` keyword (as the library does with the multiplicities it derives).
+double build canonical results, which skip the constructor through the
+private ``_from_mults`` (as the library does with the multiplicities it
+derives).
 The empty partition is a first-class value, printed and parsed as ``"0"``.
 The textual syntax used everywhere (CLI, JSON) is comma-separated
 parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
@@ -148,11 +149,17 @@ def _count(parts: Iterable[int]) -> dict[int, int]:
 
 
 def _from_mults(mults: dict[int, int]) -> Partition:
-    """The partition with multiplicities mults (positive, keys decreasing); trusted."""
+    """The partition with multiplicities mults (positive, keys decreasing);
+    trusted, so its fields are set without the generated __init__ (through
+    object.__setattr__, as that __init__ does: writing to __dict__ would
+    make each instance carry a dict of its own)."""
     parts: list[int] = []
     for x, m in mults.items():
         parts += [x] * m
-    return Partition(tuple(parts), _mults=mults)
+    lam = object.__new__(Partition)
+    object.__setattr__(lam, "parts", tuple(parts))
+    object.__setattr__(lam, "_counts", mults)
+    return lam
 
 
 # -- module-level operation names ------------------------------------------------

@@ -1,10 +1,11 @@
 """Verifier tests: report plumbing plus passing runs at modest bounds."""
 
 import json
-import multiprocessing
 import os
 import re
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -283,13 +284,19 @@ def test_battery_reports_a_wrong_right_inverse(monkeypatch, which):
 def test_one_usable_cpu_runs_the_battery_serially_with_the_same_reports(monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
     pooled = run_all(12, 10, 20)
+    _assert_no_child_left()
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
     assert _rows(run_all(12, 10, 20)) == _rows(pooled)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _crash_in_a_pool_process(monkeypatch):
     """Make every group's injectivity check raise, naming its process, and
-    force two usable CPUs, so the checks run in pool processes."""
+    force two usable CPUs, so the checks run in worker processes."""
     def crash(work):
         raise ArithmeticError(f"table lost in process {os.getpid()}")
 
@@ -303,7 +310,7 @@ def test_a_check_that_raises_in_a_pool_process_raises_in_the_caller(monkeypatch)
         run_all(8, 6, 8)
     pid = re.fullmatch(r"table lost in process (\d+)", str(info.value)).group(1)
     assert int(pid) != os.getpid()
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_a_check_that_raises_in_a_pool_process_exits_3(monkeypatch, capsys):
@@ -312,4 +319,39 @@ def test_a_check_that_raises_in_a_pool_process_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert re.fullmatch(r"internal error: ArithmeticError: table lost in process \d+\n", captured.err)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("dying", [{1}, {0, 1, 2, 3, 4}])
+def test_a_worker_that_dies_names_the_lost_tasks_and_leaves_no_child(monkeypatch, dying):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def task(i):
+        if i in dying and os.getpid() != caller:
+            os._exit(1)
+        return -i
+
+    with _deadline(60), pytest.raises(RuntimeError) as info:
+        oracle.run_tasks([(task, i) for i in range(5)])
+    lost = json.loads(re.fullmatch(r"no result for tasks (\[[\d, ]*\]): a worker process died",
+                                   str(info.value)).group(1))
+    assert dying <= set(lost) <= set(range(5))
+    _assert_no_child_left()
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    assert oracle.run_tasks([(task, i) for i in range(5)]) == [0, -1, -2, -3, -4]

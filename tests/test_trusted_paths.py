@@ -3,7 +3,8 @@
 Values the library derives itself (enumeration, minimal_levi, combine, the
 partition algebra) skip the checks of the public constructors.  These tests
 rebuild such values through the public constructors and require the same
-fields, hash and multiplicities, and for combine the same refusals, at dims
+fields, hash, order, repr, multiplicities, pickle round trip and
+dataclasses.replace result, and for combine the same refusals, at dims
 40-200 and on every class up to dim 20.  The last tests keep the trusted
 paths out of the oracle and the CLI, whose independence rests on checking
 what they build, and the library's shape and eps rules out of the oracle,
@@ -13,6 +14,7 @@ which states its own.
 import ast
 import dataclasses
 import inspect
+import pickle
 from pathlib import Path
 
 import pytest
@@ -42,21 +44,38 @@ SWEEP_MAX_DIM = 20
 SRC = Path(inspect.getfile(partitions)).parent
 
 #: The private keywords and helpers through which the library builds values unchecked.
-TRUSTED_NAMES = {"_mults", "_trusted", "_from_mults", "_count"}
+TRUSTED_NAMES = {"_mults", "_trusted", "_from_mults", "_count", "_trusted_eps"}
 
 #: The library's statements of the distinguished shape and the eps law.
 SHAPE_RULE_NAMES = {"is_distinguished", "shape_violation", "eps_options"}
 
 
+def assert_same_value(built, checked) -> None:
+    """A value from a trusted path behaves as one from the validating
+    constructor: equal, with the same hash, order, repr and fields (cached
+    ones included), also after a pickle round trip and dataclasses.replace."""
+    assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+    assert vars(built) == vars(checked)
+    if type(built) is not ClassParam:  # the only one of the three with no order
+        assert built <= checked and not built < checked and not checked < built
+    for copy in (pickle.loads(pickle.dumps(built)), dataclasses.replace(built)):
+        assert copy == checked and hash(copy) == hash(checked) and vars(copy) == vars(checked)
+
+
+def sort_order(values: list) -> list[int]:
+    """The indices of values in sorted order, ties by index."""
+    return [i for _, i in sorted((v, i) for i, v in enumerate(values))]
+
+
 def assert_same_partition(built: Partition, checked: Partition) -> None:
-    assert built == checked and hash(built) == hash(checked)
+    assert_same_value(built, checked)
     assert list(built.multiplicities().items()) == list(checked.multiplicities().items())
 
 
 def assert_same_class(built: ClassParam, checked: ClassParam) -> None:
-    assert built == checked and hash(built) == hash(checked)
+    assert_same_value(built, checked)
     assert_same_partition(built.lam, checked.lam)
-    assert built.eps.items == checked.eps.items
+    assert_same_value(built.eps, checked.eps)
 
 
 @st.composite
@@ -121,16 +140,21 @@ def test_partition_algebra_matches_the_validating_constructor(xs, ys):
 def test_enumerated_classes_and_their_minimal_levis_match_the_validating_constructors():
     o_groups = [GroupSpec(Family.O, n, char) for n in range(1, SWEEP_MAX_DIM + 1) for char in Char]
     for G in group_sweep(SWEEP_MAX_DIM) + o_groups:
-        for C in enumerate_classes(G):
-            checked = ClassParam(G, Partition(C.lam.parts), EpsilonMap(C.eps.items), C.split_tag)
-            assert_same_class(C, checked)
-            assert canonical_eps(G, C.lam) == EpsilonMap(canonical_eps(G, C.lam).items)
+        built = enumerate_classes(G)
+        checked = [ClassParam(G, Partition(C.lam.parts), EpsilonMap(C.eps.items), C.split_tag) for C in built]
+        for field in ("lam", "eps"):  # the trusted values sort as the checked ones do
+            assert sort_order([getattr(C, field) for C in built]) == sort_order([getattr(C, field) for C in checked])
+        for C, checked_C in zip(built, checked):
+            assert_same_class(C, checked_C)
+            assert_same_value(canonical_eps(G, C.lam), EpsilonMap(canonical_eps(G, C.lam).items))
+            assert_same_partition(C.lam.dual(), Partition(C.lam.dual().parts))
             if G.family is Family.O:
                 continue
             alpha, beta, eps_beta = minimal_levi(C)
             assert_same_partition(alpha, Partition(alpha.parts))
             assert_same_partition(beta, Partition(beta.parts))
-            assert eps_beta == EpsilonMap(eps_beta.items) == distinguished_eps(G, beta)
+            assert_same_value(eps_beta, EpsilonMap(eps_beta.items))
+            assert_same_value(distinguished_eps(G, beta), EpsilonMap(eps_beta.items))
             untagged = ClassParam(G, Partition(C.lam.parts), EpsilonMap(C.eps.items))
             assert_same_class(combine(alpha, beta, eps_beta, G), untagged)
 
