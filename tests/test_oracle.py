@@ -283,10 +283,10 @@ def test_battery_reports_a_wrong_right_inverse(monkeypatch, which):
 
 def test_one_usable_cpu_runs_the_battery_serially_with_the_same_reports(monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    pooled = run_all(12, 10, 20)
+    forked = run_all(12, 10, 20)
     _assert_no_child_left()
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-    assert _rows(run_all(12, 10, 20)) == _rows(pooled)
+    assert _rows(run_all(12, 10, 20)) == _rows(forked)
 
 
 def _assert_no_child_left():
@@ -294,7 +294,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _crash_in_a_pool_process(monkeypatch):
+def _crash_in_a_worker(monkeypatch):
     """Make every group's injectivity check raise, naming its process, and
     force two usable CPUs, so the checks run in worker processes."""
     def crash(work):
@@ -305,7 +305,7 @@ def _crash_in_a_pool_process(monkeypatch):
 
 
 def test_a_check_that_raises_in_a_pool_process_raises_in_the_caller(monkeypatch):
-    _crash_in_a_pool_process(monkeypatch)
+    _crash_in_a_worker(monkeypatch)
     with pytest.raises(ArithmeticError) as info:
         run_all(8, 6, 8)
     pid = re.fullmatch(r"table lost in process (\d+)", str(info.value)).group(1)
@@ -314,7 +314,7 @@ def test_a_check_that_raises_in_a_pool_process_raises_in_the_caller(monkeypatch)
 
 
 def test_a_check_that_raises_in_a_pool_process_exits_3(monkeypatch, capsys):
-    _crash_in_a_pool_process(monkeypatch)
+    _crash_in_a_worker(monkeypatch)
     code = cli.main(["verify", "--claim", "all", "--max-dim", "8", "--max-beta", "8"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
