@@ -506,11 +506,12 @@ def _pipe(stack: ExitStack, buffering: int) -> tuple:
     return tuple(stack.enter_context(open(fd, mode, buffering)) for fd, mode in zip(os.pipe(), ("rb", "wb")))
 
 
-def _serve(tasks: list[tuple], queue) -> list[tuple]:
+def _serve(tasks: list[tuple], queue, caller: int) -> list[tuple]:
     """A run_tasks worker's outcomes, (index, ok, result or exception), of the
-    tasks whose indices it reads from queue until the queue is empty."""
+    tasks whose indices it reads from queue until the queue is empty, or
+    until its parent is no longer the caller."""
     done = []
-    while record := queue.read(_INDEX_BYTES):
+    while os.getppid() == caller and (record := queue.read(_INDEX_BYTES)):
         i = int.from_bytes(record, "little")
         try:
             done.append((i, True, _call(tasks[i])))
@@ -528,7 +529,8 @@ def run_tasks(tasks: list[tuple]) -> list:
     process.  The workers inherit the tasks, with this process's state as it
     is, monkeypatched or wrapped functions included, so only task indices and
     results cross a pipe.  A task's exception is raised here, tasks whose
-    worker died raise RuntimeError, and no worker outlives the call.
+    worker died raise RuntimeError, and no worker outlives the call; if this
+    process is killed, each worker exits once its current task ends.
     """
     processes = min(_usable_cpus(), len(tasks))
     if processes < 2 or not hasattr(os, "fork"):
@@ -536,24 +538,26 @@ def run_tasks(tasks: list[tuple]) -> list:
     import pickle  # imported here, as signal is: only the verifiers pay for them
     import signal
 
-    pids, outs, outcomes = [], [], {}
+    pids, outs, outcomes, caller = [], [], {}, os.getpid()
     try:
         with ExitStack() as stack:
             queue, feed = _pipe(stack, 0)
             for _ in range(processes):
                 out, into = _pipe(stack, -1)
+                outs.append(out)
                 pid = os.fork()
                 if pid == 0:  # the worker never returns, whatever a task does
                     code = 1
                     try:
-                        feed.close()
-                        into.write(pickle.dumps(_serve(tasks, queue)))  # all pickled, or nothing sent
+                        # holding no read end, its write fails, not blocks, once the caller is gone
+                        for f in (feed, *outs):
+                            f.close()
+                        into.write(pickle.dumps(_serve(tasks, queue, caller)))  # all pickled, or nothing sent
                         into.flush()
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
-                outs.append(out)
                 into.close()
             queue.close()
             # one write per index, after the fork, so a long list cannot fill the pipe first

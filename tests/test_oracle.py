@@ -4,8 +4,12 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +359,48 @@ def test_a_worker_that_dies_names_the_lost_tasks_and_leaves_no_child(monkeypatch
     _assert_no_child_left()
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
     assert oracle.run_tasks([(task, i) for i in range(5)]) == [0, -1, -2, -3, -4]
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                    reason="forks, and reads process states from /proc")
+def test_workers_exit_when_their_caller_is_killed():
+    # 1,000 tasks of a second each: a worker that ran the queue to its end
+    # would outlive the 20-s wait; and each task's result fills more than a
+    # pipe holds, so a worker that kept a read end of its own pipe would
+    # block on the write forever
+    script = textwrap.dedent(f"""
+        import os, sys, time
+        sys.path.insert(0, {str(Path(oracle.__file__).parents[1])!r})
+        from unipotent_atlas import oracle
+        oracle._usable_cpus = lambda: 2
+        def task(i):
+            if i < 2:  # the first task of each worker: one write, so the lines do not mix
+                os.write(1, b"%d\\n" % os.getpid())
+            time.sleep(1)
+            return b"x" * 200_000
+        oracle.run_tasks([(task, i) for i in range(1000)])
+    """)
+    caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+    try:
+        with _deadline(60):
+            workers = [int(caller.stdout.readline()) for _ in range(2)]
+    finally:
+        caller.kill()
+        caller.wait(timeout=10)
+        caller.stdout.close()
+    give_up = time.monotonic() + 20
+    while time.monotonic() < give_up and any(map(_running, workers)):
+        time.sleep(0.1)
+    alive = [pid for pid in workers if _running(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
