@@ -41,7 +41,7 @@ from .classes import (
 )
 from .decomp import decompose
 from .errors import InputError
-from .partitions import Partition, _count, iter_partitions
+from .partitions import Partition, _count, _from_mults, iter_partitions
 from .richardson import (
     ParabolicDescriptor,
     _richardson_blocks,
@@ -374,14 +374,14 @@ def _products(G: GroupSpec) -> Iterator[tuple[Partition, list[tuple[int, ...]]]]
     the rest of G) for each GL block partition, in enumeration order."""
     if G.family is Family.GL:
         for parts in iter_partitions(G.dim):
-            yield Partition(parts), [()]
+            yield _from_mults(_count(parts)), [()]
         return
     if G.family not in (Family.SP, Family.SO):
         raise InputError("subgroup products are enumerated for gl, sp, and so")
     for a in range(G.dim // 2 + 1):
         multisets = list(_classical_dim_multisets(G, G.dim - 2 * a))
         for alpha in iter_partitions(a):
-            yield Partition(alpha), multisets
+            yield _from_mults(_count(alpha)), multisets
 
 
 def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:

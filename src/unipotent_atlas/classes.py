@@ -5,9 +5,9 @@ Jordan block sizes) together with a map ``eps`` from part values to
 {-1, 0, +1}.  In characteristic 2 the pair (blocks, eps) separates classes
 that share block sizes; in good characteristic eps is redundant but stored
 anyway so the data model is uniform.  EpsilonMap and ClassParam check
-their input, except for the values this module derives, which it builds
-on private trusted paths: ``_trusted_eps`` and ClassParam's ``_trusted``
-keyword.
+input from outside the library.  The values the library derives skip the
+checks on one private trusted path per type: the builder ``_trusted_eps``
+for EpsilonMap and the ``_trusted`` keyword for ClassParam.
 """
 
 from __future__ import annotations
@@ -92,12 +92,8 @@ class EpsilonMap:
     """Map from part values to {-1, 0, +1}, keyed by value (not block index)."""
 
     items: tuple[tuple[int, int], ...] = ()
-    _: KW_ONLY
-    _trusted: InitVar[bool] = False  # items sorted by decreasing part and valid
 
-    def __post_init__(self, _trusted: bool) -> None:
-        if _trusted:
-            return
+    def __post_init__(self) -> None:
         items = tuple(self.items)
         if any(type(x) is not int or type(v) is not int for x, v in items):  # no floats or bools
             raise InputError(f"epsilon entries must be integer pairs, got {self.items!r}")
@@ -147,10 +143,6 @@ class EpsilonMap:
                 return value
         return default
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(x for x, _ in self.items)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 
@@ -160,7 +152,8 @@ class EpsilonMap:
 
 
 def _trusted_eps(items: tuple[tuple[int, int], ...]) -> EpsilonMap:
-    """EpsilonMap(items, _trusted=True), its field set without the generated __init__."""
+    """The EpsilonMap with items, sorted by decreasing part and valid; trusted,
+    so its field is set without the generated __init__."""
     eps = object.__new__(EpsilonMap)
     object.__setattr__(eps, "items", items)
     return eps
@@ -180,7 +173,7 @@ class ClassParam:
     eps: EpsilonMap
     split_tag: str | None = None
     _: KW_ONLY
-    _trusted: InitVar[bool] = False  # a valid class, and a tag that fits it
+    _trusted: InitVar[bool] = False  # valid class and tag; a keyword: perfbench counts __post_init__ calls
 
     def __post_init__(self, _trusted: bool) -> None:
         if _trusted:
@@ -426,7 +419,7 @@ def minimal_levi(C: ClassParam) -> tuple[Partition, Partition, EpsilonMap]:
     if G.family is Family.O:
         raise InputError("minimal Levi extraction requires gl, sp, or so")
     if G.family is Family.GL:
-        return C.lam, Partition(), EpsilonMap()
+        return C.lam, _from_mults({}), _trusted_eps(())
     law, split = _EPS_LAW[G.family, G.char], {}  # part value -> (copies in alpha, copies in beta)
     # a class's eps items list its part values in the order of its multiplicities
     for (x, m), (_, v) in zip(C.lam.multiplicities().items(), C.eps.items):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .classes import Family, GroupSpec, shape_violation
 from .errors import InputError
-from .partitions import Partition
+from .partitions import Partition, _count, _from_mults
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,12 @@ class FAssignment:
         if self.bits and self.bits[0] != 1:
             raise InputError("the first part is always assigned 1")
 
+    # the bits pick a subsequence of beta's parts, which are already sorted
     def ones(self) -> Partition:
-        return Partition(tuple(p for p, b in zip(self.beta.parts, self.bits) if b == 1))
+        return _from_mults(_count(p for p, b in zip(self.beta.parts, self.bits) if b == 1))
 
     def zeros(self) -> Partition:
-        return Partition(tuple(p for p, b in zip(self.beta.parts, self.bits) if b == 0))
+        return _from_mults(_count(p for p, b in zip(self.beta.parts, self.bits) if b == 0))
 
 
 def apply_f(beta: Partition) -> FAssignment:

@@ -1,10 +1,10 @@
 """Partition algebra: normalized integer partitions with dual, merge, double.
 
 Partitions are stored weakly decreasing, with their multiplicities, and are
-immutable.  The constructor checks and normalizes its parts; dual, merge and
-double build canonical results, which skip the constructor through the
-private ``_from_mults`` (as the library does with the multiplicities it
-derives).
+immutable.  The constructor checks and normalizes parts from outside the
+library; the partitions the library derives (dual, merge, double and the
+blocks of its classes) are canonical and skip it through the one trusted
+builder, the private ``_from_mults``.
 The empty partition is a first-class value, printed and parsed as ``"0"``.
 The textual syntax used everywhere (CLI, JSON) is comma-separated
 parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
@@ -12,7 +12,7 @@ parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -27,21 +27,16 @@ class Partition:
     """A weakly decreasing sequence of positive integers (possibly empty)."""
 
     parts: tuple[int, ...] = ()
-    _: KW_ONLY
-    # trusted path: parts are canonical and these are their multiplicities
-    _mults: InitVar[dict[int, int] | None] = None
 
-    def __post_init__(self, _mults: dict[int, int] | None) -> None:
-        if _mults is None:
-            parts = tuple(self.parts)
-            if not set(map(type, parts)) <= {int}:  # a float or a bool is not a part
-                raise InputError(f"partition parts must be integers, got {self.parts!r}")
-            parts = tuple(sorted(parts, reverse=True))
-            if parts and parts[-1] < 1:
-                raise InputError(f"partition parts must be positive integers, got {self.parts!r}")
-            _mults = _count(parts)
-            object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_counts", _mults)  # not _mults: replace() would pass it on
+    def __post_init__(self) -> None:
+        parts = tuple(self.parts)
+        if not set(map(type, parts)) <= {int}:  # a float or a bool is not a part
+            raise InputError(f"partition parts must be integers, got {self.parts!r}")
+        parts = tuple(sorted(parts, reverse=True))
+        if parts and parts[-1] < 1:
+            raise InputError(f"partition parts must be positive integers, got {self.parts!r}")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_counts", _count(parts))
 
     # -- construction / rendering ------------------------------------------
 

@@ -192,7 +192,7 @@ def regular_jordan_blocks(
 ) -> tuple[Partition, EpsilonMap]:
     """Jordan blocks (and eps) of the regular unipotent class of G; see
     regular_blocks for ``nonidentity_component``."""
-    lam = Partition(regular_blocks(G.family, G.dim, G.p2, nonidentity_component))
+    lam = _from_mults(_count(regular_blocks(G.family, G.dim, G.p2, nonidentity_component)))
     return lam, distinguished_eps(G, lam)
 
 
@@ -277,7 +277,8 @@ def enumerate_distinguished_parabolics(
     """All distinguished parabolic descriptors of G, in canonical form."""
     if G.rank > max_rank:
         raise ResourceLimitError(
-            f"rank {G.rank} exceeds the enumeration bound {max_rank}; raise max_rank explicitly"
+            f"{G.describe()} has rank {G.rank}; distinguished parabolics are enumerated "
+            f"only up to rank {max_rank}"
         )
     return list(_enumerated(G))
 

@@ -369,6 +369,19 @@ def test_classes_past_the_enumeration_bound_names_the_flag_that_raises_it(capsys
     assert "--max-dim" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["label", "--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"],
+    ["richardson", "--group", "so", "--dim", "66", "--char", "2", "--invert", "--blocks", "24,20,14,8"],
+    ["tables", "2", "--group", "so", "--dim", "66", "--char", "2"],
+])
+def test_past_the_rank_bound_names_the_group_and_no_keyword(capsys, argv):
+    # no command takes a rank bound, so the refusal may not advise raising one
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: SO66 (p=2) has rank 33;") and "up to rank 32" in err
+    assert "max_rank" not in err
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 def test_table_1_rejects_a_dim_below_1(capsys, dim):
     code, out, err = run_cli(capsys, "tables", "1", "--dim", dim)

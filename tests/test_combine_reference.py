@@ -25,6 +25,7 @@ from unipotent_atlas.classes import (
     Family,
     GroupSpec,
     _lambda_admissible,
+    _trusted_eps,
     canonical_eps,
     combine,
     distinguished_eps,
@@ -60,10 +61,10 @@ def reference_combine(alpha, beta, eps_beta, G):
     if given.keys() != beta_mults.keys():
         raise InputError("eps_beta domain does not match beta's part values")
     lam = alpha.double() + beta
-    eps = EpsilonMap(tuple(
+    eps = _trusted_eps(tuple(
         (x, given[x] if x in given else eps_options(G, x, m)[0])
         for x, m in lam.multiplicities().items()
-    ), _trusted=True)
+    ))
     if not _lambda_admissible(G, beta, beta_mults) or any(
             given[x] not in eps_options(G, x, m) for x, m in beta_mults.items()):
         raise InputError(f"({lam}, {eps}) is not a valid class of {G.describe()}")

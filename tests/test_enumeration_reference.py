@@ -21,7 +21,7 @@ from unipotent_atlas.classes import (
     splits_in_so,
 )
 from unipotent_atlas.oracle import group_sweep
-from unipotent_atlas.partitions import Partition, _count, iter_partitions
+from unipotent_atlas.partitions import _count, _from_mults, iter_partitions
 
 SWEEP_MAX_DIM = 24
 O_DIMS = (8, 23, 24)
@@ -30,7 +30,7 @@ O_DIMS = (8, 23, 24)
 def reference_enumerate_classes(G):
     out = []
     for parts in iter_partitions(G.dim):
-        lam = Partition(parts, _mults=_count(parts))
+        lam = _from_mults(_count(parts))
         if not _lambda_admissible(G, lam, lam.multiplicities()):
             continue
         for eps in _eps_choices(G, lam):

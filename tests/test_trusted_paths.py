@@ -5,10 +5,13 @@ partition algebra) skip the checks of the public constructors.  These tests
 rebuild such values through the public constructors and require the same
 fields, hash, order, repr, multiplicities, pickle round trip and
 dataclasses.replace result, and for combine the same refusals, at dims
-40-200 and on every class up to dim 20.  The last tests keep the trusted
-paths out of the oracle and the CLI, whose independence rests on checking
-what they build, and the library's shape and eps rules out of the oracle,
-which states its own.
+40-200 and on every class up to dim 20.  The last tests keep one trusted
+path per type (the builders for Partition and EpsilonMap, the keyword for
+ClassParam), keep the checking constructors of Partition and EpsilonMap
+out of the modules that derive values, keep the trusted paths out of the
+oracle and the CLI, whose independence rests on checking what they build,
+and keep the library's shape and eps rules out of the oracle, which states
+its own.
 """
 
 import ast
@@ -43,8 +46,14 @@ MIN_DIM, MAX_DIM = 40, 200
 SWEEP_MAX_DIM = 20
 SRC = Path(inspect.getfile(partitions)).parent
 
-#: The private keywords and helpers through which the library builds values unchecked.
-TRUSTED_NAMES = {"_mults", "_trusted", "_from_mults", "_count", "_trusted_eps"}
+#: The private keyword and helpers through which the library builds values unchecked.
+TRUSTED_NAMES = {"_trusted", "_from_mults", "_count", "_trusted_eps"}
+
+#: The checking constructors that the modules deriving values leave to outside input.
+CHECKED_CONSTRUCTORS = {"Partition", "EpsilonMap"}
+
+#: The modules that derive partitions and eps maps.
+DERIVING_MODULES = ("classes", "decomp", "richardson", "balacarter")
 
 #: The library's statements of the distinguished shape and the eps law.
 SHAPE_RULE_NAMES = {"is_distinguished", "shape_violation", "eps_options"}
@@ -160,12 +169,14 @@ def test_enumerated_classes_and_their_minimal_levis_match_the_validating_constru
 
 
 def test_partitions_counted_from_canonical_parts_match_the_validating_constructor():
-    # _richardson_blocks counts its canonical parts this way, as the reference
-    # scan in test_enumeration_reference.py does; enumerate_classes builds its
-    # lams from generated multiplicities, and the test above compares those
+    # _richardson_blocks, regular_jordan_blocks, the GL blocks of the subgroup
+    # products and the scan's ones/zeros count their canonical parts this way,
+    # as the reference scan in test_enumeration_reference.py does;
+    # enumerate_classes builds its lams from generated multiplicities, and the
+    # test above compares those
     for n in range(SWEEP_MAX_DIM + 1):
         for parts in iter_partitions(n):
-            assert_same_partition(Partition(parts, _mults=partitions._count(parts)), Partition(parts))
+            assert_same_partition(partitions._from_mults(partitions._count(parts)), Partition(parts))
 
 
 def test_multiplicities_hands_out_a_copy():
@@ -205,14 +216,29 @@ def _names_used(module: str, names: set[str] = TRUSTED_NAMES) -> list[str]:
     return uses
 
 
+def _constructor_calls(module: str) -> list[str]:
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [f"{module}.py:{node.lineno}: {node.func.id}(...)" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CHECKED_CONSTRUCTORS]
+
+
 def test_oracle_and_cli_build_only_through_the_validating_constructors():
-    # the names are the library's real trusted paths, so the guard is not vacuous
-    assert "_mults" in inspect.signature(Partition).parameters
-    assert "_trusted" in inspect.signature(EpsilonMap).parameters
+    # one trusted path per type: Partition and EpsilonMap have only their
+    # builders, ClassParam only its keyword
+    assert "_mults" not in inspect.signature(Partition).parameters
+    assert "_trusted" not in inspect.signature(EpsilonMap).parameters
     assert "_trusted" in inspect.signature(ClassParam).parameters
+    # the names are the library's real trusted paths, so the guard is not vacuous
     assert _names_used("classes") and _names_used("partitions")
     assert _names_used("oracle") == []
     assert _names_used("cli") == []
+
+
+def test_derived_partitions_and_eps_maps_skip_the_checking_constructors():
+    # the oracle checks what it builds, so the walk finds its calls: not vacuous
+    assert _constructor_calls("oracle")
+    assert [call for module in DERIVING_MODULES for call in _constructor_calls(module)] == []
 
 
 def test_oracle_states_the_shape_rules_itself():
