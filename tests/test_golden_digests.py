@@ -5,11 +5,12 @@ The digests cover ``--format json`` output of ``classes``, ``tables 2`` and
 ``classes`` on O in both characteristics at the same dims.  Past those
 dims, where many classes share one distinguished remainder, they also cover
 ``classes`` on SO and O at p=2 for dims 25-30 and on Sp at p=2 for dims 26,
-28 and 30, ``classes --extra-only`` on SO at p=2 (dims 16, 24, 30) and on
-O at p=2 (dim 24), and ``tables 4`` in every format.  The other commands' documents
-(``label``, ``richardson`` in both directions, ``decompose`` in each family
-and characteristic, ``tables 1``) are covered in every format, and
-``classes`` on a few groups in text and csv.  A change that
+28 and 30, ``classes --extra-only`` on SO at p=2 (dims 4, 16, 24, 30; at
+dim 4 the document has no rows) and on O at p=2 (dim 24), and ``tables 4``
+in every format.  The other commands' documents (``label``, ``richardson``
+in both directions, ``decompose`` in each family and characteristic,
+``tables 1``) are covered in every format, and ``classes``, ``tables 2``
+and ``tables 3`` on a few groups in text and csv.  A change that
 is meant to alter one of these outputs recaptures them with
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -39,7 +40,7 @@ GOLDEN_MAX_DIM = 24
 #: The p=2 classes documents past GOLDEN_MAX_DIM: (family, dims).
 LARGE_CLASSES = (("so", range(25, 31)), ("o", range(25, 31)), ("sp", (26, 28, 30)))
 #: The p=2 classes --extra-only documents in json: (family, dims).
-EXTRA_ONLY = (("so", (16, 24, 30)), ("o", (24,)))
+EXTRA_ONLY = (("so", (4, 16, 24, 30)), ("o", (24,)))
 #: Commands whose documents are covered in text, json and csv.
 EVERY_FORMAT = (
     ("label", "--group", "so", "--dim", "16", "--char", "2", "--blocks", "8,4,2,2",
@@ -61,10 +62,17 @@ EVERY_FORMAT = (
     ("tables", "1"),
     ("tables", "1", "--dim", "13"),
 )
+#: The groups of the tables 2 and 3 documents covered in text and csv.
+TABLES_TEXT = (
+    ("--group", "so", "--dim", "12", "--char", "2"),
+    ("--group", "sp", "--dim", "8", "--char", "odd"),
+    ("--group", "gl", "--dim", "5"),
+)
 #: classes documents covered in text and csv (json is covered above).
 CLASSES_TEXT = (
     ("--group", "so", "--dim", "16", "--char", "2"),
     ("--group", "so", "--dim", "16", "--char", "2", "--extra-only"),
+    ("--group", "so", "--dim", "4", "--char", "2", "--extra-only"),
     ("--group", "o", "--dim", "10", "--char", "2"),
     ("--group", "sp", "--dim", "8", "--char", "odd"),
     ("--group", "gl", "--dim", "5"),
@@ -98,6 +106,8 @@ def golden_argvs() -> list[list[str]]:
         argvs += [["--format", fmt, *command] for command in EVERY_FORMAT]
         if fmt != "json":
             argvs += [["--format", fmt, "classes", *group] for group in CLASSES_TEXT]
+            argvs += [["--format", fmt, "tables", which, *group]
+                      for which in ("2", "3") for group in TABLES_TEXT]
     return argvs
 
 
