@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from unipotent_atlas.balacarter import analyse_all
+from unipotent_atlas.balacarter import extra_classes
 from unipotent_atlas.classes import Char, Family, GroupSpec, enumerate_classes
 
 
@@ -29,8 +29,7 @@ def main(argv: list[str] | None = None) -> int:
             specs.append(GroupSpec(Family.SP, dim, Char.TWO))
         for G in specs:
             classes = enumerate_classes(G)
-            untagged = [C for C in classes if C.split_tag != "II"]
-            extras = [(C, a) for C, a in zip(untagged, analyse_all(untagged)) if a.is_extra()]
+            extras = list(extra_classes(classes))
             print(f"{G.describe():<12} {len(classes):>8} {len(extras):>6}")
             if args.list_classes:
                 for C, a in extras:

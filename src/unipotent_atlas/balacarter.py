@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .classes import (
     ClassParam,
@@ -283,6 +283,12 @@ def analyse_all(classes: Iterable[ClassParam]) -> Iterator[ClassAnalysis]:
         if key not in remainders:
             remainders[key] = RemainderAnalysis(C.group, beta, inverses)
         yield ClassAnalysis(alpha, remainders[key])
+
+
+def extra_classes(classes: Collection[ClassParam]) -> Iterator[tuple[ClassParam, ClassAnalysis]]:
+    """(C, its analysis) for each extra class C of classes, in order, from one
+    analyse_all call.  A split class has an empty remainder, so it is never extra."""
+    return ((C, a) for C, a in zip(classes, analyse_all(classes)) if a.is_extra())
 
 
 def analyse(C: ClassParam) -> ClassAnalysis:

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 
-from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string
+from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string, extra_classes
 from .classes import (
     DEFAULT_ENUM_BOUND,
     Char,
@@ -109,75 +108,73 @@ def _resolve_eps(G: GroupSpec, lam: Partition, eps_text: str | None) -> EpsilonM
 
 def _emit(fmt: str, doc: dict, lines: Iterable[str]) -> None:
     """Print one document: in json format the schema and doc as one indented
-    JSON dump, otherwise the command's lines, which are read only then."""
-    if fmt == "json":
-        print(_json_text({"schema": SCHEMA, **doc}))
-    else:
-        for line in lines:
-            print(line)
+    JSON dump, otherwise the command's lines."""
+    print(_json_text({"schema": SCHEMA, **doc}) if fmt == "json" else "\n".join(lines))
 
 
 #: The JSON text of the three constants, looked up only for None, True and False.
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(value) -> str:
-    """value's JSON text with a two-space indent, exactly as json.dumps writes it,
-    joined from its items' texts (the stdlib writes it token by token in Python).
-    A tuple held more than once, as each distinguished remainder's payloads
-    are in a classes document, is rendered once per indent depth: the memo,
-    local to this call, keys a tuple's text by (id, newline), and value keeps
-    every tuple alive while the call runs."""
-    memo: dict[tuple[int, str], str] = {}
+class _RawJson(str):
+    """JSON text, rendered at the depth where it is written, that _json_text writes as it is."""
 
-    def text(value, newline: str) -> str:
-        if isinstance(value, str):
-            return _quote(value)
-        if value is None or value is True or value is False:
-            return _JSON_CONSTANTS[value]
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, tuple):
-            key = (id(value), newline)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = container(value, newline)
-            return got
-        if isinstance(value, (dict, list)):
-            return container(value, newline)
+
+def _json_text(value, newline: str = "\n") -> str:
+    """value's JSON text with a two-space indent, exactly as json.dumps writes
+    it when value starts after newline (a newline and its indent), joined from
+    its items' texts (the stdlib writes it token by token in Python)."""
+    if isinstance(value, str):
+        return value if type(value) is _RawJson else _quote(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)  # a float, or what json refuses, with its TypeError
-
-    def container(value, newline: str) -> str:
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner = newline + "  "
-        # str and int items, most of a document, are written in place
-        if isinstance(value, dict):
-            return "{" + inner + ("," + inner).join([
-                f"{_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "  # json's key text
-                f"{_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else text(v, inner)}"
-                for k, v in value.items()]) + newline + "}"
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-            else text(v, inner) for v in value]) + newline + "]"
-
-    return text(value, "\n")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    # str and int items, most of a document, are written in place
+    if isinstance(value, dict):
+        return "{" + inner + ("," + inner).join([
+            f"{_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "  # json's key text
+            f"{_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner)}"
+            for k, v in value.items()]) + newline + "}"
+    return "[" + inner + ("," + inner).join([
+        _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+        else _json_text(v, inner) for v in value]) + newline + "]"
 
 
-def _emit_table(rows: list[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:
-    _emit(fmt, {**meta, payload_key: rows}, _table_lines(rows, columns, fmt == "csv"))
+#: The newlines that the rows of a table document, and the phi1 factors and
+#: phi2 parabolics of a classes row, start after.
+_ROW_NEWLINE, _PAYLOAD_NEWLINE = "\n    ", "\n        "
 
 
-def _table_lines(rows: list[dict], columns: list[str], as_csv: bool) -> Iterator[str]:
-    cells = [[_plain(row.get(c)) for c in columns] for row in rows]
-    if as_csv:
-        buf = io.StringIO()
-        csv.writer(buf).writerows([columns, *cells])
-        yield buf.getvalue()[:-1]  # every row ends in "\r\n"; print writes the last "\n"
+def _emit_table(rows: Iterable[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:
+    """Print a table document: meta, then rows under payload_key.  In json and
+    csv format each row is written as it arrives, so the caller resolves
+    whatever can refuse before the first row; in text format the cells are
+    collected first, for the column widths.  sys.stdout is looked up when the
+    document is written, since callers swap it."""
+    if fmt == "json":
+        sys.stdout.write(_json_text({"schema": SCHEMA, **meta, payload_key: []})[:-len("[]\n}")])
+        sep = "["
+        for row in rows:
+            sys.stdout.write(sep + _ROW_NEWLINE + _json_text(row, _ROW_NEWLINE))
+            sep = ","
+        sys.stdout.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
         return
+    cells = ([_plain(row.get(c)) for c in columns] for row in rows)
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(columns)
+        writer.writerows(cells)
+        return
+    cells = list(cells)
     widths = [max(map(len, column)) for column in zip(columns, *cells)]
     for line in (columns, ["-" * w for w in widths], *cells):
-        yield "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
 
 
 def _plain(value) -> str:
@@ -193,7 +190,7 @@ def _plain(value) -> str:
 def _class_row(C: ClassParam, a: ClassAnalysis | None, payloads: dict | None) -> dict:
     """C's classes row from its analysis (None: no SO data).  With payloads,
     the JSON row: C's JSON, then phi1 and phi2, whose factors and parabolics
-    are tuples built once per distinguished remainder and kept in payloads
+    are texts rendered once per distinguished remainder and kept in payloads
     (keyed by the analysis's shared RemainderAnalysis); else the table row."""
     full = payloads is not None
     row = C.to_json() if full else {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
@@ -205,8 +202,9 @@ def _class_row(C: ClassParam, a: ClassAnalysis | None, payloads: dict | None) ->
     if full:
         shared = payloads.get(a.remainder)
         if shared is None:
-            shared = payloads[a.remainder] = (tuple(_phi1_json(a.phi1())["factors"]),
-                                              tuple(_phi2_json(a.phi2())["parabolics"]))
+            shared = payloads[a.remainder] = (
+                _RawJson(_json_text(_phi1_json(a.phi1())["factors"], _PAYLOAD_NEWLINE)),
+                _RawJson(_json_text(_phi2_json(a.phi2())["parabolics"], _PAYLOAD_NEWLINE)))
         gl = list(a.alpha.parts)
         row["phi1"] = {"gl": gl, "factors": shared[0]}
         row["phi2"] = {"gl": gl, "parabolics": shared[1]}
@@ -233,17 +231,24 @@ def _phi2_json(P) -> dict:
 
 
 def cmd_classes(args) -> int:
+    if args.max_dim is not None and args.max_dim < 1:
+        raise InputError(f"--max-dim must be at least 1, got {args.max_dim}")
     G = _group_from_args(args)
     max_dim = args.max_dim if args.max_dim is not None else DEFAULT_ENUM_BOUND
     classes = enumerate_classes(G, max_dim=max_dim)
     in_so = [as_so(C) for C in classes]
-    analyses = analyse_all(S for S in in_so if S is not None)
-    pairs = ((C, next(analyses) if S is not None else None) for C, S in zip(classes, in_so))
     if args.extra_only:  # before the rows are built: a dropped class gets no label
-        pairs = ((C, a) for C, a in pairs if a is not None and a.is_extra())
+        of_so = {S: C for C, S in zip(classes, in_so) if S is not None}
+        pairs = [(of_so[S], a) for S, a in extra_classes(of_so)]
+    else:
+        analyses = analyse_all(S for S in in_so if S is not None)
+        pairs = [(C, next(analyses) if S is not None else None) for C, S in zip(classes, in_so)]
+    for _, a in pairs:  # a label's refusal (rank past the bound) before the first byte
+        if a is not None:
+            a.remainder.tokens
     payloads = {} if args.format == "json" else None
-    rows = [_class_row(C, a, payloads) for C, a in pairs]
-    meta = {"group": G.describe(), "count": len(rows)}
+    rows = (_class_row(C, a, payloads) for C, a in pairs)
+    meta = {"group": G.describe(), "count": len(pairs)}
     _emit_table(rows, ["lambda", "eps", "split", "extra", "label", "phi1", "phi2"], args.format, "classes", meta)
     return 0
 
@@ -396,23 +401,17 @@ def cmd_tables(args) -> int:
         raise InputError(f"--dim must be at least 1, got {args.dim}")
     if args.which == 1:
         rows = _table1_rows(12 if args.dim is None else args.dim)
-        _emit_table(rows, ["case", "group", "blocks", "eps"], args.format, "rows",
-                    {"table": 1})
+        _emit_table(rows, ["case", "group", "blocks", "eps"], args.format, "rows", {"table": 1})
         return 0
     if args.which in (2, 3):
         if not args.group or not args.dim:
             raise InputError("tables 2 and 3 need --group and --dim")
         G = _group_from_args(args)
         if args.which == 2:
-            rows = []
-            for P in enumerate_distinguished_parabolics(G):
-                lam, eps = richardson_jordan_blocks(P)
-                rows.append({
-                    "levi": P.levi_name(),
-                    "descriptor": P.describe(),
-                    "blocks": str(lam),
-                    "eps": str(eps),
-                })
+            # the parabolics are enumerated here, so a refusal comes before the first byte
+            rows = ({"levi": P.levi_name(), "descriptor": P.describe(), "blocks": str(lam), "eps": str(eps)}
+                    for P in enumerate_distinguished_parabolics(G)
+                    for lam, eps in [richardson_jordan_blocks(P)])
             _emit_table(rows, ["levi", "descriptor", "blocks", "eps"], args.format, "rows",
                         {"table": 2, "group": G.describe()})
         else:
@@ -422,22 +421,14 @@ def cmd_tables(args) -> int:
                 richardson_jordan_blocks(P)[0]
                 for P in enumerate_distinguished_parabolics(G, max_rank=G.rank)
             }
-            rows = [{"blocks": str(lam)} for lam in sorted(image, reverse=True)]
+            rows = ({"blocks": str(lam)} for lam in sorted(image, reverse=True))
             _emit_table(rows, ["blocks"], args.format, "rows", {"table": 3, "group": G.describe()})
         return 0
     # table 4: the five extra classes of SO_16 at p=2
     G = GroupSpec(Family.SO, 16, Char.TWO)
-    rows = []
-    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    for C, a in zip(untagged, analyse_all(untagged)):
-        if not a.is_extra():
-            continue
-        pieces = " + ".join(str(p) for p in a.pieces)
-        rows.append({
-            "blocks": str(C.lam),
-            "decomposition": f"{a.beta} = {pieces}",
-            "label": a.label(),
-        })
+    rows = ({"blocks": str(C.lam),
+             "decomposition": f"{a.beta} = {' + '.join(map(str, a.pieces))}",
+             "label": a.label()} for C, a in extra_classes(enumerate_classes(G)))
     _emit_table(rows, ["blocks", "decomposition", "label"], args.format, "rows",
                 {"table": 4, "group": G.describe()})
     return 0

@@ -24,6 +24,7 @@ from .balacarter import (
     ParabolicProduct,
     RegularSubgroupDescriptor,
     analyse_all,
+    extra_classes,
     iter_parabolic_products,
     iter_regular_subgroups,
     psi1,
@@ -329,7 +330,7 @@ def _extra_count(G: GroupSpec) -> tuple[int, int]:
     """The number of classes whose minimal-Levi remainder is not a Richardson
     class, and the number of classes read (one of each split pair)."""
     untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    return sum(1 for a in analyse_all(untagged) if a.is_extra()), len(untagged)
+    return sum(1 for _ in extra_classes(untagged)), len(untagged)
 
 
 def count_extra_classes(G: GroupSpec) -> int:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unipotent_atlas import cli
+from unipotent_atlas import cli, richardson
 from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
 from unipotent_atlas.classes import (
     Char,
@@ -120,8 +120,11 @@ JSON_VALUES = st.recursive(
 def test_the_json_writer_prints_what_the_stdlib_prints(value):
     # the stdlib call is the reference: dicts, lists and tuples, empty or not,
     # nested, holding str, int, bool, None and float items, keyed by str and
-    # int (and, in the example, by bool, None and float, which json converts)
+    # int (and, in the example, by bool, None and float, which json converts);
+    # started after a deeper newline, as the rows of a table document are, every
+    # line break carries that indent (a JSON string holds no raw newline)
     assert _json_text(value) == json.dumps(value, indent=2)
+    assert _json_text(value, "\n    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
 
 
 def test_the_json_writer_refuses_what_the_stdlib_refuses():
@@ -367,6 +370,56 @@ def test_classes_past_the_enumeration_bound_names_the_flag_that_raises_it(capsys
     assert code == 2 and out == ""
     assert err.startswith("error: dimension 50 exceeds the enumeration bound 40")
     assert "--max-dim" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_classes_rejects_a_max_dim_below_1(capsys, value):
+    # -3 used to be refused as a bound that dimension 10 exceeds
+    code, out, err = run_cli(capsys, "classes", "--group", "so", "--dim", "10", "--max-dim", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-dim must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_refusal_while_the_rows_are_resolved_prints_nothing(capsys, monkeypatch, fmt):
+    # the rows are written as they are built, so a refusal from a label's
+    # inverse must come before the first byte, not leave half a document
+    calls = []
+    real = richardson.enumerate_distinguished_parabolics
+
+    def refusing(G, *args, **kwargs):
+        calls.append(G)
+        if len(calls) > 5:
+            raise ResourceLimitError(f"refused at call {len(calls)}")
+        return real(G, *args, **kwargs)
+
+    monkeypatch.setattr(richardson, "enumerate_distinguished_parabolics", refusing)
+    code, out, err = run_cli(capsys, "--format", fmt, "classes", "--group", "so", "--dim", "16",
+                             "--char", "2")
+    assert (code, out, err) == (2, "", "error: refused at call 6\n")
+
+
+#: Report the peak RSS (ru_maxrss, KiB on Linux) of one command run with its
+#: stdout on the null device.  The command runs as a child of this small
+#: process, because Linux carries a process's ru_maxrss across fork and exec:
+#: a child of the test process would report at least the test process's peak.
+PEAK_RSS = ("import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_json_classes_peak_within_5_mb_of_csv():
+    # the json document used to be held whole before it was printed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    peak_mb = {}
+    for fmt in ("json", "csv"):
+        argv = [sys.executable, "-m", "unipotent_atlas", "--format", fmt, "classes", "--group", "so",
+                "--dim", "36", "--char", "2"]
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], cwd=ROOT, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+        peak_mb[fmt] = int(done.stdout) / 1024
+    assert peak_mb["json"] - peak_mb["csv"] < 5, peak_mb
 
 
 @pytest.mark.parametrize("argv", [
