@@ -26,9 +26,9 @@ rules, and one generator, _products, feeds both enumerations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Collection, Iterable, Iterator
 
 from .classes import (
@@ -190,39 +190,34 @@ def is_extra_class(C: ClassParam) -> bool:
 @dataclass(frozen=True)
 class RemainderAnalysis:
     """A distinguished remainder beta, read on first use into its Richardson
-    pieces, their parabolic descriptors (kept in _inverses, shared by the
-    records of one analyse_all call) and the label's B/C/D tokens."""
+    pieces, their parabolic descriptors and the label's B/C/D tokens."""
 
     group: GroupSpec
     beta: Partition
-    _inverses: dict[tuple[GroupSpec, Partition], ParabolicDescriptor] = field(repr=False, compare=False)
 
     @cached_property
     def pieces(self) -> tuple[Partition, ...]:
         """The nonzero Richardson pieces of beta (none when beta is empty)."""
         return decompose(self.beta, self.group).nonzero_pieces() if self.beta else ()
 
-    def descriptor(self, i: int) -> ParabolicDescriptor:
-        """The distinguished parabolic whose Richardson class is piece i."""
-        piece = self.pieces[i]
-        key = (self.group.classical_factor(piece.total), piece)
-        if key not in self._inverses:
-            self._inverses[key] = parabolic_from_blocks(*key)
-        return self._inverses[key]
+    @cached_property
+    def descriptors(self) -> tuple[ParabolicDescriptor, ...]:
+        """For each piece, the distinguished parabolic whose Richardson class it is."""
+        return tuple(parabolic_from_blocks(self.group.classical_factor(piece.total), piece)
+                     for piece in self.pieces)
 
     @cached_property
     def tokens(self) -> tuple[str, ...]:
         """The label's B/C/D tokens (none for a rank-0 piece), by decreasing rank."""
-        ranked = [t for t in map(self._piece_token, range(len(self.pieces))) if t]
+        ranked = [t for t in map(self._piece_token, self.pieces, self.descriptors) if t]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         return tuple(token for _, token in ranked)
 
-    def _piece_token(self, i: int) -> tuple[int, str] | None:
-        """(rank, B/C/D token) of piece i; None for a rank-0 piece."""
-        letter, rank = _factor_type(self.group, self.pieces[i].total)
+    def _piece_token(self, piece: Partition, P: ParabolicDescriptor) -> tuple[int, str] | None:
+        """(rank, B/C/D token) of a piece and its descriptor P; None for a rank-0 piece."""
+        letter, rank = _factor_type(self.group, piece.total)
         if rank == 0:
             return None
-        P = self.descriptor(i)
         if P.is_borel():
             return rank, f"{letter}{rank}"
         if P.max_simple_factor_rank() <= 1:
@@ -247,17 +242,12 @@ class ClassAnalysis:
     beta = property(lambda self: self.remainder.beta)
     pieces = property(lambda self: self.remainder.pieces)
 
-    def descriptor(self, i: int) -> ParabolicDescriptor:
-        return self.remainder.descriptor(i)
-
     def phi1(self) -> RegularSubgroupDescriptor:
         full = _full_factors(self.group)
         return RegularSubgroupDescriptor(self.alpha, tuple((m, full) for m in self.beta.parts))
 
     def phi2(self) -> ParabolicProduct:
-        return ParabolicProduct(
-            self.alpha, tuple(self.descriptor(i) for i in range(len(self.pieces)))
-        )
+        return ParabolicProduct(self.alpha, self.remainder.descriptors)
 
     def is_extra(self) -> bool:
         # the first piece always exists for a nonempty beta, and is beta itself
@@ -273,15 +263,13 @@ class ClassAnalysis:
 def analyse_all(classes: Iterable[ClassParam]) -> Iterator[ClassAnalysis]:
     """The analysis of each class (gl, sp, or so), in order, through its
     minimal Levi.  The analyses of one call share one RemainderAnalysis per
-    distinct (group, beta) and one descriptor per distinct (factor group,
-    piece); separate calls share nothing."""
-    inverses: dict[tuple[GroupSpec, Partition], ParabolicDescriptor] = {}
+    distinct (group, beta); separate calls share nothing."""
     remainders: dict[tuple[GroupSpec, Partition], RemainderAnalysis] = {}
     for C in classes:
         alpha, beta, _ = minimal_levi(C)
         key = (C.group, beta)
         if key not in remainders:
-            remainders[key] = RemainderAnalysis(C.group, beta, inverses)
+            remainders[key] = RemainderAnalysis(C.group, beta)
         yield ClassAnalysis(alpha, remainders[key])
 
 
@@ -401,15 +389,14 @@ def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
 
 
 def iter_parabolic_products(G: GroupSpec, max_factors: int = 3) -> Iterator[ParabolicProduct]:
-    """All parabolic products for G with at most max_factors classical factors."""
+    """All parabolic products for G with at most max_factors classical factors,
+    each once: factors of equal dimension take their parabolics as a multiset."""
     for gl, multisets in _products(G):
-        seen: set[tuple] = set()
         for dims in multisets:
             if len(dims) > max_factors:
                 continue
-            choices = [enumerate_distinguished_parabolics(G.classical_factor(d)) for d in dims]
-            for combo in product(*choices):
-                P = ParabolicProduct(gl, combo)
-                if P.parabolics not in seen:
-                    seen.add(P.parabolics)
-                    yield P
+            runs = [combinations_with_replacement(
+                        enumerate_distinguished_parabolics(G.classical_factor(d)), len(list(run)))
+                    for d, run in groupby(dims)]
+            for combo in product(*runs):
+                yield ParabolicProduct(gl, sum(combo, ()))

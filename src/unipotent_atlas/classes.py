@@ -137,12 +137,6 @@ class EpsilonMap:
                 return value
         raise InputError(f"epsilon has no entry for part {x}")
 
-    def get(self, x: int, default: int | None = None) -> int | None:
-        for key, value in self.items:
-            if key == x:
-                return value
-        return default
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
 

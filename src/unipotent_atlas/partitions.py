@@ -13,7 +13,6 @@ parts with optional caret exponents, e.g. ``"6,4^2,2"`` for (6, 4, 4, 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -162,15 +161,13 @@ def _from_mults(mults: dict[int, int]) -> Partition:
 dual, merge, double, multiplicity = Partition.dual, Partition.merge, Partition.double, Partition.multiplicity
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
-        return ((),)
-    out = []
+        yield ()
+        return
     for first in range(min(n, cap), 0, -1):
         for rest in _partitions(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+            yield (first,) + rest
 
 
 def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -178,6 +175,4 @@ def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, 
     if n < 0:
         raise InputError(f"cannot partition a negative total {n}")
     cap = n if max_part is None else min(max_part, n)
-    if n > 0 and cap < 1:
-        return iter(())
-    return iter(_partitions(n, cap))
+    return _partitions(n, cap)

@@ -18,7 +18,7 @@ exponent to lambda*, following the family/characteristic pattern below
                        for i <= 2m0
 
 Descriptors are kept in a canonical form: the number N of distinct GL block
-sizes sits in a fixed window around 2*m0 (see _N_WINDOW), and even
+sizes sits in a fixed window around 2*m0 (see _n_window), and even
 orthogonal groups absorb one GL_1 block into an SO_2 remainder.  On these
 canonical descriptors the map to Jordan blocks is injective and its image
 is exactly the set accepted by in_richardson_image.
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import Iterable
 
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
 from .decomp import satisfies_difference_condition
@@ -259,14 +260,12 @@ def _enumerated(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
             c = tuple(shape.count(i) for i in range(1, max(shape, default=0) + 1))
             out.append(ParabolicDescriptor(G, c, 0))
     elif G.family is Family.SP:
-        for c in _chain_vectors(rank):
+        for c in _chain_vectors(rank, range(rank + 1)):
             out.append(ParabolicDescriptor(G, c, 0))
     else:
         for m0 in range(rank + 1):
-            window = _n_window(G, m0)
-            for c in _chain_vectors(rank - m0):
-                if len(c) in window:
-                    out.append(ParabolicDescriptor(G, c, m0))
+            for c in _chain_vectors(rank - m0, _n_window(G, m0)):
+                out.append(ParabolicDescriptor(G, c, m0))
     out.sort(key=lambda P: (P.m0, P.c))
     return tuple(out)
 
@@ -283,17 +282,15 @@ def enumerate_distinguished_parabolics(
     return list(_enumerated(G))
 
 
-def _chain_vectors(weight: int) -> list[tuple[int, ...]]:
-    """All c-vectors with c(i) >= 1 for i <= N and sum i*c(i) equal to weight."""
+def _chain_vectors(weight: int, sizes: Iterable[int]) -> list[tuple[int, ...]]:
+    """The c-vectors with c(i) >= 1 for i <= N and sum i*c(i) equal to
+    weight, for each N in sizes."""
     out: list[tuple[int, ...]] = []
-    if weight == 0:
-        out.append(())
-    N = 1
-    while N * (N + 1) // 2 <= weight:
+    for N in sizes:
         base = N * (N + 1) // 2
-        for extra in iter_partitions(weight - base, max_part=N):
-            out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
-        N += 1
+        if base <= weight:
+            for extra in iter_partitions(weight - base, max_part=N):
+                out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
     return out
 
 

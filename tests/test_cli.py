@@ -603,6 +603,42 @@ def test_census_matches_the_separate_public_calls(capsys):
     assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
+def test_census_bounds_its_enumeration_by_its_own_max_dim(capsys, monkeypatch):
+    # the script used to sweep to --max-dim under the default enumeration
+    # bound of 40, and end in a traceback at dim 41
+    script = load_script("extra_class_census")
+    bounds = []
+
+    def enumerate_nothing(G, max_dim):
+        bounds.append((G.dim, max_dim))
+        return []
+
+    monkeypatch.setattr(script, "enumerate_classes", enumerate_nothing)
+    assert script.main(["--max-dim", "41"]) == 0
+    assert {bound for _, bound in bounds} == {41}
+    assert max(dim for dim, _ in bounds) == 41
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith(f"{'SO41 (p=2)':<12} {0:>8} {0:>6}\n")
+
+
+def test_census_refuses_with_one_error_line(capsys, monkeypatch):
+    script = load_script("extra_class_census")
+
+    def refuse(G, max_dim):
+        raise ResourceLimitError(f"dimension {G.dim} is too large")
+
+    monkeypatch.setattr(script, "enumerate_classes", refuse)
+    assert script.main(["--max-dim", "3"]) == 2
+    assert capsys.readouterr().err == "error: dimension 2 is too large\n"
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-4"])
+def test_census_rejects_a_bound_that_sweeps_nothing(capsys, value):
+    assert load_script("extra_class_census").main(["--max-dim", value]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --max-dim must be at least 2, got {value}\n")
+
+
 def run_with_stdout_closed(*argv):
     """Run python with argv, its stdout a pipe whose reader is already gone;
     return the exit status and everything written to stderr."""

@@ -59,12 +59,13 @@ def test_enumeration_matches_the_partition_scan_class_by_class():
 
 def test_enumeration_neither_scans_partitions_nor_checks_them(monkeypatch):
     # the generator yields admissible shapes only: the admissibility check a
-    # scan calls once per partition is never reached, and the partition cache
-    # stays empty
+    # scan calls once per partition is never reached, and no partition is read
     def refuse(*args):
         raise AssertionError("enumerate_classes checked a partition")
 
+    def no_scan(*args):
+        raise AssertionError("enumerate_classes read the partitions")
+
     monkeypatch.setattr(classes, "_lambda_admissible", refuse)
-    partitions._partitions.cache_clear()
+    monkeypatch.setattr(partitions, "_partitions", no_scan)
     assert len(enumerate_classes(GroupSpec(Family.SO, 30, Char.TWO))) == 1_256
-    assert partitions._partitions.cache_info().currsize == 0

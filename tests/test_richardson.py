@@ -8,9 +8,12 @@ from unipotent_atlas.classes import Char, Family, GroupSpec, canonical_eps, dist
 from unipotent_atlas.cli import SCHEMA, main
 from unipotent_atlas.decomp import satisfies_difference_condition
 from unipotent_atlas.errors import InputError, ResourceLimitError
+from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import (
     ParabolicDescriptor,
+    _enumerated,
+    _n_window,
     enumerate_distinguished_parabolics,
     in_richardson_image,
     parabolic_from_blocks,
@@ -198,6 +201,38 @@ def test_enumeration_examples_and_regressions():
     assert sorted(richardson_jordan_blocks(P)[0].parts for P in so8) == [(4, 4), (6, 2)]
     with pytest.raises(ResourceLimitError):
         enumerate_distinguished_parabolics(spec(Family.SO, 80))
+
+
+def reference_chain_vectors(weight):
+    """Every c-vector of the given weight with c(i) >= 1 for i <= N, whatever N."""
+    out = [()] if weight == 0 else []
+    N = 1
+    while N * (N + 1) // 2 <= weight:
+        for extra in iter_partitions(weight - N * (N + 1) // 2, max_part=N):
+            out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
+        N += 1
+    return out
+
+
+def reference_enumerated(G):
+    """The Sp and SO enumeration as it was before the chain vectors were
+    built within the window: every chain vector, then a filter on N."""
+    if G.family is Family.SP:
+        out = [(0, c) for c in reference_chain_vectors(G.rank)]
+    else:
+        out = [(m0, c) for m0 in range(G.rank + 1) for c in reference_chain_vectors(G.rank - m0)
+               if len(c) in _n_window(G, m0)]
+    return sorted(out)
+
+
+def test_windowed_enumeration_matches_the_filtered_reference_ranks_to_32():
+    groups = [G for G in group_sweep(64) if G.family is not Family.GL]
+    total = 0
+    for G in groups:
+        got = [(P.m0, P.c) for P in _enumerated(G)]
+        assert got == reference_enumerated(G), G.describe()
+        total += len(got)
+    assert len(groups) == 192 and total > 10_000
 
 
 def test_forward_map_injective_image_matches_table_ranks_to_12():
