@@ -10,7 +10,9 @@ dim 4 the document has no rows) and on O at p=2 (dim 24), and ``tables 4``
 in every format.  The other commands' documents (``label``, ``richardson``
 in both directions, ``decompose`` in each family and characteristic,
 ``tables 1``) are covered in every format, and ``classes``, ``tables 2``
-and ``tables 3`` on a few groups in text and csv.  A change that
+and ``tables 3`` on a few groups in text and csv.  Two ``verify`` runs are
+covered too (``VERIFY``), each report line without its ``elapsed_seconds``,
+the one field that differs from run to run.  A change that
 is meant to alter one of these outputs recaptures them with
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -28,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -77,6 +80,13 @@ CLASSES_TEXT = (
     ("--group", "sp", "--dim", "8", "--char", "odd"),
     ("--group", "gl", "--dim", "5"),
 )
+#: verify commands whose report lines are covered, less their timings.
+VERIFY = (
+    ("verify", "--claim", "all", "--max-dim", "8", "--surjectivity-max-dim", "6", "--max-beta", "10"),
+    ("verify", "--claim", "extra-counts"),
+)
+#: A report line's elapsed_seconds field, which compute_digests drops.
+_ELAPSED = re.compile(r', "elapsed_seconds": [^,]*')
 ENUMERATION_MAX_DIM = 16
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ENUMERATION_DIGESTS = Path(__file__).with_name("enumeration_digests.json")
@@ -108,7 +118,7 @@ def golden_argvs() -> list[list[str]]:
             argvs += [["--format", fmt, "classes", *group] for group in CLASSES_TEXT]
             argvs += [["--format", fmt, "tables", which, *group]
                       for which in ("2", "3") for group in TABLES_TEXT]
-    return argvs
+    return argvs + [list(command) for command in VERIFY]
 
 
 def compute_digests() -> dict[str, str]:
@@ -118,7 +128,8 @@ def compute_digests() -> dict[str, str]:
         with contextlib.redirect_stdout(buf):
             code = main(argv)
         assert code == 0, argv
-        digests[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        text = _ELAPSED.sub("", buf.getvalue()) if argv[0] == "verify" else buf.getvalue()
+        digests[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()
     return digests
 
 
