@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator
 
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, _from_mults
+from .partitions import MAX_PARSE_TOTAL, Partition, _from_mults
 
 #: Largest dimension enumerate_classes accepts unless the caller raises it.
 DEFAULT_ENUM_BOUND = 40
@@ -47,8 +47,8 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if type(self.dim) is not int or self.dim < 1:  # a bool is not a dimension
             raise InputError(f"group dimension must be a positive integer, got {self.dim!r}")
-        if self.dim > 10_000:
-            raise InputError(f"group dimension {self.dim} exceeds the supported bound")
+        if self.dim > MAX_PARSE_TOTAL:  # the total of its blocks, bounded as parsed blocks are
+            raise InputError(f"group dimension {self.dim} exceeds the supported bound {MAX_PARSE_TOTAL}")
         if self.family is Family.SP and self.dim % 2 != 0:
             raise InputError(f"Sp requires even dimension, got {self.dim}")
 
@@ -108,10 +108,6 @@ class EpsilonMap:
                 raise InputError(f"duplicate epsilon entry for part {x}")
             seen.add(x)
         object.__setattr__(self, "items", items)
-
-    @classmethod
-    def from_dict(cls, mapping: dict[int, int]) -> EpsilonMap:
-        return cls(tuple(mapping.items()))
 
     @classmethod
     def parse(cls, text: str) -> EpsilonMap:

@@ -18,15 +18,16 @@ from .classes import (
     EpsilonMap,
     Family,
     GroupSpec,
+    _lambda_admissible,
     as_so,
     enumerate_classes,
     eps_options,
-    is_valid_class,
 )
 from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
 from .oracle import (
     GROUP_CLAIMS,
+    SCHEMA,
     VerificationReport,
     check_bounds,
     run_all,
@@ -43,8 +44,6 @@ from .richardson import (
     regular_jordan_blocks,
     richardson_jordan_blocks,
 )
-
-SCHEMA = "unipotent-atlas/v1"
 
 #: Exit status after the reader closed stdout: 128 + SIGPIPE, as a shell
 #: reports a process that signal ended.
@@ -78,23 +77,24 @@ def run_guarded(action: Callable[[], int]) -> int:
 
 
 def _group_from_args(args) -> GroupSpec:
-    try:
-        family = Family(args.group)
-    except ValueError:
-        raise InputError(f"unknown group family {args.group!r} (expected gl, sp, so, or o)")
-    char = Char.TWO if args.char == "2" else Char.GOOD
-    return GroupSpec(family, args.dim, char)
+    return GroupSpec(Family(args.group), args.dim, Char(args.char))
 
 
 def _resolve_eps(G: GroupSpec, lam: Partition, eps_text: str | None) -> EpsilonMap:
-    """The eps of --eps, with each part it leaves out at its canonical value."""
-    options = {x: eps_options(G, x, m) for x, m in lam.multiplicities().items()}
+    """The eps of --eps, with each part it leaves out at its canonical value.
+    Blocks that no eps makes a class of G are refused first, then a given
+    value outside its part's eps options; the class itself is checked once,
+    by the ClassParam that cmd_label builds."""
+    mults = lam.multiplicities()
+    if not _lambda_admissible(G, lam, mults):
+        raise InputError(f"blocks {lam} break the parity rule of {G.describe()}, whatever the eps")
+    options = {x: eps_options(G, x, m) for x, m in mults.items()}
     given = EpsilonMap.parse(eps_text).as_dict() if eps_text else {}
     unknown = set(given) - set(options)
     if unknown:
         raise InputError(f"epsilon given for values {sorted(unknown)} that are not parts of {lam}")
     eps = EpsilonMap(tuple((x, given.get(x, opts[0])) for x, opts in options.items()))
-    if not is_valid_class(G, lam, eps):
+    if any(v not in options[x] for x, v in given.items()):
         raise InputError(f"epsilon {eps} is not admissible for {lam} in {G.describe()}")
     missing = [x for x, opts in options.items() if len(opts) == 2 and x not in given]
     if missing:
@@ -257,7 +257,7 @@ def cmd_decompose(args) -> int:
     beta = Partition.parse(args.beta)
     if not beta:
         raise InputError("nothing to decompose: the partition is empty")
-    G = GroupSpec(Family(args.group), beta.total, Char.TWO if args.char == "2" else Char.GOOD)
+    G = GroupSpec(Family(args.group), beta.total, Char(args.char))
     dec = decompose(beta, G)
     doc = {
         "group": G.describe(),
@@ -331,8 +331,7 @@ def cmd_richardson(args) -> int:
 def cmd_label(args) -> int:
     G = _group_from_args(args)
     lam = Partition.parse(args.blocks)
-    eps = _resolve_eps(G, lam, args.eps)
-    C = ClassParam(G, lam, eps)
+    C = ClassParam(G, lam, _resolve_eps(G, lam, args.eps))
     a = analyse(C)
     doc = {
         **C.to_json(),

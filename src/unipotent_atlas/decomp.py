@@ -8,6 +8,7 @@ each value for symplectic ones, and every part (one piece) in good characteristi
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .classes import Family, GroupSpec, shape_violation
 from .errors import InputError
@@ -90,21 +91,27 @@ def _all_ones(beta: Partition) -> FAssignment:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """beta = beta1 + beta2 + beta3 with the two scan traces that produced it."""
+    """The two scan traces of beta, the second over what the first assigns 0,
+    and the pieces beta = beta1 + beta2 + beta3 read from them."""
 
-    beta1: Partition
-    beta2: Partition
-    beta3: Partition
     trace1: FAssignment
     trace2: FAssignment
 
     def __post_init__(self) -> None:
-        if (self.beta1 + self.beta2 + self.beta3).parts != self.trace1.beta.parts:
-            raise InputError("pieces do not reassemble the decomposed partition")
-        if self.trace1.ones() != self.beta1 or self.trace1.zeros().parts != self.trace2.beta.parts:
-            raise InputError("first trace inconsistent with the pieces")
-        if self.trace2.ones() != self.beta2 or self.trace2.zeros() != self.beta3:
-            raise InputError("second trace inconsistent with the pieces")
+        if self.trace1.zeros() != self.trace2.beta:
+            raise InputError("the second trace does not scan the parts the first assigns 0")
+
+    @cached_property
+    def beta1(self) -> Partition:
+        return self.trace1.ones()
+
+    @cached_property
+    def beta2(self) -> Partition:
+        return self.trace2.ones()
+
+    @cached_property
+    def beta3(self) -> Partition:
+        return self.trace2.zeros()
 
     def pieces(self) -> tuple[Partition, Partition, Partition]:
         return (self.beta1, self.beta2, self.beta3)
@@ -129,8 +136,7 @@ def decompose(beta: Partition, G: GroupSpec) -> Decomposition:
         raise InputError(reason)
     scan = (apply_f if G.family is Family.SO else _first_copies) if G.p2 else _all_ones
     trace1 = scan(beta)
-    trace2 = scan(trace1.zeros())
-    return Decomposition(trace1.ones(), trace2.ones(), trace2.zeros(), trace1, trace2)
+    return Decomposition(trace1, scan(trace1.zeros()))
 
 
 def satisfies_difference_condition(beta: Partition) -> bool:

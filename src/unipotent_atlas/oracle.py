@@ -47,31 +47,31 @@ from .errors import InputError
 from .partitions import Partition, iter_partitions
 from .richardson import regular_blocks
 
+#: The schema name that every JSON document and report line starts with.
+SCHEMA = "unipotent-atlas/v1"
+
 
 @dataclass
 class VerificationReport:
     claim: str
     group: str | None
     bound: int
-    outcome: str
     counterexamples: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     #: objects examined: classes, descriptors or betas (0 marks a vacuous pass)
     checked: int = 0
 
-    def __post_init__(self) -> None:
-        if self.outcome not in ("pass", "fail"):
-            raise InputError(f"outcome must be 'pass' or 'fail', got {self.outcome!r}")
-        if self.outcome == "fail" and not self.counterexamples:
-            raise InputError("a failing report must record at least one counterexample")
-
     @property
     def passed(self) -> bool:
-        return self.outcome == "pass"
+        return not self.counterexamples
+
+    @property
+    def outcome(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json(self) -> dict:
         return {
-            "schema": "unipotent-atlas/v1",
+            "schema": SCHEMA,
             "claim": self.claim,
             "group": self.group,
             "bound": self.bound,
@@ -91,7 +91,6 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
         claim=claim,
         group=G.describe() if G is not None else None,
         bound=bound,
-        outcome="pass" if not bad else "fail",
         counterexamples=bad,
         elapsed_seconds=time.perf_counter() - t0,
         checked=checked,
@@ -104,8 +103,8 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
 # analysis per class (from one analyse_all call), and the psi1 and psi2 image
 # tables, which send each descriptor of G to the data_key of its class or to the
 # map's refusal, a counterexample of each claim that reads it.  Each part is built
-# on first use, inside the timed region of the check that needs it first.  A public
-# verifier runs its check on a fresh record; run_all keeps one record per group.
+# on first use, inside the timed region of the check that needs it first.
+# verify_claim runs its check on a fresh record; run_all keeps one record per group.
 
 ImageTable = dict[object, tuple | str]
 
@@ -151,15 +150,9 @@ def psi1_image(G: GroupSpec) -> set[tuple]:
 # -- surjectivity and right inverses -----------------------------------------------
 
 
-def verify_surjectivity(G: GroupSpec, which: str) -> VerificationReport:
-    """Compare enumerate_classes(G) with the full image of psi1 or psi2."""
-    return _surjectivity(_GroupWork(G), which)
-
-
 def _surjectivity(work: _GroupWork, which: str) -> VerificationReport:
+    """Compare enumerate_classes(G) with the full image of psi1 or psi2."""
     t0 = time.perf_counter()
-    if which not in _MAPS:
-        raise InputError(f"which must be 'psi1' or 'psi2', got {which!r}")
     table = work.table(which)
     bad = [k for k in table.values() if isinstance(k, str)]
     image = {k for k in table.values() if not isinstance(k, str)}
@@ -169,15 +162,9 @@ def _surjectivity(work: _GroupWork, which: str) -> VerificationReport:
     return _finish(f"{which}-surjective", work.G, work.G.dim, bad, t0, len(target))
 
 
-def verify_right_inverse(G: GroupSpec, which: str) -> VerificationReport:
-    """Check psi(phi(C)) == C for every class C of G."""
-    return _right_inverse(_GroupWork(G), which)
-
-
 def _right_inverse(work: _GroupWork, which: str) -> VerificationReport:
+    """Check psi(phi(C)) == C for every class C of G, phi being phi1 or phi2."""
     t0 = time.perf_counter()
-    if which not in ("phi1", "phi2"):
-        raise InputError(f"which must be 'phi1' or 'phi2', got {which!r}")
     psi = "psi" + which[-1]
     if which == "phi1" and work.G.family is not Family.GL and work.G.dim <= PREIMAGE_MAX_DIM:
         work.table("psi1")  # _minimal_levi reads the whole table here: build it once, not per class first
@@ -191,12 +178,8 @@ def _right_inverse(work: _GroupWork, which: str) -> VerificationReport:
     return _finish(f"{which}-right-inverse", work.G, work.G.dim, bad, t0, len(work.classes))
 
 
-def verify_psi2_restricted_injective(G: GroupSpec) -> VerificationReport:
-    """psi2 restricted to at most one classical parabolic factor is injective."""
-    return _psi2_injective(_GroupWork(G))
-
-
 def _psi2_injective(work: _GroupWork) -> VerificationReport:
+    """psi2 restricted to at most one classical parabolic factor is injective."""
     t0 = time.perf_counter()
     seen: dict[tuple, ParabolicProduct] = {}
     bad = []
@@ -367,22 +350,9 @@ def _valid_splittings(C: ClassParam) -> list[tuple[Partition, Partition]]:
     return out
 
 
-#: Largest dimension at which verify_minimal_levi checks phi1 against every
+#: Largest dimension at which the minimal-levi claim checks phi1 against every
 #: regular-subgroup preimage.
 PREIMAGE_MAX_DIM = 16
-
-
-def verify_minimal_levi(G: GroupSpec) -> VerificationReport:
-    """Brute-force the splitting claims:
-
-      - every class admits exactly one valid (alpha, beta) splitting, it is
-        the one minimal_levi extracts, and beta is distinguished;
-      - (Levi, distinguished class) pairs biject with classes, counting the
-        split pairs twice;
-      - (dim <= PREIMAGE_MAX_DIM) among all regular-subgroup preimages of a
-        class, the one with the most GL factors is unique and equals phi1.
-    """
-    return _minimal_levi(_GroupWork(G))
 
 
 @lru_cache(maxsize=None)
@@ -394,6 +364,15 @@ def _distinguished_remainders(family: Family, char: Char, rest: int) -> dict[Par
 
 
 def _minimal_levi(work: _GroupWork) -> VerificationReport:
+    """Brute-force the splitting claims:
+
+      - every class admits exactly one valid (alpha, beta) splitting, it is
+        the one minimal_levi extracts, and beta is distinguished;
+      - (Levi, distinguished class) pairs biject with classes, counting the
+        split pairs twice;
+      - (dim <= PREIMAGE_MAX_DIM) among all regular-subgroup preimages of a
+        class, the one with the most GL factors is unique and equals phi1.
+    """
     t0 = time.perf_counter()
     G = work.G
     bad = []
@@ -605,6 +584,14 @@ def _group_checks(G: GroupSpec, *sweeps: tuple[str, ...]) -> list[list[Verificat
             for claims in sweeps]
 
 
+def verify_claim(claim: str, G: GroupSpec) -> VerificationReport:
+    """The report of one of GROUP_CLAIMS on G, from a fresh _GroupWork."""
+    if claim not in GROUP_CLAIMS:
+        raise InputError(f"unknown claim {claim!r} (expected one of {', '.join(GROUP_CLAIMS)})")
+    [[report]] = _group_checks(G, (claim,))
+    return report
+
+
 def sweep_claim(claim: str, max_dim: int) -> list[VerificationReport]:
     """The reports of one of GROUP_CLAIMS on each group of group_sweep(max_dim),
     in sweep order; each group is one task of run_tasks, the largest first."""
@@ -615,10 +602,10 @@ def sweep_claim(claim: str, max_dim: int) -> list[VerificationReport]:
 def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int = 30) -> list[VerificationReport]:
     """The release verification battery at the default bounds.
 
-    The reports are those of the public verifiers, in the same order: the
-    surjectivity and injectivity checks of group_sweep(surjectivity_max_dim),
-    the right-inverse and minimal-Levi checks of group_sweep(max_dim), then
-    the decomposition properties.  Each group is one task of run_tasks, its
+    The reports are those of verify_claim on each claim and group, in this
+    order: the surjectivity and injectivity checks of
+    group_sweep(surjectivity_max_dim), the right-inverse and minimal-Levi
+    checks of group_sweep(max_dim), then the decomposition properties.  Each group is one task of run_tasks, its
     checks sharing one _GroupWork whose shared work is timed in the first
     report that uses it; each report is timed in the process that ran it.
     """

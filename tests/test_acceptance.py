@@ -32,9 +32,8 @@ from unipotent_atlas.oracle import (
     group_sweep,
     psi1_image,
     so_connected_only_psi1_image,
+    verify_claim,
     verify_proposition,
-    verify_psi2_restricted_injective,
-    verify_surjectivity,
 )
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import (
@@ -162,9 +161,8 @@ def test_criterion_4_witness_class_of_so16():
 def test_criterion_5_theorem_battery_dim_16():
     with budget("criterion 5 (exhaustive map properties, dim <= 16)", 120.0):
         for G in group_sweep(16):
-            assert verify_surjectivity(G, "psi1").passed, G.describe()
-            assert verify_surjectivity(G, "psi2").passed, G.describe()
-            assert verify_psi2_restricted_injective(G).passed, G.describe()
+            for claim in ("psi1-surjective", "psi2-surjective", "psi2-injective-r1"):
+                assert verify_claim(claim, G).passed, (claim, G.describe())
             for C in enumerate_classes(G):
                 assert psi1(phi1(C), G).same_class(C)
                 assert psi2(phi2(C), G).same_class(C)

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -33,10 +32,7 @@ from unipotent_atlas.oracle import (
     VerificationReport,
     count_extra_classes,
     group_sweep,
-    verify_minimal_levi,
-    verify_psi2_restricted_injective,
-    verify_right_inverse,
-    verify_surjectivity,
+    verify_claim,
 )
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import in_richardson_image
@@ -164,18 +160,24 @@ def test_the_json_writer_keeps_no_memo_between_calls():
         assert _json_text([(n, [n])]) == json.dumps([(n, [n])], indent=2)
 
 
-def test_o_classes_are_validated_in_so_once_each(capsys, monkeypatch):
-    # classes reads each O class through SO (classes.as_so); counted in cli
-    # and classes, so a class validated again by the constructor that builds
-    # its SO form counts twice
+def _counted_class_checks(monkeypatch) -> list:
+    """The arguments of each is_valid_class call from now on, counted in cli
+    (should it check a class itself) and in classes."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return is_valid_class(*args)
 
-    monkeypatch.setattr(cli, "is_valid_class", counted)
+    monkeypatch.setattr(cli, "is_valid_class", counted, raising=False)
     monkeypatch.setattr("unipotent_atlas.classes.is_valid_class", counted)
+    return calls
+
+
+def test_o_classes_are_validated_in_so_once_each(capsys, monkeypatch):
+    # classes reads each O class through SO (classes.as_so), so a class
+    # validated again by the constructor that builds its SO form counts twice
+    calls = _counted_class_checks(monkeypatch)
     code, out, _ = run_cli(capsys, "--format", "json", "classes", "--group", "o", "--dim", "24",
                            "--char", "2")
     assert code == 0
@@ -298,6 +300,40 @@ def test_label_notes_free_eps_that_a_partial_eps_leaves_out(capsys):
     assert (code, err) == (0, "")
 
 
+def test_label_blames_the_blocks_when_no_eps_fixes_them(capsys):
+    # the odd parts 3 and 1 have odd multiplicity, which Sp forbids whatever
+    # the eps; the refusal used to blame the defaulted eps
+    code, out, err = run_cli(capsys, "label", "--group", "sp", "--dim", "6", "--blocks", "3,2,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "3,2,1" in err and "epsilon" not in err
+    code, out, err = run_cli(capsys, "label", "--group", "so", "--dim", "6", "--char", "odd",
+                             "--blocks", "2,2,1,1", "--eps", "2:1")
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon 2:1,1:1 is not admissible for 2^2,1^2 in SO6 (p odd)\n"
+
+
+def test_label_checks_its_class_once(capsys, monkeypatch):
+    # it used to check the class in cli._resolve_eps and again in ClassParam
+    calls = _counted_class_checks(monkeypatch)
+    code, out, _ = run_cli(capsys, "label", "--group", "so", "--dim", "16", "--char", "2",
+                           "--blocks", "8,4,2,2", "--eps", "8:1,4:1,2:1")
+    assert (code, out) == (0, "D6(a1)D2\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classes", "--group", "gl", "--dim", "10001"],
+     "group dimension 10001 exceeds the supported bound 10000"),
+    (["label", "--group", "so", "--dim", "8", "--char", "2", "--blocks", "4,4", "--eps", "3:1"],
+     "epsilon given for values [3] that are not parts of 4^2"),
+    (["richardson", "--group", "so", "--dim", "8", "--char", "2"],
+     "provide --levi (forward map) or --invert --blocks"),
+])
+def test_a_refusal_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_extra_counts_jsonl(capsys):
     code, out, err = run_cli(capsys, "verify", "--claim", "extra-counts")
     assert code == 0 and err == ""
@@ -320,23 +356,12 @@ def test_verify_single_claim_small(capsys):
     assert json.loads(out.splitlines()[0])["outcome"] == "pass"
 
 
-#: The public verifier of each claim verify sweeps group by group.
-PUBLIC_VERIFIERS = {
-    "psi1-surjective": partial(verify_surjectivity, which="psi1"),
-    "psi2-surjective": partial(verify_surjectivity, which="psi2"),
-    "psi2-injective-r1": verify_psi2_restricted_injective,
-    "phi1-right-inverse": partial(verify_right_inverse, which="phi1"),
-    "phi2-right-inverse": partial(verify_right_inverse, which="phi2"),
-    "minimal-levi": verify_minimal_levi,
-}
-
-
 @pytest.mark.parametrize("claim", list(GROUP_CLAIMS))
 def test_verify_group_claim_reports_in_sweep_order(capsys, claim):
     code, out, _ = run_cli(capsys, "verify", "--claim", claim, "--max-dim", "7")
     assert code == 0
     got = [json.loads(line) for line in out.splitlines()]
-    want = [PUBLIC_VERIFIERS[claim](G).to_json() for G in group_sweep(7)]
+    want = [verify_claim(claim, G).to_json() for G in group_sweep(7)]
     for line in got + want:
         del line["elapsed_seconds"]
     assert got == want
@@ -572,7 +597,8 @@ def test_verification_script_summarizes_the_reports_of_verify(capsys):
     # --max-dim said: 265 reports at --max-dim 6, where verify gives 145
     assert main(["verify", "--max-dim", "6"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    reports = [VerificationReport(**{k: v for k, v in line.items() if k != "schema"}) for line in lines]
+    reports = [VerificationReport(**{k: v for k, v in line.items() if k not in ("schema", "outcome")})
+               for line in lines]
     script = load_script("run_verifications")
     script.print_summary(reports, 0.0)
     want = capsys.readouterr().out

@@ -82,6 +82,6 @@ def test_combine_refuses_an_eps_beta_the_law_forbids(data, draws):
     x = draws.draw(st.sampled_from(beta.values()))
     m = (alpha.double() + beta).multiplicity(x)
     bad = draws.draw(st.sampled_from([v for v in (-1, 0, 1) if v not in eps_options(G, x, m)]))
-    eps_beta = EpsilonMap.from_dict({**distinguished_eps(G, beta).as_dict(), x: bad})
+    eps_beta = EpsilonMap(tuple({**distinguished_eps(G, beta).as_dict(), x: bad}.items()))
     with pytest.raises(InputError, match="not a valid class"):
         combine(alpha, beta, eps_beta, G)

@@ -25,6 +25,7 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
 from unipotent_atlas.oracle import (
+    GROUP_CLAIMS,
     VerificationReport,
     count_extra_classes,
     distinguished_shapes,
@@ -33,33 +34,33 @@ from unipotent_atlas.oracle import (
     psi1_image,
     run_all,
     so_connected_only_psi1_image,
-    verify_minimal_levi,
+    verify_claim,
     verify_proposition,
-    verify_psi2_restricted_injective,
-    verify_right_inverse,
-    verify_surjectivity,
 )
 from unipotent_atlas.partitions import Partition, iter_partitions
 
 
 def test_report_invariants():
-    rep = VerificationReport("demo", None, 4, "pass")
-    assert rep.passed
+    rep = VerificationReport("demo", None, 4)
+    assert rep.passed and rep.outcome == "pass"
     line = json.loads(rep.to_json_line())
     assert line["schema"] == "unipotent-atlas/v1"
+    assert line["outcome"] == "pass"
     assert line["checked"] == 0
-    with pytest.raises(InputError):
-        VerificationReport("demo", None, 4, "fail")
-    rep = VerificationReport("demo", None, 4, "fail", ["bad input"])
-    assert not rep.passed
+    rep = VerificationReport("demo", None, 4, ["bad input"])
+    assert not rep.passed and rep.outcome == "fail"
+    assert json.loads(rep.to_json_line())["outcome"] == "fail"
+    # the outcome follows the counterexamples, also when they change
+    rep.counterexamples.clear()
+    assert rep.outcome == "pass"
 
 
 def test_surjectivity_examples():
-    assert verify_surjectivity(GroupSpec(Family.SO, 16, Char.TWO), "psi1").passed
-    assert verify_surjectivity(GroupSpec(Family.SP, 8, Char.TWO), "psi2").passed
-    assert verify_surjectivity(GroupSpec(Family.GL, 5, Char.GOOD), "psi2").passed
-    with pytest.raises(InputError):
-        verify_surjectivity(GroupSpec(Family.SO, 8, Char.TWO), "psi3")
+    assert verify_claim("psi1-surjective", GroupSpec(Family.SO, 16, Char.TWO)).passed
+    assert verify_claim("psi2-surjective", GroupSpec(Family.SP, 8, Char.TWO)).passed
+    assert verify_claim("psi2-surjective", GroupSpec(Family.GL, 5, Char.GOOD)).passed
+    with pytest.raises(InputError, match="psi1-surjective, psi2-surjective"):
+        verify_claim("psi3-surjective", GroupSpec(Family.SO, 8, Char.TWO))
 
 
 def test_gl_psi2_is_bijective():
@@ -68,18 +69,18 @@ def test_gl_psi2_is_bijective():
 
     images = [psi2(P, G).data_key() for P in iter_parabolic_products(G)]
     assert len(images) == len(set(images))
-    assert verify_surjectivity(G, "psi2").passed
+    assert verify_claim("psi2-surjective", G).passed
 
 
 def test_right_inverse_examples():
-    assert verify_right_inverse(GroupSpec(Family.SO, 14, Char.TWO), "phi2").passed
-    assert verify_right_inverse(GroupSpec(Family.SO, 13, Char.TWO), "phi2").passed
-    assert verify_right_inverse(GroupSpec(Family.SP, 10, Char.GOOD), "phi1").passed
+    assert verify_claim("phi2-right-inverse", GroupSpec(Family.SO, 14, Char.TWO)).passed
+    assert verify_claim("phi2-right-inverse", GroupSpec(Family.SO, 13, Char.TWO)).passed
+    assert verify_claim("phi1-right-inverse", GroupSpec(Family.SP, 10, Char.GOOD)).passed
 
 
 def test_psi2_restricted_injectivity_spot():
-    assert verify_psi2_restricted_injective(GroupSpec(Family.SO, 12, Char.TWO)).passed
-    assert verify_psi2_restricted_injective(GroupSpec(Family.SP, 10, Char.GOOD)).passed
+    assert verify_claim("psi2-injective-r1", GroupSpec(Family.SO, 12, Char.TWO)).passed
+    assert verify_claim("psi2-injective-r1", GroupSpec(Family.SP, 10, Char.GOOD)).passed
 
 
 def test_single_factor_products_are_the_filtered_full_sweep():
@@ -143,7 +144,7 @@ def test_minimal_levi_verifier_sweep_dim_16():
     from unipotent_atlas.oracle import group_sweep
 
     for G in group_sweep(16):
-        rep = verify_minimal_levi(G)
+        rep = verify_claim("minimal-levi", G)
         assert rep.passed, (G.describe(), rep.counterexamples[:3])
 
 
@@ -160,7 +161,7 @@ def test_a_shape_the_library_refuses_fails_the_minimal_levi_claim(monkeypatch, c
     # the oracle still states the shape (16, 1); past PREIMAGE_MAX_DIM, no
     # regular-subgroup image meets the refusal
     _refuse_blocks(monkeypatch, (16, 1))
-    rep = verify_minimal_levi(GroupSpec(Family.SO, 17, Char.TWO))
+    rep = verify_claim("minimal-levi", GroupSpec(Family.SO, 17, Char.TWO))
     assert not rep.passed
     refusals = [c for c in rep.counterexamples if c.startswith("combine refuses the distinguished shape 16,1:")]
     assert len(refusals) == 1
@@ -216,16 +217,10 @@ def _rows(reports):
 
 
 def _separate_battery(max_dim, surjectivity_max_dim, beta_bound):
-    """run_all's reports, each from its public verifier."""
-    reports = []
-    for G in group_sweep(surjectivity_max_dim):
-        reports.append(verify_surjectivity(G, "psi1"))
-        reports.append(verify_surjectivity(G, "psi2"))
-        reports.append(verify_psi2_restricted_injective(G))
-    for G in group_sweep(max_dim):
-        reports.append(verify_right_inverse(G, "phi1"))
-        reports.append(verify_right_inverse(G, "phi2"))
-        reports.append(verify_minimal_levi(G))
+    """run_all's reports, each from verify_claim on a fresh record."""
+    surjective, class_level = tuple(GROUP_CLAIMS)[:3], tuple(GROUP_CLAIMS)[3:]
+    reports = [verify_claim(claim, G) for G in group_sweep(surjectivity_max_dim) for claim in surjective]
+    reports += [verify_claim(claim, G) for G in group_sweep(max_dim) for claim in class_level]
     reports.append(verify_proposition(beta_bound))
     return reports
 
@@ -246,7 +241,7 @@ def test_checked_counts_mark_the_vacuous_gl_minimal_levi_pass():
         assert (rep.checked == 0) == vacuous, (rep.claim, rep.group)
     G = GroupSpec(Family.SO, 8, Char.TWO)
     untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    assert verify_minimal_levi(G).checked == len(untagged) == 10
+    assert verify_claim("minimal-levi", G).checked == len(untagged) == 10
 
 
 def test_battery_reports_a_wrong_minimal_levi_split(monkeypatch):
