@@ -37,7 +37,6 @@ from .classes import (
     GroupSpec,
     _combine,
     minimal_levi,
-    splits_in_so,
 )
 from .decomp import decompose
 from .errors import InputError
@@ -218,10 +217,11 @@ class RemainderAnalysis:
         letter, rank = _factor_type(self.group, piece.total)
         if rank == 0:
             return None
-        if P.is_borel():
+        ranks = P.simple_ranks()
+        if not ranks:
             return rank, f"{letter}{rank}"
-        if P.max_simple_factor_rank() <= 1:
-            return rank, f"{letter}{rank}(a{P.semisimple_rank()})"
+        if max(ranks) == 1:  # the semisimple rank is then the number of factors
+            return rank, f"{letter}{rank}(a{len(ranks)})"
         return rank, f"{letter}{rank}[{diagram_string(P)}]"
 
 
@@ -316,30 +316,14 @@ def label(C: ClassParam) -> str:
 
 def o_not_so_conjugate(C1: ClassParam, C2: ClassParam) -> bool:
     """Whether two SO-classes are conjugate under the full orthogonal group
-    but not under SO: same (blocks, eps), both split-tagged, different tags."""
+    but not under SO: same (blocks, eps), tagged I and II.  ClassParam refuses
+    a tag on a class that does not split, so the tags carry the split."""
     for C in (C1, C2):
         if C.group.family is not Family.SO:
             raise InputError("O-vs-SO conjugacy applies to SO classes")
     if C1.group != C2.group or C1.group.dim % 2 != 0:
         raise InputError("both classes must live in the same even-dimensional SO group")
-    if not C1.same_class(C2):
-        return False
-    splitting = splits_in_so(C1.lam, C1.eps, C1.group.char)
-    # Levi-side criterion: splitting classes are exactly those whose minimal
-    # Levi is GL-only with all block sizes even.
-    alpha, beta, _ = minimal_levi(C1)
-    levi_side = not beta and all(p % 2 == 0 for p in alpha.parts)
-    if splitting != levi_side:
-        raise RuntimeError(
-            f"split criterion mismatch for {C1.lam}: eps-side {splitting}, Levi-side {levi_side}"
-        )
-    if not splitting:
-        return False
-    return (
-        C1.split_tag is not None
-        and C2.split_tag is not None
-        and C1.split_tag != C2.split_tag
-    )
+    return C1.same_class(C2) and {C1.split_tag, C2.split_tag} == {"I", "II"}
 
 
 # -- enumerating the descriptor families --------------------------------------------

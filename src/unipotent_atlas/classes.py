@@ -175,7 +175,7 @@ class ClassParam:
         if self.split_tag is not None:
             if self.split_tag not in ("I", "II"):
                 raise InputError(f"split tag must be 'I' or 'II', got {self.split_tag!r}")
-            if self.group.family is not Family.SO or not splits_in_so(self.lam, self.eps, self.group.char):
+            if self.group.family is not Family.SO or not splits_in_so(self.lam, self.eps):
                 raise InputError("split tag on a class that does not split in SO")
 
     def same_class(self, other: ClassParam) -> bool:
@@ -328,13 +328,12 @@ def as_so(C: ClassParam) -> ClassParam | None:
     return ClassParam(so, C.lam, C.eps, _trusted=True) if is_valid_class(so, C.lam, C.eps) else None
 
 
-def splits_in_so(lam: Partition, eps: EpsilonMap, char: Char) -> bool:
+def splits_in_so(lam: Partition, eps: EpsilonMap) -> bool:
     """Whether the O-class forms two SO-classes: every part even with eps != 1.
 
     In good characteristic this reduces to all parts and multiplicities even,
     since eps is then -1 on every even part of a valid orthogonal class.
     """
-    del char  # the criterion reads the same in both regimes
     if not lam:
         return False
     return all(x % 2 == 0 for x in lam.values()) and all(v != 1 for _, v in eps.items)
@@ -385,7 +384,7 @@ def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[C
         if even_blocks and len(lam) % 2:
             continue
         for eps in _eps_choices(G, lam):
-            if G.family is Family.SO and splits_in_so(lam, eps, G.char):
+            if G.family is Family.SO and splits_in_so(lam, eps):
                 out.append(ClassParam(G, lam, eps, "I", _trusted=True))
                 out.append(ClassParam(G, lam, eps, "II", _trusted=True))
             else:

@@ -182,8 +182,6 @@ def _plain(value) -> str:
         return "-"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, (list, dict)):
-        return json.dumps(value)
     return str(value)
 
 

@@ -286,7 +286,7 @@ def verify_proposition(bound: int = 30) -> VerificationReport:
     checked = 0
     for beta in iter_admissible_beta(bound):
         checked += 1
-        G = GroupSpec(Family.SO, beta.total if beta.total >= 1 else 1, Char.TWO)
+        G = GroupSpec(Family.SO, beta.total, Char.TWO)
         dec = decompose(beta, G)
         pieces = dec.pieces()
         if (dec.beta1 + dec.beta2 + dec.beta3) != beta:
@@ -412,7 +412,7 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
                 if key in seen and seen[key] != pair:
                     bad.append(f"pairs {seen[key]} and {pair} give the same class {C.lam}")
                 seen[key] = pair
-                doubled = G.family is Family.SO and splits_in_so(C.lam, C.eps, G.char)
+                doubled = G.family is Family.SO and splits_in_so(C.lam, C.eps)
                 count += 2 if doubled else 1
     if count != len(work.classes):
         bad.append(f"(Levi, class) pairs count {count} != class count {len(work.classes)}")

@@ -85,26 +85,18 @@ class ParabolicDescriptor:
     def make(cls, group: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDescriptor:
         """Build a descriptor, normalizing the GL_1 <-> SO_2 redundancy of even orthogonal groups."""
         c = _integer_entries(c, m0)
-        while c and c[-1] == 0:
-            c = c[:-1]
         if group.family is Family.SO and group.dim % 2 == 0 and m0 == 0:
             if not c or c[0] < 1:
                 raise InputError("cannot normalize: no GL_1 block to absorb into an SO_2 remainder")
-            c = (c[0] - 1,) + c[1:]
-            while c and c[-1] == 0:
-                c = c[:-1]
-            m0 = 1
+            c, m0 = (c[0] - 1,) + c[1:], 1
+        while c and c[-1] == 0:
+            c = c[:-1]
         return cls(group, c, m0)
 
     @classmethod
     def borel(cls, group: GroupSpec) -> ParabolicDescriptor:
         """The Borel subgroup's descriptor (Levi a maximal torus)."""
-        m = group.rank
-        if group.family is Family.SO and group.dim % 2 == 0:
-            if m < 2:
-                raise InputError(f"{group.describe()} has no distinguished parabolics")
-            return cls(group, (m - 1,), 1)
-        return cls(group, (m,) if m else (), 0)
+        return cls.make(group, (group.rank,), 0)
 
     # -- structure queries ---------------------------------------------------
 
@@ -112,26 +104,15 @@ class ParabolicDescriptor:
         """The GL block sizes of the Levi as a partition of rank - m0."""
         return _from_mults({i: ci for i, ci in reversed(tuple(enumerate(self.c, start=1))) if ci})
 
-    def _remainder_simple_ranks(self) -> tuple[int, ...]:
-        # only SO descriptors have a remainder: the constructor refuses m0 > 0 on GL and Sp
-        m0 = self.m0
-        if m0 == 0 or (self.group.dim % 2 == 0 and m0 == 1):
-            return ()  # SO_2 is a torus
-        if self.group.dim % 2 == 0 and m0 == 2:
-            return (1, 1)  # SO_4 has two rank-1 factors
-        return (m0,)
-
-    def semisimple_rank(self) -> int:
-        base = sum(ci * (i - 1) for i, ci in enumerate(self.c, start=1))
-        return base + sum(self._remainder_simple_ranks())
-
-    def max_simple_factor_rank(self) -> int:
-        ranks = [i - 1 for i, ci in enumerate(self.c, start=1) if ci >= 1 and i >= 2]
-        ranks.extend(self._remainder_simple_ranks())
-        return max(ranks, default=0)
-
-    def is_borel(self) -> bool:
-        return self.semisimple_rank() == 0
+    def simple_ranks(self) -> tuple[int, ...]:
+        """Ranks of the Levi's simple factors: i - 1 for each GL_i block with
+        i >= 2, then the SO remainder's (none for the torus SO_2, two rank-1
+        factors for SO_4).  Only SO descriptors have a remainder."""
+        ranks = [i - 1 for i, ci in enumerate(self.c, start=1) if i >= 2 for _ in range(ci)]
+        m0, even = self.m0, self.group.dim % 2 == 0
+        if m0 and not (even and m0 == 1):
+            ranks.extend((1, 1) if even and m0 == 2 else (m0,))
+        return tuple(ranks)
 
     def levi_name(self) -> str:
         chunks = []

@@ -207,7 +207,7 @@ def test_criterion_7_round_trip_and_splitting():
                 for C in enumerate_classes(G):
                     by_data.setdefault(C.data_key(), []).append(C)
                 for group in by_data.values():
-                    split = splits_in_so(group[0].lam, group[0].eps, char)
+                    split = splits_in_so(group[0].lam, group[0].eps)
                     alpha, beta, _ = minimal_levi(group[0])
                     levi_side = not beta and all(p % 2 == 0 for p in alpha.parts)
                     assert split == levi_side, (G.describe(), str(group[0].lam))

@@ -260,6 +260,15 @@ def test_o_not_so_conjugate():
     assert not o_not_so_conjugate(C, C)
     with pytest.raises(InputError):
         o_not_so_conjugate(C, cls(SO13, (12, 1), **{"12": 1, "1": -1}))
+    so8 = GroupSpec(Family.SO, 8, Char.TWO)
+    classes = {(C.lam.parts, C.split_tag): C for C in enumerate_classes(so8)}
+    assert not o_not_so_conjugate(classes[(4, 4), "I"], classes[(2, 2, 2, 2), "II"])
+    split = [C for C in enumerate_classes(GroupSpec(Family.SO, 8, Char.GOOD)) if C.split_tag]
+    assert len(split) == 4  # 4^2 and 2^4, each tagged I and II
+    for C1 in split:
+        for C2 in split:
+            expected = C1.same_class(C2) and C1.split_tag != C2.split_tag
+            assert o_not_so_conjugate(C1, C2) == expected, (str(C1.lam), str(C2.lam))
 
 
 def test_right_inverse_laws_exhaustive_dim_24():

@@ -133,11 +133,11 @@ def test_split_classes_are_tagged_in_pairs():
 
 
 def test_splits_in_so_examples():
-    assert splits_in_so(Partition((2, 2)), eps_of(**{"2": 0}), Char.TWO)
-    assert not splits_in_so(Partition((2, 2)), eps_of(**{"2": 1}), Char.TWO)
-    assert not splits_in_so(Partition((3, 3, 1, 1)), eps_of(**{"3": 1, "1": 1}), Char.GOOD)
+    assert splits_in_so(Partition((2, 2)), eps_of(**{"2": 0}))
+    assert not splits_in_so(Partition((2, 2)), eps_of(**{"2": 1}))
+    assert not splits_in_so(Partition((3, 3, 1, 1)), eps_of(**{"3": 1, "1": 1}))
     # good characteristic: all parts (hence multiplicities) even
-    assert splits_in_so(Partition((4, 4, 2, 2)), eps_of(**{"4": -1, "2": -1}), Char.GOOD)
+    assert splits_in_so(Partition((4, 4, 2, 2)), eps_of(**{"4": -1, "2": -1}))
 
 
 def test_is_distinguished_examples():

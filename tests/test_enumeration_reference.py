@@ -34,7 +34,7 @@ def reference_enumerate_classes(G):
         if not _lambda_admissible(G, lam, lam.multiplicities()):
             continue
         for eps in _eps_choices(G, lam):
-            if G.family is Family.SO and splits_in_so(lam, eps, G.char):
+            if G.family is Family.SO and splits_in_so(lam, eps):
                 out.append(ClassParam(G, lam, eps, "I", _trusted=True))
                 out.append(ClassParam(G, lam, eps, "II", _trusted=True))
             else:

@@ -127,6 +127,13 @@ def test_descriptor_validation_and_normalization():
         ParabolicDescriptor(spec(Family.SP, 8), (2,), 2)  # symplectic remainder
     with pytest.raises(InputError):
         ParabolicDescriptor(spec(Family.SO, 9), (1,), 3)  # window violation
+    # trailing zeros are trimmed, also after absorbing a GL_1 block
+    P = ParabolicDescriptor.make(spec(Family.SP, 6), (3, 0, 0), 0)
+    assert (P.c, P.m0) == ((3,), 0)
+    P = ParabolicDescriptor.make(spec(Family.SO, 8), (2, 1, 0), 0)
+    assert (P.c, P.m0) == ((1, 1), 1)
+    with pytest.raises(InputError):
+        ParabolicDescriptor.make(spec(Family.SO, 4), (0, 1), 0)  # no GL_1 block to absorb
 
 
 @pytest.mark.parametrize("c, m0", [((2.9,), 0), ((2,), 0.0), ((True, True), 0), ((2,), False)])
@@ -155,6 +162,9 @@ def test_borel_matches_regular_class_all_families():
             groups = [spec(Family.SP, 2 * rank, char), spec(Family.SO, 2 * rank + 1, char)]
             if rank >= 2:
                 groups.append(spec(Family.SO, 2 * rank, char))
+            else:
+                with pytest.raises(InputError):  # SO_2 has no distinguished parabolics
+                    ParabolicDescriptor.borel(spec(Family.SO, 2, char))
             if char is Char.GOOD:
                 groups.append(spec(Family.GL, rank, char))
             for G in groups:
@@ -285,11 +295,9 @@ def test_orthogonal_p2_image_satisfies_difference_condition():
 
 def test_descriptor_structure_queries():
     P = ParabolicDescriptor(spec(Family.SO, 13), (3, 1), 1)
-    assert P.semisimple_rank() == 2
-    assert P.max_simple_factor_rank() == 1
-    assert not P.is_borel()
+    assert P.simple_ranks() == (1, 1)
     assert P.levi_name() == "GL1^3 GL2 SO3"
     borel = ParabolicDescriptor.borel(spec(Family.SO, 12))
-    assert borel.is_borel() and borel.levi_name() == "GL1^5 SO2"
+    assert borel.simple_ranks() == () and borel.levi_name() == "GL1^5 SO2"
     big = parabolic_from_blocks(spec(Family.SO, 16), Partition((6, 6, 2, 2)))
-    assert big.max_simple_factor_rank() == 2  # GL_3 block: not (a_j)-labelable
+    assert max(big.simple_ranks()) == 2  # GL_3 block: not (a_j)-labelable
