@@ -36,6 +36,7 @@ from .classes import (
     Family,
     GroupSpec,
     _combine,
+    _even_block_count,
     minimal_levi,
 )
 from .decomp import decompose
@@ -77,7 +78,7 @@ class RegularSubgroupDescriptor:
                 raise InputError(f"classical factors of {G.describe()} must be {kind}")
             if G.family is Family.SP and m % 2 != 0:
                 raise InputError(f"symplectic factor dimension {m} must be even")
-        if full and G.dim % 2 == 0 and len(self.cl_parts) % 2 != 0:
+        if _even_block_count(G) and len(self.cl_parts) % 2 != 0:
             raise InputError("an even-dimensional SO group needs an even number of factors")
 
     def describe(self) -> str:
@@ -364,10 +365,10 @@ def _products(G: GroupSpec) -> Iterator[tuple[Partition, list[tuple[int, ...]]]]
 
 def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
     """All regular-subgroup descriptors for G (conjugacy-class representatives)."""
-    full = _full_factors(G)
+    full, even = _full_factors(G), _even_block_count(G)
     for gl, multisets in _products(G):
         for dims in multisets:
-            if full and G.dim % 2 == 0 and len(dims) % 2 != 0:  # even SO needs evenly many
+            if even and len(dims) % 2 != 0:  # even SO needs evenly many
                 continue
             yield RegularSubgroupDescriptor(gl, tuple((m, full) for m in dims))
 

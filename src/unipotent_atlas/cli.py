@@ -25,16 +25,7 @@ from .classes import (
 )
 from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
-from .oracle import (
-    GROUP_CLAIMS,
-    SCHEMA,
-    VerificationReport,
-    check_bounds,
-    run_all,
-    sweep_claim,
-    verify_extra_count,
-    verify_proposition,
-)
+from .oracle import BATTERY, GROUP_CLAIMS, SCHEMA, VerificationReport, run_all
 from .partitions import Partition
 from .richardson import (
     ParabolicDescriptor,
@@ -128,8 +119,6 @@ def _json_text(value, newline: str = "\n") -> str:
         return value if type(value) is _RawJson else _quote(value)
     if value is None or value is True or value is False:
         return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)  # a float, or what json refuses, with its TypeError
     if not value:
@@ -344,21 +333,10 @@ def cmd_label(args) -> int:
 
 def verify_reports(claim: str, max_dim: int | None, surjectivity_max_dim: int | None,
                    max_beta: int | None) -> list[VerificationReport]:
-    """The reports of verify --claim claim.  A bound left as None takes its
-    default (max_dim 24, surjectivity_max_dim min(max_dim, 16), max_beta 30),
-    and all three are checked before any claim runs."""
-    max_dim = max_dim if max_dim is not None else 24
-    surj = surjectivity_max_dim if surjectivity_max_dim is not None else min(max_dim, 16)
-    max_beta = max_beta if max_beta is not None else 30
-    check_bounds(max_dim, max_beta, surj)
-    if claim == "all":
-        return run_all(max_dim=max_dim, surjectivity_max_dim=surj, beta_bound=max_beta)
-    if claim == "proposition":
-        return [verify_proposition(max_beta)]
-    if claim == "extra-counts":
-        return [verify_extra_count(GroupSpec(Family.SO, dim, Char.TWO), want)
-                for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5))]
-    return sweep_claim(claim, max_dim)
+    """The reports of verify --claim claim: run_all's, a bound given as None left at its default."""
+    bounds = {"max_dim": max_dim, "surjectivity_max_dim": surjectivity_max_dim, "beta_bound": max_beta}
+    return run_all(**{k: v for k, v in bounds.items() if v is not None},
+                   claims=BATTERY if claim == "all" else (claim,))
 
 
 def cmd_verify(args) -> int:
@@ -394,6 +372,9 @@ def _table1_rows(dim: int) -> list[dict]:
 
 
 def cmd_tables(args) -> int:
+    for flag in {1: ["group"], 4: ["group", "dim"]}.get(args.which, []):
+        if getattr(args, flag) is not None:  # a table of fixed groups
+            raise InputError(f"tables {args.which} takes no --{flag}")
     if args.dim is not None and args.dim < 1:
         raise InputError(f"--dim must be at least 1, got {args.dim}")
     if args.which == 1:
@@ -481,9 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label)
 
     p = add_parser("verify", help="run the exhaustive verifiers (JSON lines)")
-    p.add_argument("--claim", default="all", choices=["all", *GROUP_CLAIMS, "proposition", "extra-counts"])
-    p.add_argument("--surjectivity-max-dim", type=int, default=None)
-    p.add_argument("--max-beta", type=int, default=None)
+    p.add_argument("--claim", default="all", choices=["all", *BATTERY, "extra-counts"])
+    p.add_argument("--surjectivity-max-dim", type=int, help="bound for " + ", ".join(
+        c for c, entry in GROUP_CLAIMS.items() if entry[0] == "surjectivity_max_dim") + " (default: min(--max-dim, 16))")
+    p.add_argument("--max-beta", type=int, help="bound for proposition, the decomposition properties (default: 30)")
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("tables", help="regenerate a block table")

@@ -455,15 +455,6 @@ def group_sweep(max_dim: int) -> list[GroupSpec]:
     return specs
 
 
-def check_bounds(max_dim: int, beta_bound: int, surjectivity_max_dim: int = 1) -> None:
-    """Refuse a bound below 1, which leaves claims with nothing to check or out
-    of run_all; the errors name the flags of the verify command and the battery script."""
-    for flag, value in (("--max-dim", max_dim), ("--max-beta", beta_bound),
-                        ("--surjectivity-max-dim", surjectivity_max_dim)):
-        if value < 1:
-            raise InputError(f"{flag} must be at least 1, got {value}")
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -564,23 +555,30 @@ def run_tasks(tasks: list[tuple]) -> list:
     return [value for _, value in results]
 
 
-#: The claims checked group by group, in report order: the module-global name
-#: of each one's check of a _GroupWork, and the check's arguments.
+#: The claims checked group by group, in report order: the run_all bound that
+#: sweeps each one, the module-global name of its check of a _GroupWork, and
+#: the check's arguments.
 GROUP_CLAIMS = {
-    "psi1-surjective": ("_surjectivity", "psi1"),
-    "psi2-surjective": ("_surjectivity", "psi2"),
-    "psi2-injective-r1": ("_psi2_injective",),
-    "phi1-right-inverse": ("_right_inverse", "phi1"),
-    "phi2-right-inverse": ("_right_inverse", "phi2"),
-    "minimal-levi": ("_minimal_levi",),
+    "psi1-surjective": ("surjectivity_max_dim", "_surjectivity", "psi1"),
+    "psi2-surjective": ("surjectivity_max_dim", "_surjectivity", "psi2"),
+    "psi2-injective-r1": ("surjectivity_max_dim", "_psi2_injective"),
+    "phi1-right-inverse": ("max_dim", "_right_inverse", "phi1"),
+    "phi2-right-inverse": ("max_dim", "_right_inverse", "phi2"),
+    "minimal-levi": ("max_dim", "_minimal_levi"),
 }
+
+#: The claims of verify --claim all, in report order.
+BATTERY = (*GROUP_CLAIMS, "proposition")
+
+#: The paper's extra-class counts: (dimension of SO at p=2, extra classes).
+EXTRA_COUNTS = ((7, 2), (12, 1), (14, 2), (16, 5))
 
 
 def _group_checks(G: GroupSpec, *sweeps: tuple[str, ...]) -> list[list[VerificationReport]]:
     """G's reports of each sweep's claims, all read from one _GroupWork.  Each
     check is looked up when it runs, so a rebound or monkeypatched one runs."""
     work = _GroupWork(G)
-    return [[globals()[name](work, *args) for name, *args in (GROUP_CLAIMS[c] for c in claims)]
+    return [[globals()[name](work, *args) for _, name, *args in (GROUP_CLAIMS[c] for c in claims)]
             for claims in sweeps]
 
 
@@ -592,31 +590,37 @@ def verify_claim(claim: str, G: GroupSpec) -> VerificationReport:
     return report
 
 
-def sweep_claim(claim: str, max_dim: int) -> list[VerificationReport]:
-    """The reports of one of GROUP_CLAIMS on each group of group_sweep(max_dim),
-    in sweep order; each group is one task of run_tasks, the largest first."""
-    tasks = [(_group_checks, G, (claim,)) for G in reversed(group_sweep(max_dim))]
-    return [report for [[report]] in reversed(run_tasks(tasks))]
+def run_all(max_dim: int = 24, surjectivity_max_dim: int | None = None, beta_bound: int = 30,
+            claims: tuple[str, ...] = BATTERY) -> list[VerificationReport]:
+    """The reports of claims, each of BATTERY or "extra-counts": sweep by
+    sweep, each in group order, then the claims that run once.
 
-
-def run_all(max_dim: int = 24, surjectivity_max_dim: int = 16, beta_bound: int = 30) -> list[VerificationReport]:
-    """The release verification battery at the default bounds.
-
-    The reports are those of verify_claim on each claim and group, in this
-    order: the surjectivity and injectivity checks of
-    group_sweep(surjectivity_max_dim), the right-inverse and minimal-Levi
-    checks of group_sweep(max_dim), then the decomposition properties.  Each group is one task of run_tasks, its
-    checks sharing one _GroupWork whose shared work is timed in the first
-    report that uses it; each report is timed in the process that ran it.
+    A sweep holds the GROUP_CLAIMS of one bound, max_dim or
+    surjectivity_max_dim (by default the smaller of max_dim and 16), checked
+    on group_sweep(bound); the proposition runs to beta_bound.  Every bound
+    must be at least 1, whatever the claims.  Each group is one task of
+    run_tasks, its checks sharing one _GroupWork whose shared work is timed in
+    the first report that uses it; each report is timed in the process that ran it.
     """
-    check_bounds(max_dim, beta_bound, surjectivity_max_dim)
-    groups = group_sweep(max(max_dim, surjectivity_max_dim))
-    surjective, class_level = tuple(GROUP_CLAIMS)[:3], tuple(GROUP_CLAIMS)[3:]
-    # the proposition, then the largest groups first, so the processes end together
-    tasks = [(verify_proposition, beta_bound)]
-    tasks += [(_group_checks, G, surjective if G.dim <= surjectivity_max_dim else (),
-               class_level if G.dim <= max_dim else ()) for G in reversed(groups)]
-    proposition, *per_group = run_tasks(tasks)
-    per_group.reverse()
-    return ([r for first, _ in per_group for r in first]
-            + [r for _, second in per_group for r in second] + [proposition])
+    surj = min(max_dim, 16) if surjectivity_max_dim is None else surjectivity_max_dim
+    for flag, value in (("--max-dim", max_dim), ("--max-beta", beta_bound), ("--surjectivity-max-dim", surj)):
+        if value < 1:  # leaves claims with nothing to check
+            raise InputError(f"{flag} must be at least 1, got {value}")
+    bounds = {"max_dim": max_dim, "surjectivity_max_dim": surj}
+    once, sweeps = [], {}
+    for claim in claims:
+        if claim in GROUP_CLAIMS:
+            sweeps.setdefault(GROUP_CLAIMS[claim][0], []).append(claim)
+        elif claim == "proposition":
+            once.append((verify_proposition, beta_bound))
+        elif claim == "extra-counts":
+            once += [(verify_extra_count, GroupSpec(Family.SO, dim, Char.TWO), want) for dim, want in EXTRA_COUNTS]
+        else:
+            raise InputError(f"unknown claim {claim!r} (expected one of {', '.join(BATTERY)}, extra-counts)")
+    # the claims that run once, then the largest groups first, so the processes end together
+    groups = group_sweep(max((bounds[b] for b in sweeps), default=0))
+    tasks = once + [(_group_checks, G, *(tuple(c) if G.dim <= bounds[b] else () for b, c in sweeps.items()))
+                    for G in reversed(groups)]
+    results = run_tasks(tasks)
+    per_group = results[len(once):][::-1]
+    return [r for i in range(len(sweeps)) for reports in per_group for r in reports[i]] + results[:len(once)]

@@ -32,6 +32,7 @@ from unipotent_atlas.oracle import (
     VerificationReport,
     count_extra_classes,
     group_sweep,
+    run_all,
     verify_claim,
 )
 from unipotent_atlas.partitions import Partition, iter_partitions
@@ -350,6 +351,32 @@ def test_verify_extra_counts_are_timed_and_counted(capsys):
         assert line["elapsed_seconds"] > 0 and line["checked"] > 0, line
 
 
+def _timeless(lines):
+    """Report lines as dicts, less their elapsed_seconds."""
+    docs = [json.loads(line) for line in lines]
+    for doc in docs:
+        del doc["elapsed_seconds"]
+    return docs
+
+
+def test_verify_extra_counts_are_the_lines_of_run_all(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claim", "extra-counts")
+    assert code == 0
+    reports = run_all(4, claims=("extra-counts",))
+    assert _timeless(out.splitlines()) == _timeless(rep.to_json_line() for rep in reports)
+
+
+@pytest.mark.parametrize("claim, max_dim, surjectivity_max_dim, swept", [
+    ("psi2-surjective", 8, 4, 4),  # it used to check --surjectivity-max-dim but sweep to --max-dim
+    ("phi1-right-inverse", 5, 3, 5),
+])
+def test_verify_sweeps_a_claim_to_its_own_bound(capsys, claim, max_dim, surjectivity_max_dim, swept):
+    code, out, _ = run_cli(capsys, "verify", "--claim", claim, "--max-dim", str(max_dim),
+                           "--surjectivity-max-dim", str(surjectivity_max_dim))
+    assert code == 0
+    assert [doc["group"] for doc in _timeless(out.splitlines())] == [G.describe() for G in group_sweep(swept)]
+
+
 def test_verify_single_claim_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "proposition", "--max-beta", "16")
     assert code == 0
@@ -465,6 +492,17 @@ def test_table_1_rejects_a_dim_below_1(capsys, dim):
     code, out, err = run_cli(capsys, "tables", "1", "--dim", dim)
     assert code == 2 and out == ""
     assert err == f"error: --dim must be at least 1, got {dim}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tables", "4", "--group", "so", "--dim", "4"], "tables 4 takes no --group"),
+    (["tables", "4", "--dim", "4"], "tables 4 takes no --dim"),
+    (["tables", "1", "--group", "so"], "tables 1 takes no --group"),
+])
+def test_a_table_of_fixed_groups_refuses_the_flags_it_ignores(capsys, argv, message):
+    # tables 4 --group so --dim 4 used to print SO16's table, and tables 1
+    # --group so every family's row
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -217,10 +217,13 @@ def _rows(reports):
 
 
 def _separate_battery(max_dim, surjectivity_max_dim, beta_bound):
-    """run_all's reports, each from verify_claim on a fresh record."""
-    surjective, class_level = tuple(GROUP_CLAIMS)[:3], tuple(GROUP_CLAIMS)[3:]
-    reports = [verify_claim(claim, G) for G in group_sweep(surjectivity_max_dim) for claim in surjective]
-    reports += [verify_claim(claim, G) for G in group_sweep(max_dim) for claim in class_level]
+    """run_all's reports, each from verify_claim on a fresh record: sweep by
+    sweep, each claim read at the bound GROUP_CLAIMS names for it."""
+    bounds = {"max_dim": max_dim, "surjectivity_max_dim": surjectivity_max_dim}
+    reports = []
+    for bound in dict.fromkeys(entry[0] for entry in GROUP_CLAIMS.values()):
+        claims = [claim for claim, entry in GROUP_CLAIMS.items() if entry[0] == bound]
+        reports += [verify_claim(claim, G) for G in group_sweep(bounds[bound]) for claim in claims]
     reports.append(verify_proposition(beta_bound))
     return reports
 
@@ -233,6 +236,19 @@ def test_battery_matches_the_separate_verifiers():
     assert all(r.passed for r in battery)
     # the shared enumeration and analyses are timed in the reports
     assert sum(r.elapsed_seconds for r in battery) >= 0.9 * wall
+
+
+def test_the_surjectivity_sweep_defaults_to_max_dim_below_16():
+    # it used to reach dim 16 whatever max_dim said
+    swept = [G.describe() for G in group_sweep(8)]
+    battery = run_all(8, beta_bound=8)
+    for claim in ("psi1-surjective", "psi2-surjective", "psi2-injective-r<=1"):
+        assert [r.group for r in battery if r.claim == claim] == swept
+
+
+def test_run_all_refuses_an_unknown_claim():
+    with pytest.raises(InputError, match="unknown claim 'psi3'"):
+        run_all(4, claims=("psi3",))
 
 
 def test_checked_counts_mark_the_vacuous_gl_minimal_levi_pass():
