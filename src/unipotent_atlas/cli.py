@@ -7,7 +7,7 @@ import csv
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 
 from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string, extra_classes
@@ -135,17 +135,18 @@ def _json_text(value, newline: str = "\n") -> str:
         else _json_text(v, inner) for v in value]) + newline + "]"
 
 
-#: The newlines that the rows of a table document, and the phi1 factors and
-#: phi2 parabolics of a classes row, start after.
-_ROW_NEWLINE, _PAYLOAD_NEWLINE = "\n    ", "\n        "
+#: The newlines that the rows of a table document, the items of a classes
+#: row, and the items of its phi1 and phi2 start after.
+_ROW_NEWLINE, _ITEM_NEWLINE, _PAYLOAD_NEWLINE = "\n    ", "\n      ", "\n        "
 
 
 def _emit_table(rows: Iterable[dict], columns: list[str], fmt: str, payload_key: str, meta: dict) -> None:
     """Print a table document: meta, then rows under payload_key.  In json and
     csv format each row is written as it arrives, so the caller resolves
     whatever can refuse before the first row; in text format the cells are
-    collected first, for the column widths.  sys.stdout is looked up when the
-    document is written, since callers swap it."""
+    collected first, for the column widths.  A json row may be a _RawJson,
+    its text already rendered after _ROW_NEWLINE (a classes row is).
+    sys.stdout is looked up when the document is written, since callers swap it."""
     if fmt == "json":
         sys.stdout.write(_json_text({"schema": SCHEMA, **meta, payload_key: []})[:-len("[]\n}")])
         sep = "["
@@ -174,31 +175,50 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _class_row(C: ClassParam, a: ClassAnalysis | None, payloads: dict | None) -> dict:
-    """C's classes row from its analysis (None: no SO data).  With payloads,
-    the JSON row: C's JSON, then phi1 and phi2, whose factors and parabolics
-    are texts rendered once per distinguished remainder and kept in payloads
-    (keyed by the analysis's shared RemainderAnalysis); else the table row."""
-    full = payloads is not None
-    row = C.to_json() if full else {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
+def _class_row(C: ClassParam, a: ClassAnalysis | None) -> dict:
+    """C's csv and text classes row from its analysis (None: no SO data)."""
+    row = {"lambda": str(C.lam), "eps": str(C.eps), "split": C.split_tag}
     if a is None:
-        row.update({"extra": None, "label": None, "phi1": None, "phi2": None})
-        return row
-    row["extra"] = a.is_extra()
-    row["label"] = a.label()
-    if full:
+        return {**row, "extra": None, "label": None, "phi1": None, "phi2": None}
+    return {**row, "extra": a.is_extra(), "label": a.label(), "phi1": a.phi1().describe(),
+            "phi2": "(" + ")(".join(map(str, a.pieces)) + ")" if a.pieces else "-"}
+
+
+def _ints_text(parts: tuple[int, ...], newline: str) -> str:
+    """The JSON text of the int list parts, started after newline."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, parts)) + newline + "]" if parts else "[]"
+
+
+def _class_json_rows(G: GroupSpec, pairs: list[tuple[ClassParam, ClassAnalysis | None]]) -> Iterator[_RawJson]:
+    """Each classes row's text after _ROW_NEWLINE, as _json_text writes C.to_json() with
+    extra, label, phi1 (_phi1_json) and phi2 (_phi2_json), joined from texts shared
+    per document (family, dim, char), per remainder (extra, factors, parabolics; in
+    payloads, keyed by the shared RemainderAnalysis) and per alpha (gl, twice)."""
+    item, sub = "," + _ITEM_NEWLINE, "," + _PAYLOAD_NEWLINE
+    head = (f'{{{_ITEM_NEWLINE}"family": {_quote(G.family.value)}{item}"dim": {G.dim}'
+            f'{item}"char": {_quote(G.char.value)}{item}"lambda": ')
+    no_data = f'{item}"extra": null{item}"label": null{item}"phi1": null{item}"phi2": null{_ROW_NEWLINE}}}'
+    payloads: dict = {}
+    for C, a in pairs:
+        eps = ("{" + _PAYLOAD_NEWLINE + sub.join(f'"{x}": {v}' for x, v in C.eps.items) + _ITEM_NEWLINE + "}"
+               if C.eps.items else "{}")
+        split = "null" if C.split_tag is None else _quote(C.split_tag)
+        text = f'{head}{_ints_text(C.lam.parts, _ITEM_NEWLINE)}{item}"eps": {eps}{item}"split": {split}'
+        if a is None:
+            yield _RawJson(text + no_data)
+            continue
         shared = payloads.get(a.remainder)
-        if shared is None:
+        if shared is None:  # the texts around the label, and after each gl list
             shared = payloads[a.remainder] = (
-                _RawJson(_json_text(_phi1_json(a.phi1())["factors"], _PAYLOAD_NEWLINE)),
-                _RawJson(_json_text(_phi2_json(a.phi2())["parabolics"], _PAYLOAD_NEWLINE)))
-        gl = list(a.alpha.parts)
-        row["phi1"] = {"gl": gl, "factors": shared[0]}
-        row["phi2"] = {"gl": gl, "parabolics": shared[1]}
-    else:
-        row["phi1"] = a.phi1().describe()
-        row["phi2"] = "(" + ")(".join(map(str, a.pieces)) + ")" if a.pieces else "-"
-    return row
+                f'{item}"extra": {"true" if a.is_extra() else "false"}{item}"label": ',
+                f'{sub}"factors": {_json_text(_phi1_json(a.phi1())["factors"], _PAYLOAD_NEWLINE)}'
+                f'{_ITEM_NEWLINE}}}{item}"phi2": {{{_PAYLOAD_NEWLINE}"gl": ',
+                f'{sub}"parabolics": {_json_text(_phi2_json(a.phi2())["parabolics"], _PAYLOAD_NEWLINE)}'
+                f'{_ITEM_NEWLINE}}}{_ROW_NEWLINE}}}')
+        gl = _ints_text(a.alpha.parts, _PAYLOAD_NEWLINE)
+        yield _RawJson(f'{text}{shared[0]}{_quote(a.label())}{item}"phi1": {{{_PAYLOAD_NEWLINE}"gl": '
+                       f'{gl}{shared[1]}{gl}{shared[2]}')
 
 
 def _phi1_json(X) -> dict:
@@ -233,8 +253,7 @@ def cmd_classes(args) -> int:
     for _, a in pairs:  # a label's refusal (rank past the bound) before the first byte
         if a is not None:
             a.remainder.tokens
-    payloads = {} if args.format == "json" else None
-    rows = (_class_row(C, a, payloads) for C, a in pairs)
+    rows = _class_json_rows(G, pairs) if args.format == "json" else (_class_row(C, a) for C, a in pairs)
     meta = {"group": G.describe(), "count": len(pairs)}
     _emit_table(rows, ["lambda", "eps", "split", "extra", "label", "phi1", "phi2"], args.format, "classes", meta)
     return 0

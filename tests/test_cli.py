@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unipotent_atlas import cli, richardson
-from unipotent_atlas.balacarter import is_extra_class, label, phi1, phi2
+from unipotent_atlas.balacarter import analyse, is_extra_class, label, phi1, phi2
 from unipotent_atlas.classes import (
     Char,
     Family,
     GroupSpec,
+    as_so,
     enumerate_classes,
     is_valid_class,
     minimal_levi,
@@ -201,6 +202,36 @@ def test_json_classes_build_each_remainder_payload_once(capsys, monkeypatch):
     assert json.loads(out)["count"] == len(classes) == 1256
     assert len(remainders) == 158
     assert built == {"_phi1_json": 158, "_phi2_json": 158}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "so", "--dim", "30", "--char", "2"),
+    ("--group", "o", "--dim", "30", "--char", "2"),  # rows whose SO analysis is null
+    ("--group", "sp", "--dim", "32", "--char", "odd"),
+    ("--group", "gl", "--dim", "14"),
+    ("--group", "so", "--dim", "16", "--char", "2", "--extra-only"),
+    ("--group", "so", "--dim", "4", "--char", "2", "--extra-only"),  # no rows
+])
+def test_json_classes_is_the_stdlib_dump_past_the_golden_dims(capsys, argv):
+    # the rows are joined from a template, not dumped; the stdlib re-dump is the reference
+    code, out, _ = run_cli(capsys, "--format", "json", "classes", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(list(Family)), st.sampled_from(list(Char)), st.integers(1, 20), st.data())
+def test_a_json_classes_row_is_the_dump_of_its_dict_form(family, char, dim, data):
+    G = GroupSpec(family, dim + dim % 2 if family is Family.SP else dim, char)
+    C = data.draw(st.sampled_from(enumerate_classes(G)))
+    S = as_so(C)
+    a = analyse(S) if S is not None else None
+    row = {**C.to_json(), "extra": None, "label": None, "phi1": None, "phi2": None}
+    if a is not None:
+        row.update({"extra": a.is_extra(), "label": a.label(),
+                    "phi1": _phi1_json(a.phi1()), "phi2": _phi2_json(a.phi2())})
+    [text] = cli._class_json_rows(G, [(C, a)])
+    assert text == json.dumps(row, indent=2).replace("\n", cli._ROW_NEWLINE)
 
 
 def test_decompose_text(capsys):
