@@ -20,7 +20,7 @@ from unipotent_atlas.errors import InputError
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-dim", type=int, default=20,
-                        help="largest dimension swept, and the enumeration bound (at least 2)")
+                        help="largest dimension swept (at least 2)")
     parser.add_argument("--list-classes", action="store_true",
                         help="print each extra class with its label")
     args = parser.parse_args(argv)
@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
             if dim % 2 == 0:
                 specs.append(GroupSpec(Family.SP, dim, Char.TWO))
             for G in specs:
-                classes = enumerate_classes(G, max_dim=args.max_dim)
+                classes = enumerate_classes(G)
                 extras = list(extra_classes(classes))
                 print(f"{G.describe():<12} {len(classes):>8} {len(extras):>6}")
                 if args.list_classes:

@@ -187,10 +187,11 @@ def is_extra_class(C: ClassParam) -> bool:
 # -- one analysis per class ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemainderAnalysis:
     """A distinguished remainder beta, read on first use into its Richardson
-    pieces, their parabolic descriptors and the label's B/C/D tokens."""
+    pieces, their parabolic descriptors and the label's B/C/D tokens.  A record
+    hashes and compares by identity: analyse_all shares one per (group, beta)."""
 
     group: GroupSpec
     beta: Partition

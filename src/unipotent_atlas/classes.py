@@ -17,11 +17,8 @@ from enum import Enum
 from itertools import product
 from typing import Iterator
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .partitions import MAX_PARSE_TOTAL, Partition, _from_mults
-
-#: Largest dimension enumerate_classes accepts unless the caller raises it.
-DEFAULT_ENUM_BOUND = 40
 
 
 class Family(str, Enum):
@@ -367,16 +364,13 @@ def _block_shapes(n: int, cap: int, rule: int | None) -> Iterator[tuple[tuple[in
     yield ((1, n),) if n else ()
 
 
-def enumerate_classes(G: GroupSpec, max_dim: int = DEFAULT_ENUM_BOUND) -> list[ClassParam]:
+def enumerate_classes(G: GroupSpec) -> list[ClassParam]:
     """All unipotent classes of G, canonically sorted.
 
     SO-classes that split appear twice, tagged "I" and "II" (tag "I" sorts
-    first; the two classes carry identical (blocks, eps) data).
+    first; the two classes carry identical (blocks, eps) data).  It checks no
+    bound: the caller that picks G bounds its dimension (classes by --max-dim).
     """
-    if G.dim > max_dim:
-        raise ResourceLimitError(
-            f"dimension {G.dim} exceeds the enumeration bound {max_dim}; pass --max-dim to classes to raise it"
-        )
     out: list[ClassParam] = []
     even_blocks = _even_block_count(G)
     for runs in _block_shapes(G.dim, G.dim, _PARITY_RULE[G.family, G.char]):

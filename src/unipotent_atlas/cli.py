@@ -12,7 +12,6 @@ from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 
 from .balacarter import ClassAnalysis, analyse, analyse_all, diagram_string, extra_classes
 from .classes import (
-    DEFAULT_ENUM_BOUND,
     Char,
     ClassParam,
     EpsilonMap,
@@ -39,6 +38,9 @@ from .richardson import (
 #: Exit status after the reader closed stdout: 128 + SIGPIPE, as a shell
 #: reports a process that signal ended.
 EXIT_STDOUT_CLOSED = 141
+
+#: Largest dimension classes enumerates unless its --max-dim raises it.
+DEFAULT_ENUM_BOUND = 40
 
 #: Exit status of a crash: an exception that is neither an input error nor a
 #: failed claim (exit 1) nor a closed stdout.
@@ -194,7 +196,7 @@ def _class_json_rows(G: GroupSpec, pairs: list[tuple[ClassParam, ClassAnalysis |
     """Each classes row's text after _ROW_NEWLINE, as _json_text writes C.to_json() with
     extra, label, phi1 (_phi1_json) and phi2 (_phi2_json), joined from texts shared
     per document (family, dim, char), per remainder (extra, factors, parabolics; in
-    payloads, keyed by the shared RemainderAnalysis) and per alpha (gl, twice)."""
+    payloads, keyed by the shared RemainderAnalysis, by identity) and per alpha (gl, twice)."""
     item, sub = "," + _ITEM_NEWLINE, "," + _PAYLOAD_NEWLINE
     head = (f'{{{_ITEM_NEWLINE}"family": {_quote(G.family.value)}{item}"dim": {G.dim}'
             f'{item}"char": {_quote(G.char.value)}{item}"lambda": ')
@@ -238,11 +240,13 @@ def _phi2_json(P) -> dict:
 
 
 def cmd_classes(args) -> int:
-    if args.max_dim is not None and args.max_dim < 1:
+    if args.max_dim < 1:
         raise InputError(f"--max-dim must be at least 1, got {args.max_dim}")
     G = _group_from_args(args)
-    max_dim = args.max_dim if args.max_dim is not None else DEFAULT_ENUM_BOUND
-    classes = enumerate_classes(G, max_dim=max_dim)
+    if G.dim > args.max_dim:
+        raise ResourceLimitError(f"dimension {G.dim} exceeds the enumeration bound {args.max_dim}; "
+                                 "pass --max-dim to classes to raise it")
+    classes = enumerate_classes(G)
     in_so = [as_so(C) for C in classes]
     if args.extra_only:  # before the rows are built: a dropped class gets no label
         of_so = {S: C for C, S in zip(classes, in_so) if S is not None}
@@ -301,9 +305,9 @@ def _parse_levi(text: str, G: GroupSpec) -> ParabolicDescriptor:
 
 def cmd_richardson(args) -> int:
     G = _group_from_args(args)
-    if args.invert:
-        if args.blocks is None:
-            raise InputError("--invert needs --blocks, the Jordan blocks to invert")
+    if (args.levi is None) == (args.blocks is None):
+        raise InputError("richardson takes exactly one of --levi (the forward map) and --blocks (the inverse)")
+    if args.blocks is not None:  # the inverse
         lam = Partition.parse(args.blocks)
         P = parabolic_from_blocks(G, lam)
         doc = {
@@ -314,23 +318,20 @@ def cmd_richardson(args) -> int:
             "m0": P.m0,
             "diagram": diagram_string(P),
         }
-        _emit(args.format, doc, [f"levi: {doc['levi']}", f"descriptor: {P.describe()}",
-                                 f"diagram: {doc['diagram']}"])
-        return 0
-    if not args.levi:
-        raise InputError("provide --levi (forward map) or --invert --blocks")
-    P = _parse_levi(args.levi, G)
-    lam, eps = richardson_jordan_blocks(P)
-    member = in_richardson_image(G, lam)
-    doc = {
-        "group": G.describe(),
-        "levi": P.levi_name(),
-        "blocks": list(lam.parts),
-        "eps": {str(x): v for x, v in eps.items},
-        "in_image": member,
-    }
-    _emit(args.format, doc, [f"blocks: {lam}", f"eps: {eps}",
-                             f"in richardson image: {'yes' if member else 'no'}"])
+        lines = [f"levi: {doc['levi']}", f"descriptor: {P.describe()}", f"diagram: {doc['diagram']}"]
+    else:
+        P = _parse_levi(args.levi, G)
+        lam, eps = richardson_jordan_blocks(P)
+        member = in_richardson_image(G, lam)
+        doc = {
+            "group": G.describe(),
+            "levi": P.levi_name(),
+            "blocks": list(lam.parts),
+            "eps": {str(x): v for x, v in eps.items},
+            "in_image": member,
+        }
+        lines = [f"blocks: {lam}", f"eps: {eps}", f"in richardson image: {'yes' if member else 'no'}"]
+    _emit(args.format, doc, lines)
     return 0
 
 
@@ -391,7 +392,7 @@ def _table1_rows(dim: int) -> list[dict]:
 
 
 def cmd_tables(args) -> int:
-    for flag in {1: ["group"], 4: ["group", "dim"]}.get(args.which, []):
+    for flag in {1: ["group", "char"], 4: ["group", "dim", "char"]}.get(args.which, []):
         if getattr(args, flag) is not None:  # a table of fixed groups
             raise InputError(f"tables {args.which} takes no --{flag}")
     if args.dim is not None and args.dim < 1:
@@ -403,7 +404,7 @@ def cmd_tables(args) -> int:
     if args.which in (2, 3):
         if not args.group or not args.dim:
             raise InputError("tables 2 and 3 need --group and --dim")
-        G = _group_from_args(args)
+        G = GroupSpec(Family(args.group), args.dim, Char(args.char or "2"))
         if args.which == 2:
             # the parabolics are enumerated here, so a refusal comes before the first byte
             rows = ({"levi": P.levi_name(), "descriptor": P.describe(), "blocks": str(lam), "eps": str(eps)}
@@ -438,13 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(characteristic 2 and odd) via subgroup data.",
     )
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    parser.add_argument("--max-dim", type=int, default=None,
-                        help="bound for enumeration-driven commands (classes, verify)")
-    # the global flags are accepted after the subcommand too; SUPPRESS keeps
-    # a value given up front from being overwritten by the subparser default
+    # --format is accepted after the subcommand too; SUPPRESS keeps a value
+    # given up front from being overwritten by the subparser default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json", "csv"], default=argparse.SUPPRESS)
-    common.add_argument("--max-dim", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kwargs):
@@ -455,6 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", required=True, type=int)
     p.add_argument("--char", choices=["2", "odd"], default="2")
     p.add_argument("--extra-only", action="store_true")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_ENUM_BOUND,
+                   help=f"largest dimension to enumerate (default: {DEFAULT_ENUM_BOUND})")
     p.set_defaults(func=cmd_classes)
 
     p = add_parser("decompose", help="decompose distinguished Jordan data with the scan map")
@@ -467,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, choices=["gl", "sp", "so"])
     p.add_argument("--dim", required=True, type=int)
     p.add_argument("--char", choices=["2", "odd"], default="2")
-    p.add_argument("--levi", help='descriptor text, e.g. "1^3,2;m0=1"')
-    p.add_argument("--invert", action="store_true")
-    p.add_argument("--blocks", help="partition text for --invert")
+    p.add_argument("--levi", help='descriptor text for the forward map, e.g. "1^3,2;m0=1"')
+    p.add_argument("--blocks", help="partition text for the inverse, instead of --levi")
     p.set_defaults(func=cmd_richardson)
 
     p = add_parser("label", help="label a class from its blocks and eps")
@@ -482,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="run the exhaustive verifiers (JSON lines)")
     p.add_argument("--claim", default="all", choices=["all", *BATTERY, "extra-counts"])
-    p.add_argument("--surjectivity-max-dim", type=int, help="bound for " + ", ".join(
-        c for c, entry in GROUP_CLAIMS.items() if entry[0] == "surjectivity_max_dim") + " (default: min(--max-dim, 16))")
+    for bound, default in (("max_dim", "24"), ("surjectivity_max_dim", "min(--max-dim, 16)")):
+        claims = ", ".join(c for c, entry in GROUP_CLAIMS.items() if entry[0] == bound)
+        p.add_argument("--" + bound.replace("_", "-"), type=int, help=f"bound for {claims} (default: {default})")
     p.add_argument("--max-beta", type=int, help="bound for proposition, the decomposition properties (default: 30)")
     p.set_defaults(func=cmd_verify)
 
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", type=int, choices=[1, 2, 3, 4])
     p.add_argument("--group", choices=["gl", "sp", "so"])
     p.add_argument("--dim", type=int)
-    p.add_argument("--char", choices=["2", "odd"], default="2")
+    p.add_argument("--char", choices=["2", "odd"], help="for tables 2 and 3 (default: 2)")
     p.set_defaults(func=cmd_tables)
     return parser
 

@@ -119,7 +119,7 @@ class _GroupWork:
 
     @cached_property
     def classes(self) -> list[ClassParam]:
-        return enumerate_classes(self.G, max_dim=self.G.dim)  # the sweep bounds the dimension
+        return enumerate_classes(self.G)
 
     @cached_property
     def analyses(self) -> list[ClassAnalysis]:

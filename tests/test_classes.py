@@ -16,7 +16,7 @@ from unipotent_atlas.classes import (
     minimal_levi,
     splits_in_so,
 )
-from unipotent_atlas.errors import InputError, ResourceLimitError
+from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition
 
@@ -94,8 +94,6 @@ def test_enumerate_classes_examples():
     ]
     # frozen regression value from the first verified run of the oracle battery
     assert len(enumerate_classes(SO16)) == 80
-    with pytest.raises(ResourceLimitError):
-        enumerate_classes(GroupSpec(Family.SO, 41, Char.TWO))
 
 
 def test_enumerate_classes_is_duplicate_free_and_valid():

@@ -40,6 +40,10 @@ from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas.richardson import in_richardson_image
 
 
+#: richardson's refusal of both inputs, and of neither.
+ONE_RICHARDSON_INPUT = "richardson takes exactly one of --levi (the forward map) and --blocks (the inverse)"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -268,13 +272,13 @@ def test_richardson_forward_and_invert(capsys):
     assert "in richardson image: yes" in out
     code, out, _ = run_cli(
         capsys, "richardson", "--group", "so", "--dim", "12", "--char", "2",
-        "--invert", "--blocks", "8,4",
+        "--blocks", "8,4",
     )
     assert code == 0
     assert "GL1^3 GL2 SO2" in out
     code, _, err = run_cli(
         capsys, "richardson", "--group", "so", "--dim", "16", "--char", "2",
-        "--invert", "--blocks", "6,4,4,2",
+        "--blocks", "6,4,4,2",
     )
     assert code == 2 and "not the Richardson class" in err
 
@@ -289,7 +293,9 @@ def test_richardson_levi_with_non_integer_m0_is_an_input_error(capsys):
 
 
 def test_richardson_invert_without_blocks_is_an_input_error(capsys):
-    code, out, err = run_cli(capsys, "richardson", "--group", "so", "--dim", "8", "--invert")
+    # the inverse is asked for by --blocks itself; with neither input the
+    # refusal names it
+    code, out, err = run_cli(capsys, "richardson", "--group", "so", "--dim", "8")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "--blocks" in err
 
@@ -359,11 +365,29 @@ def test_label_checks_its_class_once(capsys, monkeypatch):
     (["label", "--group", "so", "--dim", "8", "--char", "2", "--blocks", "4,4", "--eps", "3:1"],
      "epsilon given for values [3] that are not parts of 4^2"),
     (["richardson", "--group", "so", "--dim", "8", "--char", "2"],
-     "provide --levi (forward map) or --invert --blocks"),
+     ONE_RICHARDSON_INPUT),
+    # it used to drop --blocks when --levi was given too
+    (["richardson", "--group", "so", "--dim", "12", "--levi", "1^3,2;m0=1", "--blocks", "8,4"],
+     ONE_RICHARDSON_INPUT),
 ])
 def test_a_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["label", "--group", "so", "--dim", "16", "--blocks", "8,4,2,2", "--max-dim", "5"],
+    ["decompose", "8,4", "--max-dim", "5"],
+    ["richardson", "--group", "so", "--dim", "12", "--blocks", "8,4", "--max-dim", "5"],
+    ["tables", "2", "--group", "so", "--dim", "12", "--max-dim", "5"],
+    ["--max-dim", "5", "classes", "--group", "so", "--dim", "4"],
+])
+def test_max_dim_is_refused_where_no_command_reads_it(capsys, argv):
+    # it used to be accepted and ignored by every command but classes and
+    # verify, and before the subcommand; argparse now refuses it (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_verify_extra_counts_jsonl(capsys):
@@ -507,7 +531,7 @@ def test_json_classes_peak_within_5_mb_of_csv():
 
 @pytest.mark.parametrize("argv", [
     ["label", "--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"],
-    ["richardson", "--group", "so", "--dim", "66", "--char", "2", "--invert", "--blocks", "24,20,14,8"],
+    ["richardson", "--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"],
     ["tables", "2", "--group", "so", "--dim", "66", "--char", "2"],
 ])
 def test_past_the_rank_bound_names_the_group_and_no_keyword(capsys, argv):
@@ -529,17 +553,19 @@ def test_table_1_rejects_a_dim_below_1(capsys, dim):
     (["tables", "4", "--group", "so", "--dim", "4"], "tables 4 takes no --group"),
     (["tables", "4", "--dim", "4"], "tables 4 takes no --dim"),
     (["tables", "1", "--group", "so"], "tables 1 takes no --group"),
+    (["tables", "1", "--char", "odd"], "tables 1 takes no --char"),
+    (["tables", "4", "--char", "2"], "tables 4 takes no --char"),
 ])
 def test_a_table_of_fixed_groups_refuses_the_flags_it_ignores(capsys, argv, message):
-    # tables 4 --group so --dim 4 used to print SO16's table, and tables 1
-    # --group so every family's row
+    # tables 4 --group so --dim 4 used to print SO16's table, tables 1
+    # --group so every family's row, and both tables ignored --char
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, flag, value", [
     (["verify", "--max-dim", "0"], "--max-dim", "0"),
     (["verify", "--max-dim", "-2"], "--max-dim", "-2"),
-    (["--max-dim", "0", "verify", "--claim", "minimal-levi"], "--max-dim", "0"),
+    (["verify", "--claim", "minimal-levi", "--max-dim", "0"], "--max-dim", "0"),
     (["verify", "--claim", "proposition", "--max-beta", "-1"], "--max-beta", "-1"),
     (["verify", "--claim", "all", "--max-beta", "0"], "--max-beta", "0"),
     (["verify", "--max-dim", "2", "--surjectivity-max-dim", "-1", "--max-beta", "2"],
@@ -700,18 +726,18 @@ def test_census_matches_the_separate_public_calls(capsys):
 
 def test_census_bounds_its_enumeration_by_its_own_max_dim(capsys, monkeypatch):
     # the script used to sweep to --max-dim under the default enumeration
-    # bound of 40, and end in a traceback at dim 41
+    # bound of 40, and end in a traceback at dim 41; the library now has no
+    # such bound, so --max-dim alone bounds the sweep
     script = load_script("extra_class_census")
-    bounds = []
+    dims = []
 
-    def enumerate_nothing(G, max_dim):
-        bounds.append((G.dim, max_dim))
+    def enumerate_nothing(G):
+        dims.append(G.dim)
         return []
 
     monkeypatch.setattr(script, "enumerate_classes", enumerate_nothing)
     assert script.main(["--max-dim", "41"]) == 0
-    assert {bound for _, bound in bounds} == {41}
-    assert max(dim for dim, _ in bounds) == 41
+    assert sorted(set(dims)) == list(range(2, 42))
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.endswith(f"{'SO41 (p=2)':<12} {0:>8} {0:>6}\n")
 
@@ -719,7 +745,7 @@ def test_census_bounds_its_enumeration_by_its_own_max_dim(capsys, monkeypatch):
 def test_census_refuses_with_one_error_line(capsys, monkeypatch):
     script = load_script("extra_class_census")
 
-    def refuse(G, max_dim):
+    def refuse(G):
         raise ResourceLimitError(f"dimension {G.dim} is too large")
 
     monkeypatch.setattr(script, "enumerate_classes", refuse)

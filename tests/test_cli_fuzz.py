@@ -1,9 +1,10 @@
 """Argv fuzzing of the single-class and table commands: whatever the text, the
 CLI answers (exit 0) or refuses (exit 2); it never crashes.
 
-Dimensions stay at most 24 and --max-dim is never given, so every accepted
-command is cheap; partition text may carry huge caret exponents, which the
-parser must refuse before it builds any parts.
+Dimensions stay at most 24 and classes never gets --max-dim, which only it
+and verify take, so every accepted command is cheap; partition text may carry
+huge caret exponents, which the parser must refuse before it builds any parts.
+richardson gets --levi, --blocks, both or neither, and answers only the first two.
 """
 
 import contextlib
@@ -51,13 +52,14 @@ eps_flags = st.one_of(st.just([]), eps_text.map(lambda t: ["--eps", t]))
 label = st.builds(lambda argv, e: [*argv, *e],
                   with_blocks("label", lambda b: ["--blocks", b]), eps_flags)
 richardson = st.one_of(
-    with_blocks("richardson", lambda b: ["--invert", "--blocks", b]),
+    with_blocks("richardson", lambda b: ["--blocks", b]),
     st.builds(lambda g, b, m: ["richardson", *g, "--levi", f"{b};m0={m}"],
               group_args(), partition_text, numbers),
     st.builds(lambda g, b, t: ["richardson", *g, "--levi", f"{b};{t}"],
               group_args(), partition_text, st.text(max_size=4)),
-    st.builds(lambda g, rest: ["richardson", *g, *rest], group_args(),
-              st.sampled_from([["--invert"], []])),
+    st.builds(lambda argv, levi: [*argv, "--levi", levi],
+              with_blocks("richardson", lambda b: ["--blocks", b]), partition_text),
+    group_args().map(lambda g: ["richardson", *g]),
 )
 decompose = st.builds(
     lambda b, g, c: ["decompose", b, "--group", g, "--char", c],

@@ -54,9 +54,9 @@ EVERY_FORMAT = (
     ("richardson", "--group", "so", "--dim", "12", "--char", "2", "--levi", "1^3,2;m0=1"),
     ("richardson", "--group", "sp", "--dim", "12", "--char", "2", "--levi", "1^2,2^2"),
     ("richardson", "--group", "gl", "--dim", "5", "--levi", "1,2^2"),
-    ("richardson", "--group", "so", "--dim", "12", "--char", "2", "--invert", "--blocks", "8,4"),
-    ("richardson", "--group", "sp", "--dim", "12", "--char", "odd", "--invert", "--blocks", "6,4,2"),
-    ("richardson", "--group", "gl", "--dim", "5", "--invert", "--blocks", "3,2"),
+    ("richardson", "--group", "so", "--dim", "12", "--char", "2", "--blocks", "8,4"),
+    ("richardson", "--group", "sp", "--dim", "12", "--char", "odd", "--blocks", "6,4,2"),
+    ("richardson", "--group", "gl", "--dim", "5", "--blocks", "3,2"),
     ("decompose", "12,12,10,8,6,6,4,2"),
     ("decompose", "6,4,4,2,2,1", "--group", "so", "--char", "2"),
     ("decompose", "8,8,6,4,4,2", "--group", "sp", "--char", "2"),

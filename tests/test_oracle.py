@@ -200,7 +200,7 @@ def test_a_class_the_library_refuses_to_rebuild_fails_the_class_level_claims(mon
 
 
 def test_a_swept_group_enumerates_under_the_sweep_bound():
-    # past the library's default enumeration bound: verify --max-dim sets it
+    # past the classes command's default bound of 40: the library sets none, so a sweep reaches it
     assert len(oracle._GroupWork(GroupSpec(Family.GL, 41, Char.GOOD)).classes) == 44_583
 
 
