@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+import time
 from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _quote  # a str's JSON text
 
@@ -38,6 +39,9 @@ from .richardson import (
 #: Exit status after the reader closed stdout: 128 + SIGPIPE, as a shell
 #: reports a process that signal ended.
 EXIT_STDOUT_CLOSED = 141
+
+#: The values of --format.
+FORMATS = ("text", "json", "csv")
 
 #: Largest dimension classes enumerates unless its --max-dim raises it.
 DEFAULT_ENUM_BOUND = 40
@@ -351,23 +355,32 @@ def cmd_label(args) -> int:
     return 0
 
 
-def verify_reports(claim: str, max_dim: int | None, surjectivity_max_dim: int | None,
-                   max_beta: int | None) -> list[VerificationReport]:
-    """The reports of verify --claim claim: run_all's, a bound given as None left at its default."""
-    bounds = {"max_dim": max_dim, "surjectivity_max_dim": surjectivity_max_dim, "beta_bound": max_beta}
-    return run_all(**{k: v for k, v in bounds.items() if v is not None},
-                   claims=BATTERY if claim == "all" else (claim,))
-
-
 def cmd_verify(args) -> int:
-    reports = verify_reports(args.claim, args.max_dim, args.surjectivity_max_dim, args.max_beta)
+    start = time.perf_counter()
+    bounds = {"max_dim": args.max_dim, "surjectivity_max_dim": args.surjectivity_max_dim, "beta_bound": args.max_beta}
+    reports = run_all(**{k: v for k, v in bounds.items() if v is not None},
+                      claims=BATTERY if args.claim == "all" else (args.claim,))
     for rep in reports:
         print(rep.to_json_line())
-    failed = [rep for rep in reports if not rep.passed]
-    if failed:
-        print(f"{len(failed)} claim(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    sys.stdout.flush()  # a closed stdout ends the run here, before the summary
+    # the summary on stderr: per claim its runs, objects checked, check seconds (summed
+    # over every usable CPU, so past the wall time) and status, then its failed groups
+    # with their first three counterexamples and the groups it checked nothing on
+    by_claim: dict[str, list[VerificationReport]] = {}
+    for rep in reports:
+        by_claim.setdefault(rep.claim, []).append(rep)
+    for claim, reps in by_claim.items():
+        failed = [r for r in reps if not r.passed]
+        status = f"{len(failed)} FAILED" if failed else "ok"
+        checked, seconds = sum(r.checked for r in reps), sum(r.elapsed_seconds for r in reps)
+        lines = [f"{claim:<28} {len(reps):>4} runs {checked:>8} checked {seconds:>8.2f}s summed  {status}",
+                 *(f"    {r.group}: {r.counterexamples[:3]}" for r in failed)]
+        vacuous = [r.group or "-" for r in reps if r.checked == 0]
+        if vacuous:
+            lines.append(f"    checked 0: {', '.join(vacuous)}")
+        print(*lines, sep="\n", file=sys.stderr)
+    print(f"total: {len(reports)} reports in {time.perf_counter() - start:.1f}s wall", file=sys.stderr)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _table1_rows(dim: int) -> list[dict]:
@@ -438,11 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify unipotent conjugacy classes of classical groups "
         "(characteristic 2 and odd) via subgroup data.",
     )
-    parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    # --format is accepted after the subcommand too; SUPPRESS keeps a value
-    # given up front from being overwritten by the subparser default
+    parser.add_argument("--format", choices=FORMATS, default="text")
+    # the document commands take --format after the subcommand too; SUPPRESS keeps
+    # a value given up front from being overwritten by the subparser default
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "json", "csv"], default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kwargs):
@@ -479,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps")
     p.set_defaults(func=cmd_label)
 
-    p = add_parser("verify", help="run the exhaustive verifiers (JSON lines)")
+    # verify writes JSON lines whatever the format, so it takes no --format
+    p = sub.add_parser("verify", help="run the exhaustive verifiers (JSON lines, a summary on stderr)")
     p.add_argument("--claim", default="all", choices=["all", *BATTERY, "extra-counts"])
     for bound, default in (("max_dim", "24"), ("surjectivity_max_dim", "min(--max-dim, 16)")):
         claims = ", ".join(c for c, entry in GROUP_CLAIMS.items() if entry[0] == bound)
@@ -497,7 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:  # before the subcommand: --format (or a prefix argparse expands), its value, help
+        if not arg.startswith("-") and arg not in FORMATS:
+            break  # the subcommand
+        name = arg.partition("=")[0]
+        if arg.startswith("-") and name != "-h" and not any(o.startswith(name) for o in ("--format", "--help")):
+            # argparse would take its value for the subcommand, or call it unrecognized
+            parser.error(f"{name} goes after the subcommand; only --format may come before it")
+    args = parser.parse_args(argv)
     return run_guarded(lambda: args.func(args))
 
 

@@ -85,10 +85,8 @@ class ParabolicDescriptor:
     def make(cls, group: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDescriptor:
         """Build a descriptor, normalizing the GL_1 <-> SO_2 redundancy of even orthogonal groups."""
         c = _integer_entries(c, m0)
-        if group.family is Family.SO and group.dim % 2 == 0 and m0 == 0:
-            if not c or c[0] < 1:
-                raise InputError("cannot normalize: no GL_1 block to absorb into an SO_2 remainder")
-            c, m0 = (c[0] - 1,) + c[1:], 1
+        if group.family is Family.SO and group.dim % 2 == 0 and m0 == 0 and c and c[0] >= 1:
+            c, m0 = (c[0] - 1,) + c[1:], 1  # the constructor refuses what is left unnormalized
         while c and c[-1] == 0:
             c = c[:-1]
         return cls(group, c, m0)

@@ -30,7 +30,6 @@ from unipotent_atlas.decomp import decompose
 from unipotent_atlas.errors import ResourceLimitError
 from unipotent_atlas.oracle import (
     GROUP_CLAIMS,
-    VerificationReport,
     count_extra_classes,
     group_sweep,
     run_all,
@@ -369,6 +368,9 @@ def test_label_checks_its_class_once(capsys, monkeypatch):
     # it used to drop --blocks when --levi was given too
     (["richardson", "--group", "so", "--dim", "12", "--levi", "1^3,2;m0=1", "--blocks", "8,4"],
      ONE_RICHARDSON_INPUT),
+    # it used to name the even-SO normalization, not the weight that Sp12 and SO13 name
+    (["richardson", "--group", "so", "--dim", "12", "--char", "2", "--levi", ""],
+     "descriptor weight 0 does not match the rank 6 of SO12 (p=2)"),
 ])
 def test_a_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -381,18 +383,30 @@ def test_a_refusal_is_one_error_line(capsys, argv, message):
     ["richardson", "--group", "so", "--dim", "12", "--blocks", "8,4", "--max-dim", "5"],
     ["tables", "2", "--group", "so", "--dim", "12", "--max-dim", "5"],
     ["--max-dim", "5", "classes", "--group", "so", "--dim", "4"],
+    ["--group", "so", "classes", "--group", "so", "--dim", "4"],
 ])
 def test_max_dim_is_refused_where_no_command_reads_it(capsys, argv):
     # it used to be accepted and ignored by every command but classes and
-    # verify, and before the subcommand; argparse now refuses it (exit 2)
+    # verify, and before the subcommand; argparse now refuses it (exit 2).
+    # An option before the subcommand used to be reported as an invalid
+    # subcommand, its value: "argument command: invalid choice: '5'"
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    if argv[0].startswith("-"):
+        assert captured.err.endswith(f"error: {argv[0]} goes after the subcommand; only --format may come before it\n")
+    else:
+        assert captured.err.endswith("error: unrecognized arguments: --max-dim 5\n")
 
 
 def test_verify_extra_counts_jsonl(capsys):
     code, out, err = run_cli(capsys, "verify", "--claim", "extra-counts")
-    assert code == 0 and err == ""
+    assert code == 0
+    # the summary: one claim, then the total (the check seconds masked)
+    seconds = re.compile(r" +[\d.]+s (summed|wall)")
+    assert seconds.sub(r" \1", err) == (f"{'extra-count':<28} {4:>4} runs {158:>8} checked summed  ok\n"
+                                       "total: 4 reports in wall\n")
     lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 4
     assert all(line["outcome"] == "pass" for line in lines)
@@ -658,50 +672,45 @@ def load_script(name):
     return module
 
 
+def test_verify_summarizes_its_reports_on_stderr(capsys):
+    # the summary used to be printed by a separate script, and verify wrote
+    # only "N claim(s) failed" on stderr
+    code, out, err = run_cli(capsys, "verify", "--max-dim", "6")
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 145
+    summary = err.splitlines()
+    for claim in dict.fromkeys(line["claim"] for line in lines):
+        reps = [line for line in lines if line["claim"] == claim]
+        [head] = [i for i, text in enumerate(summary) if text.startswith(f"{claim} ")]
+        runs, checked = re.fullmatch(rf"{re.escape(claim)} +(\d+) runs +(\d+) checked +[\d.]+s summed  ok",
+                                     summary[head]).groups()
+        assert (int(runs), int(checked)) == (len(reps), sum(r["checked"] for r in reps))
+        if claim == "minimal-levi":
+            assert summary[head + 1] == "    checked 0: GL1, GL2, GL3, GL4, GL5, GL6"
+    assert summary[-1].startswith("total: 145 reports in ") and summary[-1].endswith("s wall")
+
+
 @pytest.mark.parametrize("exc, code, err", [
     (RuntimeError("battery lost"), 3, "internal error: RuntimeError: battery lost\n"),
     (ResourceLimitError("dimension 41 exceeds"), 2, "error: dimension 41 exceeds\n"),
 ])
-def test_verification_script_tells_a_crash_from_a_limit(capsys, monkeypatch, exc, code, err):
-    script = load_script("run_verifications")
-
+def test_verify_tells_a_crash_from_a_limit(capsys, monkeypatch, exc, code, err):
+    # either leaves its one stderr line and no summary
     def fail(**bounds):
         raise exc
 
-    monkeypatch.setattr(script, "verify_reports", fail)
-    assert script.main(["--max-dim", "4"]) == code
+    monkeypatch.setattr(cli, "run_all", fail)
+    assert run_cli(capsys, "verify", "--max-dim", "4") == (code, "", err)
+
+
+def test_verify_takes_no_format(capsys):
+    # it used to accept --format and print JSON lines whatever it said
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "json"])
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", err)
-
-
-@pytest.mark.parametrize("argv, flag, value", [
-    (["--max-dim", "0"], "--max-dim", "0"),
-    (["--max-dim", "4", "--max-beta", "-1"], "--max-beta", "-1"),
-    (["--max-dim", "4", "--surjectivity-max-dim", "0"], "--surjectivity-max-dim", "0"),
-])
-def test_verification_script_rejects_a_bound_that_leaves_nothing_to_check(capsys, argv, flag, value):
-    # --max-dim 0 used to exit 0 after one vacuous report, and
-    # --surjectivity-max-dim 0 after leaving out two claims
-    assert load_script("run_verifications").main(argv) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {flag} must be at least 1, got {value}\n")
-
-
-def test_verification_script_summarizes_the_reports_of_verify(capsys):
-    # the script used to sweep the surjectivity claims to dim 16 whatever
-    # --max-dim said: 265 reports at --max-dim 6, where verify gives 145
-    assert main(["verify", "--max-dim", "6"]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    reports = [VerificationReport(**{k: v for k, v in line.items() if k not in ("schema", "outcome")})
-               for line in lines]
-    script = load_script("run_verifications")
-    script.print_summary(reports, 0.0)
-    want = capsys.readouterr().out
-    assert script.main(["--max-dim", "6"]) == 0
-    got = capsys.readouterr().out
-    seconds = re.compile(r"[\d.]+s (summed|wall)")
-    assert seconds.sub(r"\1", got) == seconds.sub(r"\1", want)
-    assert len(reports) == 145 and want.endswith("total: 145 reports in 0.0s wall\n")
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --format json\n")
 
 
 def test_census_matches_the_separate_public_calls(capsys):
@@ -785,9 +794,9 @@ def test_cli_exits_quietly_when_stdout_closes():
     assert (code, err) == (141, "")
 
 
-def test_verification_script_exits_quietly_when_stdout_closes():
+def test_verify_exits_quietly_when_stdout_closes():
+    # the summary comes after the report lines, so a closed stdout leaves none
     code, err = run_with_stdout_closed(
-        "scripts/run_verifications.py", "--max-dim", "6",
-        "--surjectivity-max-dim", "4", "--max-beta", "8",
+        "-m", "unipotent_atlas", "verify", "--max-dim", "6", "--surjectivity-max-dim", "4", "--max-beta", "8",
     )
     assert (code, err) == (141, "")

@@ -166,8 +166,13 @@ def test_a_shape_the_library_refuses_fails_the_minimal_levi_claim(monkeypatch, c
     refusals = [c for c in rep.counterexamples if c.startswith("combine refuses the distinguished shape 16,1:")]
     assert len(refusals) == 1
     assert cli.main(["verify", "--claim", "minimal-levi", "--max-dim", "17"]) == 1
-    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
     assert [r["group"] for r in reports if r["outcome"] == "fail"] == ["SO17 (p=2)"]
+    # verify's summary on stderr names the claim's one failure and its group
+    summary = captured.err.splitlines()
+    assert summary[0].startswith("minimal-levi ") and summary[0].endswith("summed  1 FAILED")
+    assert summary[1].startswith("    SO17 (p=2): ['16,1: combine refuses the extraction:")
 
 
 @pytest.mark.parametrize("claim, psi", [("psi1-surjective", "psi1"), ("psi2-surjective", "psi2"),

@@ -133,7 +133,7 @@ def test_descriptor_validation_and_normalization():
     P = ParabolicDescriptor.make(spec(Family.SO, 8), (2, 1, 0), 0)
     assert (P.c, P.m0) == ((1, 1), 1)
     with pytest.raises(InputError):
-        ParabolicDescriptor.make(spec(Family.SO, 4), (0, 1), 0)  # no GL_1 block to absorb
+        ParabolicDescriptor.make(spec(Family.SO, 4), (0, 1), 0)  # no GL_1 block: the chain rule refuses it
 
 
 @pytest.mark.parametrize("c, m0", [((2.9,), 0), ((2,), 0.0), ((True, True), 0), ((2,), False)])
