@@ -365,7 +365,7 @@ def cmd_verify(args) -> int:
     sys.stdout.flush()  # a closed stdout ends the run here, before the summary
     # the summary on stderr: per claim its runs, objects checked, check seconds (summed
     # over every usable CPU, so past the wall time) and status, then its failed groups
-    # with their first three counterexamples and the groups it checked nothing on
+    # with their first three counterexamples (a report that checked nothing fails)
     by_claim: dict[str, list[VerificationReport]] = {}
     for rep in reports:
         by_claim.setdefault(rep.claim, []).append(rep)
@@ -373,12 +373,8 @@ def cmd_verify(args) -> int:
         failed = [r for r in reps if not r.passed]
         status = f"{len(failed)} FAILED" if failed else "ok"
         checked, seconds = sum(r.checked for r in reps), sum(r.elapsed_seconds for r in reps)
-        lines = [f"{claim:<28} {len(reps):>4} runs {checked:>8} checked {seconds:>8.2f}s summed  {status}",
-                 *(f"    {r.group}: {r.counterexamples[:3]}" for r in failed)]
-        vacuous = [r.group or "-" for r in reps if r.checked == 0]
-        if vacuous:
-            lines.append(f"    checked 0: {', '.join(vacuous)}")
-        print(*lines, sep="\n", file=sys.stderr)
+        print(f"{claim:<28} {len(reps):>4} runs {checked:>8} checked {seconds:>8.2f}s summed  {status}",
+              *(f"    {r.group}: {r.counterexamples[:3]}" for r in failed), sep="\n", file=sys.stderr)
     print(f"total: {len(reports)} reports in {time.perf_counter() - start:.1f}s wall", file=sys.stderr)
     return 0 if all(rep.passed for rep in reports) else 1
 
@@ -513,13 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    formatted = False
     for arg in argv:  # before the subcommand: --format (or a prefix argparse expands), its value, help
         if not arg.startswith("-") and arg not in FORMATS:
+            if arg == "verify" and formatted:  # the top-level parser would take it and verify ignore it
+                parser.exit(2, f"{parser.prog}: error: verify writes JSON lines and takes no --format\n")
             break  # the subcommand
         name = arg.partition("=")[0]
         if arg.startswith("-") and name != "-h" and not any(o.startswith(name) for o in ("--format", "--help")):
             # argparse would take its value for the subcommand, or call it unrecognized
             parser.error(f"{name} goes after the subcommand; only --format may come before it")
+        formatted = formatted or name.startswith("--f")
     args = parser.parse_args(argv)
     return run_guarded(lambda: args.func(args))
 

@@ -58,7 +58,7 @@ class VerificationReport:
     bound: int
     counterexamples: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: objects examined: classes, descriptors or betas (0 marks a vacuous pass)
+    #: objects examined: classes, descriptors or betas (a report of 0 fails: see _finish)
     checked: int = 0
 
     @property
@@ -87,11 +87,12 @@ class VerificationReport:
 
 def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: float,
             checked: int) -> VerificationReport:
+    """The report of a check; one that checked nothing fails."""
     return VerificationReport(
         claim=claim,
         group=G.describe() if G is not None else None,
         bound=bound,
-        counterexamples=bad,
+        counterexamples=bad if checked else [*bad, "checked nothing"],
         elapsed_seconds=time.perf_counter() - t0,
         checked=checked,
     )
@@ -309,24 +310,65 @@ def verify_proposition(bound: int = 30) -> VerificationReport:
 # -- extra classes ------------------------------------------------------------------
 
 
-def _extra_count(G: GroupSpec) -> tuple[int, int]:
-    """The number of classes whose minimal-Levi remainder is not a Richardson
-    class, and the number of classes read (one of each split pair)."""
-    untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
-    return sum(1 for _ in extra_classes(untagged)), len(untagged)
-
-
 def count_extra_classes(G: GroupSpec) -> int:
     """Number of classes whose minimal-Levi remainder is not a Richardson class."""
-    return _extra_count(G)[0]
+    return sum(1 for _ in extra_classes([C for C in enumerate_classes(G) if C.split_tag != "II"]))
 
 
-def verify_extra_count(G: GroupSpec, expected: int) -> VerificationReport:
-    """Check that G has the expected number of extra classes."""
+def _partition_counts(n: int) -> tuple[int, ...]:
+    """p(0), ..., p(n), by Euler's pentagonal recurrence (Andrews, The Theory
+    of Partitions, 1976): p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2)
+    + p(m - k(3k+1)/2)), terms of negative argument being 0."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * (p[m - g] + (p[m - g - k] if g + k <= m else 0))
+            k += 1
+        p.append(total)
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
+def _extra_shapes(family: Family, char: Char, total: int) -> int:
+    """The distinguished_shapes of total whose scan has more than one nonzero piece."""
+    H = GroupSpec(family, 2, char)  # decompose reads only the family and characteristic
+    return sum(1 for beta in distinguished_shapes(family, char, total)
+               if len(decompose(beta, H).nonzero_pieces()) > 1)
+
+
+def _closed_extra_count(G: GroupSpec) -> int:
+    """The number of extra classes of G, without enumerating them:
+    sum over a >= 0 of p(a) E(n - 2a), E(m) being _extra_shapes of total m.
+    An untagged class is one (alpha, beta) with |alpha| = a and beta a
+    distinguished shape of total n - 2a (the minimal-levi claim checks that
+    bijection), and it is extra exactly when beta's scan has several pieces."""
+    if G.family is Family.GL:
+        return 0
+    p = _partition_counts(G.dim // 2)
+    return sum(p[a] * _extra_shapes(G.family, G.char, G.dim - 2 * a) for a in range(G.dim // 2 + 1))
+
+
+#: The paper's extra-class counts of SO at p=2: dimension -> extra classes.
+EXTRA_COUNTS = {7: 2, 12: 1, 14: 2, 16: 5}
+
+
+def _extra_counts(work: _GroupWork) -> VerificationReport:
+    """The extra classes, counted from the shared analyses of the untagged
+    classes, number _closed_extra_count(G) and, where the paper counts them
+    (EXTRA_COUNTS), the paper's value."""
     t0 = time.perf_counter()
-    got, checked = _extra_count(G)
-    bad = [] if got == expected else [f"counted {got}, expected {expected}"]
-    return _finish("extra-count", G, G.dim, bad, t0, checked)
+    G = work.G
+    untagged = [a for C, a in zip(work.classes, work.analyses) if C.split_tag != "II"]
+    got = sum(1 for a in untagged if a.is_extra())
+    bad = []
+    if got != (want := _closed_extra_count(G)):
+        bad.append(f"counted {got}, the identity gives {want}")
+    paper = EXTRA_COUNTS.get(G.dim) if G.family is Family.SO and G.p2 else None
+    if paper is not None and got != paper:
+        bad.append(f"counted {got}, the paper gives {paper}")
+    return _finish("extra-count", G, G.dim, bad, t0, len(untagged))
 
 
 # -- minimal Levi splitting ----------------------------------------------------------
@@ -371,13 +413,17 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
       - (Levi, distinguished class) pairs biject with classes, counting the
         split pairs twice;
       - (dim <= PREIMAGE_MAX_DIM) among all regular-subgroup preimages of a
-        class, the one with the most GL factors is unique and equals phi1.
+        class, the one with the most GL factors is unique and equals phi1;
+      - on GL, where every block is a GL factor, each class extracts its
+        blocks as alpha and an empty remainder.
     """
     t0 = time.perf_counter()
     G = work.G
-    bad = []
     if G.family is Family.GL:
-        return _finish("minimal-levi", G, G.dim, bad, t0, 0)
+        bad = [f"{C.lam}: extracted {a.alpha}|{a.beta}, not the blocks and an empty remainder"
+               for C, a in zip(work.classes, work.analyses) if a.alpha != C.lam or a.beta]
+        return _finish("minimal-levi", G, G.dim, bad, t0, len(work.classes))
+    bad = []
     untagged = [(C, a) for C, a in zip(work.classes, work.analyses) if C.split_tag != "II"]
     for C, a in untagged:
         alpha, beta = a.alpha, a.beta
@@ -565,13 +611,12 @@ GROUP_CLAIMS = {
     "phi1-right-inverse": ("max_dim", "_right_inverse", "phi1"),
     "phi2-right-inverse": ("max_dim", "_right_inverse", "phi2"),
     "minimal-levi": ("max_dim", "_minimal_levi"),
+    "extra-counts": ("max_dim", "_extra_counts"),
 }
 
-#: The claims of verify --claim all, in report order.
-BATTERY = (*GROUP_CLAIMS, "proposition")
-
-#: The paper's extra-class counts: (dimension of SO at p=2, extra classes).
-EXTRA_COUNTS = ((7, 2), (12, 1), (14, 2), (16, 5))
+#: The claims of verify --claim all, in report order; extra-counts runs only when named.
+BATTERY = ("psi1-surjective", "psi2-surjective", "psi2-injective-r1", "phi1-right-inverse",
+           "phi2-right-inverse", "minimal-levi", "proposition")
 
 
 def _group_checks(G: GroupSpec, *sweeps: tuple[str, ...]) -> list[list[VerificationReport]]:
@@ -593,7 +638,7 @@ def verify_claim(claim: str, G: GroupSpec) -> VerificationReport:
 def run_all(max_dim: int = 24, surjectivity_max_dim: int | None = None, beta_bound: int = 30,
             claims: tuple[str, ...] = BATTERY) -> list[VerificationReport]:
     """The reports of claims, each of BATTERY or "extra-counts": sweep by
-    sweep, each in group order, then the claims that run once.
+    sweep, each in group order, then the proposition.
 
     A sweep holds the GROUP_CLAIMS of one bound, max_dim or
     surjectivity_max_dim (by default the smaller of max_dim and 16), checked
@@ -613,8 +658,6 @@ def run_all(max_dim: int = 24, surjectivity_max_dim: int | None = None, beta_bou
             sweeps.setdefault(GROUP_CLAIMS[claim][0], []).append(claim)
         elif claim == "proposition":
             once.append((verify_proposition, beta_bound))
-        elif claim == "extra-counts":
-            once += [(verify_extra_count, GroupSpec(Family.SO, dim, Char.TWO), want) for dim, want in EXTRA_COUNTS]
         else:
             raise InputError(f"unknown claim {claim!r} (expected one of {', '.join(BATTERY)}, extra-counts)")
     # the claims that run once, then the largest groups first, so the processes end together

@@ -1,7 +1,6 @@
 """CLI tests: subcommand output, formats, exit codes, determinism."""
 
 import csv
-import importlib.util
 import io
 import json
 import os
@@ -30,7 +29,6 @@ from unipotent_atlas.decomp import decompose
 from unipotent_atlas.errors import ResourceLimitError
 from unipotent_atlas.oracle import (
     GROUP_CLAIMS,
-    count_extra_classes,
     group_sweep,
     run_all,
     verify_claim,
@@ -384,33 +382,53 @@ def test_a_refusal_is_one_error_line(capsys, argv, message):
     ["tables", "2", "--group", "so", "--dim", "12", "--max-dim", "5"],
     ["--max-dim", "5", "classes", "--group", "so", "--dim", "4"],
     ["--group", "so", "classes", "--group", "so", "--dim", "4"],
+    ["--format", "csv", "verify", "--claim", "extra-counts"],
 ])
 def test_max_dim_is_refused_where_no_command_reads_it(capsys, argv):
     # it used to be accepted and ignored by every command but classes and
     # verify, and before the subcommand; argparse now refuses it (exit 2).
     # An option before the subcommand used to be reported as an invalid
-    # subcommand, its value: "argument command: invalid choice: '5'"
+    # subcommand, its value: "argument command: invalid choice: '5'".
+    # --format before verify used to be taken by the top-level parser and
+    # ignored: verify printed JSON lines and exited 0
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    if argv[0].startswith("-"):
+    if argv[0] == "--format":
+        assert captured.err == "unipotent-atlas: error: verify writes JSON lines and takes no --format\n"
+    elif argv[0].startswith("-"):
         assert captured.err.endswith(f"error: {argv[0]} goes after the subcommand; only --format may come before it\n")
     else:
         assert captured.err.endswith("error: unrecognized arguments: --max-dim 5\n")
 
 
-def test_verify_extra_counts_jsonl(capsys):
-    code, out, err = run_cli(capsys, "verify", "--claim", "extra-counts")
+def _check_extra_counts_run(capsys, max_dim, checked, *argv):
+    """verify --claim extra-counts with argv passes on group_sweep(max_dim),
+    checking that many untagged classes, the paper's four groups among them."""
+    code, out, err = run_cli(capsys, "verify", "--claim", "extra-counts", *argv)
     assert code == 0
+    sweep = group_sweep(max_dim)
     # the summary: one claim, then the total (the check seconds masked)
     seconds = re.compile(r" +[\d.]+s (summed|wall)")
-    assert seconds.sub(r" \1", err) == (f"{'extra-count':<28} {4:>4} runs {158:>8} checked summed  ok\n"
-                                       "total: 4 reports in wall\n")
+    assert seconds.sub(r" \1", err) == (f"{'extra-count':<28} {len(sweep):>4} runs {checked:>8} checked summed  ok\n"
+                                       f"total: {len(sweep)} reports in wall\n")
     lines = [json.loads(line) for line in out.splitlines()]
-    assert len(lines) == 4
+    assert [line["group"] for line in lines] == [G.describe() for G in sweep]
     assert all(line["outcome"] == "pass" for line in lines)
     assert all(line["schema"] == "unipotent-atlas/v1" for line in lines)
+    paper = {"SO7 (p=2)": 9, "SO12 (p=2)": 29, "SO14 (p=2)": 45, "SO16 (p=2)": 75}
+    assert {line["group"]: line["checked"] for line in lines if line["group"] in paper} == paper
+
+
+def test_verify_extra_counts_jsonl(capsys):
+    # it used to check the four groups the paper counts alone
+    _check_extra_counts_run(capsys, 24, 15_565)
+
+
+def test_verify_sweeps_extra_counts_to_max_dim(capsys):
+    # it used to ignore --max-dim
+    _check_extra_counts_run(capsys, 16, 2_227, "--max-dim", "16")
 
 
 def test_verify_extra_counts_are_timed_and_counted(capsys):
@@ -431,7 +449,7 @@ def _timeless(lines):
 def test_verify_extra_counts_are_the_lines_of_run_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "extra-counts")
     assert code == 0
-    reports = run_all(4, claims=("extra-counts",))
+    reports = run_all(claims=("extra-counts",))
     assert _timeless(out.splitlines()) == _timeless(rep.to_json_line() for rep in reports)
 
 
@@ -665,13 +683,6 @@ def test_classes_csv_factor_columns_match_minimal_levi_and_decompose(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_verify_summarizes_its_reports_on_stderr(capsys):
     # the summary used to be printed by a separate script, and verify wrote
     # only "N claim(s) failed" on stderr
@@ -686,8 +697,8 @@ def test_verify_summarizes_its_reports_on_stderr(capsys):
         runs, checked = re.fullmatch(rf"{re.escape(claim)} +(\d+) runs +(\d+) checked +[\d.]+s summed  ok",
                                      summary[head]).groups()
         assert (int(runs), int(checked)) == (len(reps), sum(r["checked"] for r in reps))
-        if claim == "minimal-levi":
-            assert summary[head + 1] == "    checked 0: GL1, GL2, GL3, GL4, GL5, GL6"
+    # it used to list the groups minimal-levi checked nothing on: GL1, ..., GL6
+    assert not any(text.startswith("    ") for text in summary)
     assert summary[-1].startswith("total: 145 reports in ") and summary[-1].endswith("s wall")
 
 
@@ -711,62 +722,6 @@ def test_verify_takes_no_format(capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.endswith("error: unrecognized arguments: --format json\n")
-
-
-def test_census_matches_the_separate_public_calls(capsys):
-    # reference: the census as composed before it analysed each class once,
-    # counting through count_extra_classes and labelling through label
-    want = [f"{'group':<12} {'classes':>8} {'extra':>6}"]
-    for dim in range(2, 15):
-        specs = [GroupSpec(Family.SO, dim, Char.TWO)]
-        if dim % 2 == 0:
-            specs.append(GroupSpec(Family.SP, dim, Char.TWO))
-        for G in specs:
-            classes = enumerate_classes(G)
-            extra = count_extra_classes(G)
-            want.append(f"{G.describe():<12} {len(classes):>8} {extra:>6}")
-            if extra:
-                for C in classes:
-                    if C.split_tag != "II" and is_extra_class(C):
-                        want.append(f"    {str(C.lam):<16} eps {str(C.eps):<20} {label(C)}")
-    assert load_script("extra_class_census").main(["--max-dim", "14", "--list-classes"]) == 0
-    assert capsys.readouterr().out == "\n".join(want) + "\n"
-
-
-def test_census_bounds_its_enumeration_by_its_own_max_dim(capsys, monkeypatch):
-    # the script used to sweep to --max-dim under the default enumeration
-    # bound of 40, and end in a traceback at dim 41; the library now has no
-    # such bound, so --max-dim alone bounds the sweep
-    script = load_script("extra_class_census")
-    dims = []
-
-    def enumerate_nothing(G):
-        dims.append(G.dim)
-        return []
-
-    monkeypatch.setattr(script, "enumerate_classes", enumerate_nothing)
-    assert script.main(["--max-dim", "41"]) == 0
-    assert sorted(set(dims)) == list(range(2, 42))
-    captured = capsys.readouterr()
-    assert captured.err == "" and captured.out.endswith(f"{'SO41 (p=2)':<12} {0:>8} {0:>6}\n")
-
-
-def test_census_refuses_with_one_error_line(capsys, monkeypatch):
-    script = load_script("extra_class_census")
-
-    def refuse(G):
-        raise ResourceLimitError(f"dimension {G.dim} is too large")
-
-    monkeypatch.setattr(script, "enumerate_classes", refuse)
-    assert script.main(["--max-dim", "3"]) == 2
-    assert capsys.readouterr().err == "error: dimension 2 is too large\n"
-
-
-@pytest.mark.parametrize("value", ["1", "0", "-4"])
-def test_census_rejects_a_bound_that_sweeps_nothing(capsys, value):
-    assert load_script("extra_class_census").main(["--max-dim", value]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: --max-dim must be at least 2, got {value}\n")
 
 
 def run_with_stdout_closed(*argv):

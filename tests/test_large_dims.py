@@ -1,5 +1,6 @@
 """Property tests past desk scale, at dims 40-200: classes are built from
-GL blocks alpha and a distinguished remainder beta, with no enumeration."""
+GL blocks alpha and a distinguished remainder beta, with no enumeration.
+The closed extra-class count is pinned at dim 60."""
 
 from collections import Counter
 
@@ -20,6 +21,7 @@ from unipotent_atlas.classes import (
     shape_violation,
 )
 from unipotent_atlas.errors import InputError
+from unipotent_atlas.oracle import _closed_extra_count
 from unipotent_atlas.partitions import Partition
 from unipotent_atlas.richardson import in_richardson_image
 
@@ -85,3 +87,10 @@ def test_combine_refuses_an_eps_beta_the_law_forbids(data, draws):
     eps_beta = EpsilonMap(tuple({**distinguished_eps(G, beta).as_dict(), x: bad}.items()))
     with pytest.raises(InputError, match="not a valid class"):
         combine(alpha, beta, eps_beta, G)
+
+
+@pytest.mark.parametrize("family, extra", [(Family.SO, 48_165), (Family.SP, 141_685)])
+def test_closed_extra_count_at_dim_60(family, extra):
+    # regression pins at p=2, past enumeration; the extra-counts claim checks
+    # the same count against the enumerated classes of every swept group
+    assert _closed_extra_count(GroupSpec(family, 60, Char.TWO)) == extra

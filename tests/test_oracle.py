@@ -25,6 +25,7 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
 from unipotent_atlas.oracle import (
+    BATTERY,
     GROUP_CLAIMS,
     VerificationReport,
     count_extra_classes,
@@ -140,6 +141,35 @@ def test_extra_class_counts():
     assert count_extra_classes(GroupSpec(Family.SP, 8, Char.TWO)) == 4
 
 
+def test_partition_counts_follow_the_enumeration():
+    assert oracle._partition_counts(30) == tuple(len(list(iter_partitions(n))) for n in range(31))
+
+
+def test_the_extra_count_claim_passes_on_every_group_to_dim_30():
+    reports = run_all(30, claims=("extra-counts",))
+    assert [r.group for r in reports] == [G.describe() for G in group_sweep(30)]
+    assert all(r.passed and r.claim == "extra-count" for r in reports), [r.group for r in reports if not r.passed]
+
+
+def test_extras_the_analyses_miss_fail_against_the_identity(monkeypatch):
+    monkeypatch.setattr(ClassAnalysis, "is_extra", lambda a: False)
+    reports = run_all(16, claims=("extra-counts",))
+    closed = {G.describe(): oracle._closed_extra_count(G) for G in group_sweep(16)}
+    assert closed["SO16 (p=2)"] == 5 and closed["Sp8 (p=2)"] == 4
+    failed = {r.group: r.counterexamples for r in reports if not r.passed}
+    assert failed.keys() == {group for group, count in closed.items() if count}
+    for group, counterexamples in failed.items():
+        assert counterexamples[0] == f"counted 0, the identity gives {closed[group]}"
+
+
+def test_a_wrong_paper_count_fails_its_group_alone(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "EXTRA_COUNTS", {**oracle.EXTRA_COUNTS, 16: 6})
+    assert cli.main(["verify", "--claim", "extra-counts", "--max-dim", "16"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {r["group"]: r["counterexamples"] for r in reports if r["outcome"] == "fail"} == {
+        "SO16 (p=2)": ["counted 5, the paper gives 6"]}
+
+
 def test_minimal_levi_verifier_sweep_dim_16():
     from unipotent_atlas.oracle import group_sweep
 
@@ -222,12 +252,13 @@ def _rows(reports):
 
 
 def _separate_battery(max_dim, surjectivity_max_dim, beta_bound):
-    """run_all's reports, each from verify_claim on a fresh record: sweep by
-    sweep, each claim read at the bound GROUP_CLAIMS names for it."""
+    """run_all's reports of BATTERY, each from verify_claim on a fresh record:
+    sweep by sweep, each claim read at the bound GROUP_CLAIMS names for it."""
     bounds = {"max_dim": max_dim, "surjectivity_max_dim": surjectivity_max_dim}
+    group_claims = {claim: GROUP_CLAIMS[claim] for claim in BATTERY if claim in GROUP_CLAIMS}
     reports = []
-    for bound in dict.fromkeys(entry[0] for entry in GROUP_CLAIMS.values()):
-        claims = [claim for claim, entry in GROUP_CLAIMS.items() if entry[0] == bound]
+    for bound in dict.fromkeys(entry[0] for entry in group_claims.values()):
+        claims = [claim for claim, entry in group_claims.items() if entry[0] == bound]
         reports += [verify_claim(claim, G) for G in group_sweep(bounds[bound]) for claim in claims]
     reports.append(verify_proposition(beta_bound))
     return reports
@@ -256,13 +287,40 @@ def test_run_all_refuses_an_unknown_claim():
         run_all(4, claims=("psi3",))
 
 
-def test_checked_counts_mark_the_vacuous_gl_minimal_levi_pass():
+def test_no_report_checks_nothing():
+    # minimal-levi on GL used to pass with checked 0; it now checks each class's extraction
     for rep in run_all(6, 4, 8):
-        vacuous = rep.claim == "minimal-levi" and rep.group.startswith("GL")
-        assert (rep.checked == 0) == vacuous, (rep.claim, rep.group)
+        assert rep.checked > 0, (rep.claim, rep.group)
     G = GroupSpec(Family.SO, 8, Char.TWO)
     untagged = [C for C in enumerate_classes(G) if C.split_tag != "II"]
     assert verify_claim("minimal-levi", G).checked == len(untagged) == 10
+    assert verify_claim("minimal-levi", GroupSpec(Family.GL, 8, Char.GOOD)).checked == 22
+
+
+def test_a_report_that_checks_nothing_fails(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "enumerate_classes", lambda G: [])
+    assert cli.main(["verify", "--claim", "minimal-levi", "--max-dim", "3"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["group"] for r in reports] == [G.describe() for G in group_sweep(3)]
+    assert all(r["checked"] == 0 and "checked nothing" in r["counterexamples"] for r in reports)
+
+
+def test_gl_minimal_levi_fails_an_extraction_that_leaves_a_remainder(monkeypatch):
+    real = balacarter.minimal_levi
+
+    def keep_a_block(C):
+        alpha, beta, eps = real(C)
+        if C.group.family is not Family.GL or not alpha:
+            return alpha, beta, eps
+        return Partition(alpha.parts[1:]), Partition(alpha.parts[:1]), eps
+
+    monkeypatch.setattr(balacarter, "minimal_levi", keep_a_block)
+    rep = verify_claim("minimal-levi", GroupSpec(Family.GL, 3, Char.GOOD))
+    assert rep.checked == 3 and rep.counterexamples == [
+        "3: extracted 0|3, not the blocks and an empty remainder",
+        "2,1: extracted 1|2, not the blocks and an empty remainder",
+        "1^3: extracted 1^2|1, not the blocks and an empty remainder",
+    ]
 
 
 def test_battery_reports_a_wrong_minimal_levi_split(monkeypatch):
