@@ -44,10 +44,10 @@ from .errors import InputError
 from .partitions import Partition, _count, _from_mults, iter_partitions
 from .richardson import (
     ParabolicDescriptor,
-    _richardson_blocks,
     enumerate_distinguished_parabolics,
     parabolic_from_blocks,
     regular_blocks,
+    richardson_blocks,
 )
 
 
@@ -165,7 +165,7 @@ def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
     """Class of a product of Richardson elements, one per parabolic factor of P."""
     P.validate_for(G)
-    return _product_class(G, P.gl_parts, (b for desc in P.parabolics for b in _richardson_blocks(desc)))
+    return _product_class(G, P.gl_parts, (b for desc in P.parabolics for b in richardson_blocks(desc)))
 
 
 def phi2(C: ClassParam) -> ParabolicProduct:

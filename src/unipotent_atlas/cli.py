@@ -33,6 +33,7 @@ from .richardson import (
     in_richardson_image,
     parabolic_from_blocks,
     regular_jordan_blocks,
+    richardson_blocks,
     richardson_jordan_blocks,
 )
 
@@ -422,13 +423,11 @@ def cmd_tables(args) -> int:
             _emit_table(rows, ["levi", "descriptor", "blocks", "eps"], args.format, "rows",
                         {"table": 2, "group": G.describe()})
         else:
-            # the image of table 2's map, at one forward evaluation per
-            # descriptor; sorted decreasing, as the partitions are enumerated
-            image = {
-                richardson_jordan_blocks(P)[0]
-                for P in enumerate_distinguished_parabolics(G, max_rank=G.rank)
-            }
-            rows = ({"blocks": str(lam)} for lam in sorted(image, reverse=True))
+            # the image of table 2's map, at one forward evaluation of the
+            # block parts per descriptor; sorted decreasing, as the partitions
+            # are enumerated, and checked once per row
+            image = {richardson_blocks(P) for P in enumerate_distinguished_parabolics(G, max_rank=G.rank)}
+            rows = ({"blocks": str(Partition(parts))} for parts in sorted(image, reverse=True))
             _emit_table(rows, ["blocks"], args.format, "rows", {"table": 3, "group": G.describe()})
         return 0
     # table 4: the five extra classes of SO_16 at p=2

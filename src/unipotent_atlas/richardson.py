@@ -22,6 +22,16 @@ sizes sits in a fixed window around 2*m0 (see _n_window), and even
 orthogonal groups absorb one GL_1 block into an SO_2 remainder.  On these
 canonical descriptors the map to Jordan blocks is injective and its image
 is exactly the set accepted by in_richardson_image.
+
+richardson_blocks gives the block sizes as a tuple, as regular_blocks does
+for regular classes; richardson_jordan_blocks wraps them in a Partition with
+their eps.  enumerate_distinguished_parabolics lists a group's descriptors
+in (m0, c) order: for each m0 the c-vectors are generated in lexicographic
+order inside the window (_c_vectors), with no sort, and each descriptor is
+built through the one trusted builder _trusted_parabolic, since it is
+canonical as generated; the checking constructor and make are for outside
+input.  parabolic_from_blocks inverts by this enumeration, comparing each
+descriptor's block sizes with the parts of the given partition.
 """
 
 from __future__ import annotations
@@ -29,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable
+from typing import Sequence
 
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
 from .decomp import satisfies_difference_condition
 from .errors import InputError, ResourceLimitError
-from .partitions import Partition, _count, _from_mults, iter_partitions
+from .partitions import Partition, _count, _from_mults
 
 #: Largest rank enumerate_distinguished_parabolics accepts by default.
 DEFAULT_RANK_BOUND = 32
@@ -198,17 +208,18 @@ def _dual_exponents(P: ParabolicDescriptor) -> list[int]:
     return exps
 
 
-def _richardson_blocks(P: ParabolicDescriptor) -> Partition:
-    """Jordan blocks of the Richardson class of the distinguished parabolic P:
-    the dual of lambda*, whose j-th part counts the parts of lambda* of size >= j."""
+def richardson_blocks(P: ParabolicDescriptor) -> tuple[int, ...]:
+    """Jordan block sizes, decreasing, of the Richardson class of the
+    distinguished parabolic P: the dual of lambda*, whose j-th part counts the
+    parts of lambda* of size >= j."""
     odd_p2 = P.group.family is Family.SO and P.group.dim % 2 == 1 and P.group.p2
     parts = [*accumulate(reversed(_dual_exponents(P)))][::-1] + [1] * odd_p2
-    return _from_mults(_count(x for x in parts if x))
+    return tuple(x for x in parts if x)
 
 
 def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, EpsilonMap]:
     """Jordan blocks (and eps) of the Richardson class of the distinguished parabolic P."""
-    lam = _richardson_blocks(P)
+    lam = _from_mults(_count(richardson_blocks(P)))
     return lam, distinguished_eps(P.group, lam)
 
 
@@ -232,21 +243,17 @@ def in_richardson_image(G: GroupSpec, lam: Partition) -> bool:
 
 @lru_cache(maxsize=None)
 def _enumerated(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
-    rank = G.rank
-    out: list[ParabolicDescriptor] = []
-    if G.family is Family.GL:
-        for shape in iter_partitions(rank):
-            c = tuple(shape.count(i) for i in range(1, max(shape, default=0) + 1))
-            out.append(ParabolicDescriptor(G, c, 0))
-    elif G.family is Family.SP:
-        for c in _chain_vectors(rank, range(rank + 1)):
-            out.append(ParabolicDescriptor(G, c, 0))
+    """The distinguished parabolic descriptors of G in (m0, c) order, each
+    canonical as generated."""
+    if G.family is Family.SO:
+        windows = [(m0, _n_window(G, m0)) for m0 in range(G.rank + 1)]
+    elif G.family in (Family.GL, Family.SP):
+        windows = [(0, range(G.rank + 1))]
     else:
-        for m0 in range(rank + 1):
-            for c in _chain_vectors(rank - m0, _n_window(G, m0)):
-                out.append(ParabolicDescriptor(G, c, m0))
-    out.sort(key=lambda P: (P.m0, P.c))
-    return tuple(out)
+        raise InputError("parabolic descriptors exist for gl, sp, and so only")
+    least = 0 if G.family is Family.GL else 1
+    return tuple(_trusted_parabolic(G, c, m0)
+                 for m0, sizes in windows for c in _c_vectors(G.rank - m0, sizes, least))
 
 
 def enumerate_distinguished_parabolics(
@@ -261,29 +268,62 @@ def enumerate_distinguished_parabolics(
     return list(_enumerated(G))
 
 
-def _chain_vectors(weight: int, sizes: Iterable[int]) -> list[tuple[int, ...]]:
-    """The c-vectors with c(i) >= 1 for i <= N and sum i*c(i) equal to
-    weight, for each N in sizes."""
+def _c_vectors(weight: int, sizes: Sequence[int], least: int) -> list[tuple[int, ...]]:
+    """The c-vectors with c(i) >= least for i <= N, a nonzero c(N), sum
+    i*c(i) equal to weight and N in sizes (consecutive and increasing), in
+    lexicographic order.
+
+    The vectors are generated position by position, as Nijenhuis and Wilf
+    generate partitions in lexicographic order (Combinatorial Algorithms,
+    1978): at each position c(i) counts up from least, a vector is emitted
+    once its length is in sizes and its weight is used up, and a branch is
+    cut once the weight left cannot fill the positions that the shortest
+    length in sizes still needs.
+    """
     out: list[tuple[int, ...]] = []
-    for N in sizes:
-        base = N * (N + 1) // 2
-        if base <= weight:
-            for extra in iter_partitions(weight - base, max_part=N):
-                out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
+    if not sizes:
+        return out
+    shortest, longest = sizes[0], sizes[-1]
+
+    def extend(c: tuple[int, ...], rest: int) -> None:
+        if rest == 0:
+            if len(c) in sizes:
+                out.append(c)
+            return
+        i = len(c) + 1
+        if i > longest:
+            return
+        need = least * max(0, shortest * (shortest + 1) - i * (i + 1)) // 2  # positions i+1..shortest
+        for ci in range(least, (rest - need) // i + 1):
+            extend(c + (ci,), rest - i * ci)
+
+    extend((), weight)
     return out
+
+
+def _trusted_parabolic(G: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDescriptor:
+    """The descriptor (G, c, m0), canonical by construction; trusted, so its
+    fields are set without the generated __init__, as partitions._from_mults
+    sets a Partition's."""
+    P = object.__new__(ParabolicDescriptor)
+    object.__setattr__(P, "group", G)
+    object.__setattr__(P, "c", c)
+    object.__setattr__(P, "m0", m0)
+    return P
 
 
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     """The unique descriptor whose Richardson class has Jordan blocks lam.
 
     Inversion is by exhaustive enumeration plus forward evaluation of the
-    blocks alone; injectivity of the forward map guarantees uniqueness.
+    block parts alone, compared with lam's; injectivity of the forward map
+    guarantees uniqueness.
     """
     if not in_richardson_image(G, lam):
         raise InputError(
             f"{lam} is not the Richardson class of a distinguished parabolic of {G.describe()}"
         )
-    matches = [P for P in enumerate_distinguished_parabolics(G) if _richardson_blocks(P) == lam]
+    matches = [P for P in enumerate_distinguished_parabolics(G) if richardson_blocks(P) == lam.parts]
     if len(matches) != 1:
         raise RuntimeError(
             f"expected exactly one descriptor for {lam} in {G.describe()}, found {len(matches)}"

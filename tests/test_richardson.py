@@ -19,6 +19,7 @@ from unipotent_atlas.richardson import (
     parabolic_from_blocks,
     regular_blocks,
     regular_jordan_blocks,
+    richardson_blocks,
     richardson_jordan_blocks,
 )
 
@@ -225,9 +226,13 @@ def reference_chain_vectors(weight):
 
 
 def reference_enumerated(G):
-    """The Sp and SO enumeration as it was before the chain vectors were
-    built within the window: every chain vector, then a filter on N."""
-    if G.family is Family.SP:
+    """The enumeration as it was before the c-vectors were generated in
+    lexicographic order: for GL the multiplicities of every partition of the
+    rank; for Sp and SO every chain vector, then a filter on N; then a sort."""
+    if G.family is Family.GL:
+        out = [(0, tuple(shape.count(i) for i in range(1, max(shape, default=0) + 1)))
+               for shape in iter_partitions(G.rank)]
+    elif G.family is Family.SP:
         out = [(0, c) for c in reference_chain_vectors(G.rank)]
     else:
         out = [(m0, c) for m0 in range(G.rank + 1) for c in reference_chain_vectors(G.rank - m0)
@@ -243,6 +248,21 @@ def test_windowed_enumeration_matches_the_filtered_reference_ranks_to_32():
         assert got == reference_enumerated(G), G.describe()
         total += len(got)
     assert len(groups) == 192 and total > 10_000
+
+
+def test_gl_enumeration_matches_the_sorted_partition_reference_ranks_to_20():
+    total = 0
+    for G in group_sweep(20):
+        if G.family is Family.GL:
+            got = [(P.m0, P.c) for P in _enumerated(G)]
+            assert got == reference_enumerated(G), G.describe()
+            total += len(got)
+    assert total == sum(1 for n in range(1, 21) for _ in iter_partitions(n))
+
+
+def test_enumeration_refuses_full_orthogonal_groups():
+    with pytest.raises(InputError, match="gl, sp, and so only"):
+        enumerate_distinguished_parabolics(spec(Family.O, 5))
 
 
 def test_forward_map_injective_image_matches_table_ranks_to_12():
@@ -267,22 +287,26 @@ def test_forward_map_injective_image_matches_table_ranks_to_12():
                 assert image == table, G.describe()
 
 
-def test_inverse_recovers_every_descriptor_ranks_to_9():
-    # the inverse matches Jordan blocks alone; the blocks carry the
+def test_inverse_recovers_every_descriptor_ranks_to_20():
+    # the inverse matches Jordan block parts alone; the blocks carry the
     # multiplicities the validating constructor derives from their parts
+    total = 0
     for char in (Char.TWO, Char.GOOD):
-        for rank in range(1, 10):
+        for rank in range(1, 21):
             groups = [spec(Family.SP, 2 * rank, char), spec(Family.SO, 2 * rank, char),
                       spec(Family.SO, 2 * rank + 1, char)]
-            if char is Char.GOOD and rank <= 7:
+            if char is Char.GOOD and rank <= 10:
                 groups.append(spec(Family.GL, rank, char))
             for G in groups:
                 for P in enumerate_distinguished_parabolics(G):
                     lam, _ = richardson_jordan_blocks(P)
+                    assert lam.parts == richardson_blocks(P)
                     assert list(lam.multiplicities().items()) == list(
                         Partition(lam.parts).multiplicities().items()
                     )
                     assert parabolic_from_blocks(G, lam) == P, (G.describe(), P.describe())
+                    total += G.family is not Family.GL
+    assert total == 1_826
 
 
 def test_orthogonal_p2_image_satisfies_difference_condition():

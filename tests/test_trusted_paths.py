@@ -5,9 +5,10 @@ partition algebra) skip the checks of the public constructors.  These tests
 rebuild such values through the public constructors and require the same
 fields, hash, order, repr, multiplicities, pickle round trip and
 dataclasses.replace result, and for combine the same refusals, at dims
-40-200 and on every class up to dim 20.  The last tests keep one trusted
-path per type (the builders for Partition and EpsilonMap, the keyword for
-ClassParam), keep the checking constructors of Partition and EpsilonMap
+40-200, on every class up to dim 20 and on every enumerated parabolic
+descriptor of Sp and SO up to dim 64 and of GL up to dim 16.  The last tests
+keep one trusted path per type (the builders for Partition, EpsilonMap and
+ParabolicDescriptor, the keyword for ClassParam), keep the checking constructors of Partition and EpsilonMap
 out of the modules that derive values, keep the trusted paths out of the
 oracle and the CLI, whose independence rests on checking what they build,
 and keep the library's shape and eps rules out of the oracle, which states
@@ -41,13 +42,14 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition, iter_partitions
+from unipotent_atlas.richardson import ParabolicDescriptor, _enumerated
 
 MIN_DIM, MAX_DIM = 40, 200
 SWEEP_MAX_DIM = 20
 SRC = Path(inspect.getfile(partitions)).parent
 
 #: The private keyword and helpers through which the library builds values unchecked.
-TRUSTED_NAMES = {"_trusted", "_from_mults", "_count", "_trusted_eps"}
+TRUSTED_NAMES = {"_trusted", "_from_mults", "_count", "_trusted_eps", "_trusted_parabolic"}
 
 #: The checking constructors that the modules deriving values leave to outside input.
 CHECKED_CONSTRUCTORS = {"Partition", "EpsilonMap"}
@@ -168,8 +170,20 @@ def test_enumerated_classes_and_their_minimal_levis_match_the_validating_constru
             assert_same_class(combine(alpha, beta, eps_beta, G), untagged)
 
 
+def test_enumerated_parabolics_match_the_validating_constructor():
+    # every Sp and SO group to dim 64 and GL to dim 16, beside the order
+    # comparison with the reference enumeration in test_richardson.py
+    groups = [G for G in group_sweep(64) if G.family is not Family.GL or G.dim <= 16]
+    total = 0
+    for G in groups:
+        for P in _enumerated(G):
+            assert_same_value(P, ParabolicDescriptor(G, P.c, P.m0))
+            total += 1
+    assert total > 10_000
+
+
 def test_partitions_counted_from_canonical_parts_match_the_validating_constructor():
-    # _richardson_blocks, regular_jordan_blocks, the GL blocks of the subgroup
+    # richardson_jordan_blocks, regular_jordan_blocks, the GL blocks of the subgroup
     # products and the scan's ones/zeros count their canonical parts this way,
     # as the reference scan in test_enumeration_reference.py does;
     # enumerate_classes builds its lams from generated multiplicities, and the
@@ -224,13 +238,14 @@ def _constructor_calls(module: str) -> list[str]:
 
 
 def test_oracle_and_cli_build_only_through_the_validating_constructors():
-    # one trusted path per type: Partition and EpsilonMap have only their
-    # builders, ClassParam only its keyword
+    # one trusted path per type: Partition, EpsilonMap and ParabolicDescriptor
+    # have only their builders, ClassParam only its keyword
     assert "_mults" not in inspect.signature(Partition).parameters
     assert "_trusted" not in inspect.signature(EpsilonMap).parameters
+    assert "_trusted" not in inspect.signature(ParabolicDescriptor).parameters
     assert "_trusted" in inspect.signature(ClassParam).parameters
     # the names are the library's real trusted paths, so the guard is not vacuous
-    assert _names_used("classes") and _names_used("partitions")
+    assert _names_used("classes") and _names_used("partitions") and _names_used("richardson")
     assert _names_used("oracle") == []
     assert _names_used("cli") == []
 
