@@ -8,11 +8,11 @@ dataclasses.replace result, and for combine the same refusals, at dims
 40-200, on every class up to dim 20 and on every enumerated parabolic
 descriptor of Sp and SO up to dim 64 and of GL up to dim 16.  The last tests
 keep one trusted path per type (the builders for Partition, EpsilonMap and
-ParabolicDescriptor, the keyword for ClassParam), keep the checking constructors of Partition and EpsilonMap
-out of the modules that derive values, keep the trusted paths out of the
-oracle and the CLI, whose independence rests on checking what they build,
-and keep the library's shape and eps rules out of the oracle, which states
-its own.
+ParabolicDescriptor, the keyword for ClassParam), keep the checking
+constructors of Partition and EpsilonMap out of the modules that derive
+values, keep the trusted paths out of the oracle and the CLI, whose
+independence rests on checking what they build, and keep the library's
+shape and eps rules out of the oracle, which states its own.
 """
 
 import ast
