@@ -30,8 +30,9 @@ in (m0, c) order: for each m0 the c-vectors are generated in lexicographic
 order inside the window (_c_vectors), with no sort, and each descriptor is
 built through the one trusted builder _trusted_parabolic, since it is
 canonical as generated; the checking constructor and make are for outside
-input.  parabolic_from_blocks inverts by this enumeration, comparing each
-descriptor's block sizes with the parts of the given partition.
+input.  parabolic_from_blocks inverts through _by_blocks, an index from
+block sizes to descriptor built once per group from this enumeration; the
+build checks that no two descriptors share their block sizes.
 """
 
 from __future__ import annotations
@@ -312,20 +313,31 @@ def _trusted_parabolic(G: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDe
     return P
 
 
+@lru_cache(maxsize=None)
+def _by_blocks(G: GroupSpec) -> dict[tuple[int, ...], ParabolicDescriptor]:
+    """Every distinguished parabolic descriptor of G, keyed by its Richardson
+    block sizes.  A repeated key would contradict the injectivity of the
+    forward map, so it raises RuntimeError; a rank refusal is not cached."""
+    index: dict[tuple[int, ...], ParabolicDescriptor] = {}
+    for P in enumerate_distinguished_parabolics(G):
+        key = richardson_blocks(P)
+        if index.setdefault(key, P) is not P:
+            raise RuntimeError(f"two distinguished parabolics of {G.describe()} have the "
+                               f"Richardson blocks {key}")
+    return index
+
+
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     """The unique descriptor whose Richardson class has Jordan blocks lam.
 
-    Inversion is by exhaustive enumeration plus forward evaluation of the
-    block parts alone, compared with lam's; injectivity of the forward map
-    guarantees uniqueness.
+    Inversion looks lam's parts up in _by_blocks(G), the enumeration of G's
+    descriptors keyed by their forward block sizes, built once per group.
     """
     if not in_richardson_image(G, lam):
         raise InputError(
             f"{lam} is not the Richardson class of a distinguished parabolic of {G.describe()}"
         )
-    matches = [P for P in enumerate_distinguished_parabolics(G) if richardson_blocks(P) == lam.parts]
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"expected exactly one descriptor for {lam} in {G.describe()}, found {len(matches)}"
-        )
-    return matches[0]
+    P = _by_blocks(G).get(lam.parts)
+    if P is None:
+        raise RuntimeError(f"expected exactly one descriptor for {lam} in {G.describe()}, found 0")
+    return P

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unipotent_atlas import cli, richardson
+from unipotent_atlas import balacarter, cli
 from unipotent_atlas.balacarter import analyse, is_extra_class, label, phi1, phi2
 from unipotent_atlas.classes import (
     Char,
@@ -523,16 +523,17 @@ def test_classes_rejects_a_max_dim_below_1(capsys, value):
 def test_a_refusal_while_the_rows_are_resolved_prints_nothing(capsys, monkeypatch, fmt):
     # the rows are written as they are built, so a refusal from a label's
     # inverse must come before the first byte, not leave half a document
+    # (refused at the inverse: a warm per-group index never reaches the enumeration)
     calls = []
-    real = richardson.enumerate_distinguished_parabolics
+    real = balacarter.parabolic_from_blocks
 
-    def refusing(G, *args, **kwargs):
+    def refusing(G, lam):
         calls.append(G)
         if len(calls) > 5:
             raise ResourceLimitError(f"refused at call {len(calls)}")
-        return real(G, *args, **kwargs)
+        return real(G, lam)
 
-    monkeypatch.setattr(richardson, "enumerate_distinguished_parabolics", refusing)
+    monkeypatch.setattr(balacarter, "parabolic_from_blocks", refusing)
     code, out, err = run_cli(capsys, "--format", fmt, "classes", "--group", "so", "--dim", "16",
                              "--char", "2")
     assert (code, out, err) == (2, "", "error: refused at call 6\n")

@@ -1,6 +1,7 @@
 """Property tests past desk scale, at dims 40-200: classes are built from
 GL blocks alpha and a distinguished remainder beta, with no enumeration.
-The closed extra-class count is pinned at dim 60."""
+phi2 round-trips through psi2 at dims 40-64, where every Richardson piece
+has rank <= 32.  The closed extra-class count is pinned at dim 60."""
 
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unipotent_atlas.balacarter import analyse
+from unipotent_atlas.balacarter import analyse, phi2, psi2
 from unipotent_atlas.classes import (
     Char,
     EpsilonMap,
@@ -23,9 +24,11 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import _closed_extra_count
 from unipotent_atlas.partitions import Partition
-from unipotent_atlas.richardson import in_richardson_image
+from unipotent_atlas.richardson import DEFAULT_RANK_BOUND, ParabolicDescriptor, in_richardson_image
 
 MIN_DIM, MAX_DIM = 40, 200
+#: Up to this dim every piece's group has rank within the inverse's bound.
+ROUND_TRIP_MAX_DIM = 2 * DEFAULT_RANK_BOUND
 
 
 @st.composite
@@ -47,13 +50,14 @@ def distinguished_shapes(draw, family, char):
 
 
 @st.composite
-def levi_data(draw):
-    """(G, alpha, beta) with G of Sp or SO and MIN_DIM <= 2|alpha| + |beta| <= MAX_DIM."""
+def levi_data(draw, min_dim=MIN_DIM, max_dim=MAX_DIM):
+    """(G, alpha, beta) with G of Sp or SO and min_dim <= 2|alpha| + |beta| <= max_dim."""
     family = draw(st.sampled_from([Family.SP, Family.SO]))
     char = draw(st.sampled_from(list(Char)))
     beta = draw(distinguished_shapes(family, char))
-    remaining = draw(st.integers(max(0, (MIN_DIM - beta.total + 1) // 2),
-                                 (MAX_DIM - beta.total) // 2))
+    assume(beta.total <= max_dim)
+    remaining = draw(st.integers(max(0, (min_dim - beta.total + 1) // 2),
+                                 (max_dim - beta.total) // 2))
     alpha = []
     while remaining:
         part = draw(st.integers(1, min(remaining, 30)))
@@ -87,6 +91,18 @@ def test_combine_refuses_an_eps_beta_the_law_forbids(data, draws):
     eps_beta = EpsilonMap(tuple({**distinguished_eps(G, beta).as_dict(), x: bad}.items()))
     with pytest.raises(InputError, match="not a valid class"):
         combine(alpha, beta, eps_beta, G)
+
+
+@settings(deadline=None)
+@given(levi_data(MIN_DIM, ROUND_TRIP_MAX_DIM))
+def test_phi2_round_trips_through_psi2_to_rank_32(data):
+    G, alpha, beta = data
+    C = combine(alpha, beta, distinguished_eps(G, beta), G)
+    image = phi2(C)
+    assert psi2(image, G).data_key() == C.data_key()
+    for P in image.parabolics:
+        assert P.group.rank <= DEFAULT_RANK_BOUND
+        assert P == ParabolicDescriptor(P.group, P.c, P.m0)
 
 
 @pytest.mark.parametrize("family, extra", [(Family.SO, 48_165), (Family.SP, 141_685)])

@@ -10,8 +10,10 @@ from unipotent_atlas.decomp import satisfies_difference_condition
 from unipotent_atlas.errors import InputError, ResourceLimitError
 from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition, iter_partitions
+from unipotent_atlas import richardson
 from unipotent_atlas.richardson import (
     ParabolicDescriptor,
+    _by_blocks,
     _enumerated,
     _n_window,
     enumerate_distinguished_parabolics,
@@ -307,6 +309,56 @@ def test_inverse_recovers_every_descriptor_ranks_to_20():
                     assert parabolic_from_blocks(G, lam) == P, (G.describe(), P.describe())
                     total += G.family is not Family.GL
     assert total == 1_826
+
+
+def scan_inverse(G, lam):
+    """The inverse as a linear scan: every descriptor of G whose Richardson
+    blocks are lam's parts."""
+    return [P for P in enumerate_distinguished_parabolics(G) if richardson_blocks(P) == lam.parts]
+
+
+def test_index_inverse_matches_the_linear_scan_gl_to_rank_12_sp_so_to_rank_24():
+    _by_blocks.cache_clear()
+    total = 0
+    for char in (Char.TWO, Char.GOOD):
+        groups = [spec(Family.GL, rank, char) for rank in range(1, 13)]
+        for rank in range(1, 25):
+            groups += [spec(Family.SP, 2 * rank, char), spec(Family.SO, 2 * rank, char),
+                       spec(Family.SO, 2 * rank + 1, char)]
+        for G in groups:
+            descs = enumerate_distinguished_parabolics(G)
+            assert len(_by_blocks(G)) == len(descs), G.describe()
+            for P in descs:
+                lam = Partition(richardson_blocks(P))
+                assert [parabolic_from_blocks(G, lam)] == scan_inverse(G, lam) == [P]
+            total += len(descs)
+    assert total == 4_290
+
+
+def test_index_build_refuses_two_descriptors_with_the_same_blocks(monkeypatch):
+    _by_blocks.cache_clear()
+    monkeypatch.setattr(richardson, "richardson_blocks", lambda P: (4, 4))
+    G = spec(Family.SO, 8)
+    with pytest.raises(RuntimeError, match=r"two distinguished parabolics of SO8 \(p=2\)"):
+        _by_blocks(G)
+    assert _by_blocks.cache_info().currsize == 0
+
+
+def test_index_miss_of_an_admitted_partition_is_a_runtime_error(monkeypatch):
+    _by_blocks.cache_clear()
+    G, lam = spec(Family.SO, 16), Partition((6, 4, 4, 2))
+    monkeypatch.setattr(richardson, "in_richardson_image", lambda G, lam: True)
+    with pytest.raises(RuntimeError, match="expected exactly one descriptor .* found 0"):
+        parabolic_from_blocks(G, lam)
+
+
+def test_index_refusal_past_rank_32_is_not_cached():
+    _by_blocks.cache_clear()
+    G = spec(Family.SO, 66)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="rank 33"):
+            parabolic_from_blocks(G, Partition((64, 2)))
+    assert _by_blocks.cache_info().currsize == 0
 
 
 def test_orthogonal_p2_image_satisfies_difference_condition():
