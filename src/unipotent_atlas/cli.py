@@ -25,7 +25,7 @@ from .classes import (
 )
 from .decomp import decompose, render_trace
 from .errors import InputError, ResourceLimitError
-from .oracle import BATTERY, GROUP_CLAIMS, SCHEMA, VerificationReport, run_all
+from .oracle import BATTERY, CLAIMS, GROUP_CLAIMS, SCHEMA, VerificationReport, run_all
 from .partitions import Partition
 from .richardson import (
     ParabolicDescriptor,
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # verify writes JSON lines whatever the format, so it takes no --format
     p = sub.add_parser("verify", help="run the exhaustive verifiers (JSON lines, a summary on stderr)")
-    p.add_argument("--claim", default="all", choices=["all", *BATTERY, "extra-counts"])
+    p.add_argument("--claim", default="all", choices=["all", *CLAIMS])
     for bound, default in (("max_dim", "24"), ("surjectivity_max_dim", "min(--max-dim, 16)")):
         claims = ", ".join(c for c, entry in GROUP_CLAIMS.items() if entry[0] == bound)
         p.add_argument("--" + bound.replace("_", "-"), type=int, help=f"bound for {claims} (default: {default})")

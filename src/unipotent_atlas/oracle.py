@@ -45,7 +45,13 @@ from .classes import (
 from .decomp import decompose, has_bad_sequence, satisfies_difference_condition
 from .errors import InputError
 from .partitions import Partition, iter_partitions
-from .richardson import regular_blocks
+from .richardson import (
+    ParabolicDescriptor,
+    enumerate_distinguished_parabolics,
+    parabolic_from_blocks,
+    regular_blocks,
+    richardson_blocks,
+)
 
 #: The schema name that every JSON document and report line starts with.
 SCHEMA = "unipotent-atlas/v1"
@@ -371,6 +377,47 @@ def _extra_counts(work: _GroupWork) -> VerificationReport:
     return _finish("extra-count", G, G.dim, bad, t0, len(untagged))
 
 
+# -- the Richardson inverse ------------------------------------------------------------
+
+
+def _inverse_reading(G: GroupSpec, lam: Partition) -> str:
+    """parabolic_from_blocks(G, lam) described, or its refusal."""
+    try:
+        return parabolic_from_blocks(G, lam).describe()
+    except InputError as exc:
+        return f"refused: {exc}"
+    except RuntimeError as exc:  # the image test admits lam, the inverse finds nothing
+        return f"error: {exc}"
+
+
+def _richardson_inverse(work: _GroupWork) -> VerificationReport:
+    """parabolic_from_blocks, the library's closed-form inverse, agrees on
+    every distinguished parabolic of G with an index from Richardson blocks
+    to descriptor, built from the enumeration; a block tuple that two
+    descriptors share would contradict the injectivity of the forward map.
+    SO2, a torus, has no distinguished parabolic, so there the inverse must
+    refuse every partition of the dimension."""
+    t0 = time.perf_counter()
+    G = work.G
+    descriptors = enumerate_distinguished_parabolics(G, max_rank=G.rank)
+    keys = [richardson_blocks(P) for P in descriptors]
+    index: dict[tuple[int, ...], ParabolicDescriptor] = {}
+    bad = []
+    for key, P in zip(keys, descriptors):
+        if index.setdefault(key, P) is not P:
+            bad.append(f"{index[key].describe()} and {P.describe()} share the Richardson blocks {key}")
+    for key in keys:
+        lam = Partition(key)
+        if (got := _inverse_reading(G, lam)) != (want := index[key].describe()):
+            bad.append(f"{lam}: the inverse gives {got}, the index {want}")
+    if descriptors:
+        return _finish("richardson-inverse", G, G.dim, bad, t0, len(descriptors))
+    lams = [Partition(parts) for parts in iter_partitions(G.dim)]
+    bad += [f"{lam}: the inverse gives {got}, the index nothing"
+            for lam in lams if not (got := _inverse_reading(G, lam)).startswith("refused")]
+    return _finish("richardson-inverse", G, G.dim, bad, t0, len(lams))
+
+
 # -- minimal Levi splitting ----------------------------------------------------------
 
 
@@ -612,11 +659,16 @@ GROUP_CLAIMS = {
     "phi2-right-inverse": ("max_dim", "_right_inverse", "phi2"),
     "minimal-levi": ("max_dim", "_minimal_levi"),
     "extra-counts": ("max_dim", "_extra_counts"),
+    "richardson-inverse": ("max_dim", "_richardson_inverse"),
 }
 
-#: The claims of verify --claim all, in report order; extra-counts runs only when named.
+#: The claims of verify --claim all, in report order; the group claims left
+#: out (extra-counts, richardson-inverse) run only when named.
 BATTERY = ("psi1-surjective", "psi2-surjective", "psi2-injective-r1", "phi1-right-inverse",
            "phi2-right-inverse", "minimal-levi", "proposition")
+
+#: Every claim verify --claim names: BATTERY, then the group claims it leaves out.
+CLAIMS = (*BATTERY, *(c for c in GROUP_CLAIMS if c not in BATTERY))
 
 
 def _group_checks(G: GroupSpec, *sweeps: tuple[str, ...]) -> list[list[VerificationReport]]:
@@ -637,7 +689,7 @@ def verify_claim(claim: str, G: GroupSpec) -> VerificationReport:
 
 def run_all(max_dim: int = 24, surjectivity_max_dim: int | None = None, beta_bound: int = 30,
             claims: tuple[str, ...] = BATTERY) -> list[VerificationReport]:
-    """The reports of claims, each of BATTERY or "extra-counts": sweep by
+    """The reports of claims, each one of CLAIMS: sweep by
     sweep, each in group order, then the proposition.
 
     A sweep holds the GROUP_CLAIMS of one bound, max_dim or
@@ -659,7 +711,7 @@ def run_all(max_dim: int = 24, surjectivity_max_dim: int | None = None, beta_bou
         elif claim == "proposition":
             once.append((verify_proposition, beta_bound))
         else:
-            raise InputError(f"unknown claim {claim!r} (expected one of {', '.join(BATTERY)}, extra-counts)")
+            raise InputError(f"unknown claim {claim!r} (expected one of {', '.join(CLAIMS)})")
     # the claims that run once, then the largest groups first, so the processes end together
     groups = group_sweep(max((bounds[b] for b in sweeps), default=0))
     tasks = once + [(_group_checks, G, *(tuple(c) if G.dim <= bounds[b] else () for b, c in sweeps.items()))

@@ -30,9 +30,14 @@ in (m0, c) order: for each m0 the c-vectors are generated in lexicographic
 order inside the window (_c_vectors), with no sort, and each descriptor is
 built through the one trusted builder _trusted_parabolic, since it is
 canonical as generated; the checking constructor and make are for outside
-input.  parabolic_from_blocks inverts through _by_blocks, an index from
-block sizes to descriptor built once per group from this enumeration; the
-build checks that no two descriptors share their block sizes.
+input.  The enumeration is bounded by rank (DEFAULT_RANK_BOUND) and serves
+the bulk readers: tables 2 and 3 and the parabolic products of psi2.
+parabolic_from_blocks inverts the forward map in closed form, with no
+enumeration and no rank bound: the exponents of lambda* are the differences
+of consecutive parts of lam, on SO m0 is half the number of parts (rounded
+down), and undoing the table above gives the one candidate (c, m0); the
+validating constructor and one forward evaluation decide whether it is the
+answer.
 """
 
 from __future__ import annotations
@@ -313,31 +318,55 @@ def _trusted_parabolic(G: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDe
     return P
 
 
+def _candidate(G: GroupSpec, parts: tuple[int, ...]) -> tuple[list[int], int]:
+    """The (c, m0) that _dual_exponents would send to the Jordan blocks
+    parts, if any descriptor does.  The exponents of lambda* are
+    e(i) = lam_i - lam_{i+1}, once the final part 1 that odd SO at p=2
+    appends is dropped.  On SO the last nonzero exponent sits at 2m0 (even
+    SO) or at 2m0 or 2m0 + 1 (odd SO), so m0 = len(e) // 2; undoing the
+    table then gives c.  Entries of c may be trailing zeros."""
+    if G.family is Family.SO and G.dim % 2 == 1 and G.p2:
+        parts = parts[:-1]
+    e = [x - y for x, y in zip(parts, parts[1:] + (0,))]
+    if G.family is Family.GL:
+        return e, 0
+    if G.family is Family.SP:
+        return [x // 2 for x in e], 0
+    m0 = len(e) // 2
+    if G.p2:
+        return [x // 2 + (0 if i > 2 * m0 else 1 if i % 2 else -1) for i, x in enumerate(e, start=1)], m0
+    return [(x - (i == len(e))) // 2 for i, x in enumerate(e, start=1)], m0
+
+
 @lru_cache(maxsize=None)
-def _by_blocks(G: GroupSpec) -> dict[tuple[int, ...], ParabolicDescriptor]:
-    """Every distinguished parabolic descriptor of G, keyed by its Richardson
-    block sizes.  A repeated key would contradict the injectivity of the
-    forward map, so it raises RuntimeError; a rank refusal is not cached."""
-    index: dict[tuple[int, ...], ParabolicDescriptor] = {}
-    for P in enumerate_distinguished_parabolics(G):
-        key = richardson_blocks(P)
-        if index.setdefault(key, P) is not P:
-            raise RuntimeError(f"two distinguished parabolics of {G.describe()} have the "
-                               f"Richardson blocks {key}")
-    return index
+def _from_exponents(G: GroupSpec, parts: tuple[int, ...]) -> ParabolicDescriptor | None:
+    """The descriptor of G whose Richardson blocks are parts, or None: the
+    candidate, once the validating constructor accepts it and the forward
+    map sends it back to parts (which also rejects an odd exponent that the
+    halving in _candidate rounded)."""
+    c, m0 = _candidate(G, parts)
+    while c and c[-1] == 0:
+        c.pop()
+    try:
+        P = ParabolicDescriptor(G, tuple(c), m0)
+    except InputError:
+        return None
+    return P if richardson_blocks(P) == parts else None
 
 
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     """The unique descriptor whose Richardson class has Jordan blocks lam.
 
-    Inversion looks lam's parts up in _by_blocks(G), the enumeration of G's
-    descriptors keyed by their forward block sizes, built once per group.
+    Inversion reads the exponents of lambda* off lam's parts and undoes the
+    exponent table of _dual_exponents (_from_exponents, memoized per group
+    and block sizes): one candidate, checked by one forward evaluation, at
+    O(n) with no enumeration and so no rank bound.
     """
     if not in_richardson_image(G, lam):
         raise InputError(
             f"{lam} is not the Richardson class of a distinguished parabolic of {G.describe()}"
         )
-    P = _by_blocks(G).get(lam.parts)
+    P = _from_exponents(G, lam.parts)
     if P is None:
         raise RuntimeError(f"expected exactly one descriptor for {lam} in {G.describe()}, found 0")
     return P

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unipotent_atlas import balacarter, cli
-from unipotent_atlas.balacarter import analyse, is_extra_class, label, phi1, phi2
+from unipotent_atlas.balacarter import analyse, diagram_string, is_extra_class, label, phi1, phi2
 from unipotent_atlas.classes import (
     Char,
     Family,
@@ -34,7 +34,7 @@ from unipotent_atlas.oracle import (
     verify_claim,
 )
 from unipotent_atlas.partitions import Partition, iter_partitions
-from unipotent_atlas.richardson import in_richardson_image
+from unipotent_atlas.richardson import enumerate_distinguished_parabolics, in_richardson_image, richardson_blocks
 
 
 #: richardson's refusal of both inputs, and of neither.
@@ -562,14 +562,36 @@ def test_json_classes_peak_within_5_mb_of_csv():
     assert peak_mb["json"] - peak_mb["csv"] < 5, peak_mb
 
 
-@pytest.mark.parametrize("argv", [
-    ["label", "--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"],
-    ["richardson", "--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"],
-    ["tables", "2", "--group", "so", "--dim", "66", "--char", "2"],
-])
-def test_past_the_rank_bound_names_the_group_and_no_keyword(capsys, argv):
-    # no command takes a rank bound, so the refusal may not advise raising one
-    code, out, err = run_cli(capsys, *argv)
+#: SO66 at p=2 (rank 33) and a distinguished class whose one Richardson piece is the whole group.
+SO66 = ["--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"]
+
+
+def _so66_descriptor():
+    G = GroupSpec(Family.SO, 66, Char.TWO)
+    [P] = [P for P in enumerate_distinguished_parabolics(G, max_rank=33) if richardson_blocks(P) == (24, 20, 14, 8)]
+    return P
+
+
+def test_label_past_rank_32_names_the_enumerated_parabolic(capsys):
+    # label used to refuse a piece past rank 32; the inverse now enumerates nothing
+    code, out, err = run_cli(capsys, "--format", "json", "label", *SO66)
+    assert (code, err) == (0, "")
+    P, doc = _so66_descriptor(), json.loads(out)
+    assert doc["label"] == f"D33[{diagram_string(P)}]"
+    assert doc["phi2"]["parabolics"] == [{"group": "SO66 (p=2)", "c": list(P.c), "m0": P.m0}]
+
+
+def test_richardson_blocks_past_rank_32_gives_the_enumerated_descriptor(capsys):
+    code, out, err = run_cli(capsys, "--format", "json", "richardson", *SO66)
+    assert (code, err) == (0, "")
+    P, doc = _so66_descriptor(), json.loads(out)
+    assert (doc["c"], doc["m0"], doc["levi"]) == (list(P.c), P.m0, P.levi_name())
+
+
+def test_tables_2_past_the_rank_bound_names_the_group_and_no_keyword(capsys):
+    # table 2 enumerates the parabolics, so it keeps the rank bound; no command
+    # takes that bound, so the refusal may not advise raising one
+    code, out, err = run_cli(capsys, "tables", "2", "--group", "so", "--dim", "66", "--char", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: SO66 (p=2) has rank 33;") and "up to rank 32" in err
     assert "max_rank" not in err

@@ -1,15 +1,17 @@
 """Property tests past desk scale, at dims 40-200: classes are built from
 GL blocks alpha and a distinguished remainder beta, with no enumeration.
-phi2 round-trips through psi2 at dims 40-64, where every Richardson piece
-has rank <= 32.  The closed extra-class count is pinned at dim 60."""
+phi2 round-trips through psi2, and each label's tokens map back to the
+Richardson pieces of beta, at every rank the draw reaches.  The closed
+extra-class count is pinned at dim 60."""
 
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unipotent_atlas.balacarter import analyse, phi2, psi2
+from unipotent_atlas.balacarter import analyse, label, phi2, psi2
 from unipotent_atlas.classes import (
     Char,
     EpsilonMap,
@@ -24,11 +26,12 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import _closed_extra_count
 from unipotent_atlas.partitions import Partition
-from unipotent_atlas.richardson import DEFAULT_RANK_BOUND, ParabolicDescriptor, in_richardson_image
+from unipotent_atlas.decomp import decompose
+from unipotent_atlas.richardson import ParabolicDescriptor, in_richardson_image, richardson_blocks
 
 MIN_DIM, MAX_DIM = 40, 200
-#: Up to this dim every piece's group has rank within the inverse's bound.
-ROUND_TRIP_MAX_DIM = 2 * DEFAULT_RANK_BOUND
+#: A distinguished class of SO200 at p=2 that is one Richardson piece of rank 100.
+SO200_PIECE = (GroupSpec(Family.SO, 200, Char.TWO), Partition(), Partition((40, 36, 30, 26, 20, 16, 12, 10, 6, 4)))
 
 
 @st.composite
@@ -94,15 +97,47 @@ def test_combine_refuses_an_eps_beta_the_law_forbids(data, draws):
 
 
 @settings(deadline=None)
-@given(levi_data(MIN_DIM, ROUND_TRIP_MAX_DIM))
-def test_phi2_round_trips_through_psi2_to_rank_32(data):
+@given(levi_data())
+@example(SO200_PIECE)
+def test_phi2_round_trips_through_psi2(data):
     G, alpha, beta = data
     C = combine(alpha, beta, distinguished_eps(G, beta), G)
     image = phi2(C)
     assert psi2(image, G).data_key() == C.data_key()
     for P in image.parabolics:
-        assert P.group.rank <= DEFAULT_RANK_BOUND
         assert P == ParabolicDescriptor(P.group, P.c, P.m0)
+
+
+#: A label's token of a Richardson piece: type letter, rank, then the marked
+#: diagram, a count of rank-1 Levi factors, or nothing.
+TOKEN = re.compile(r"([BCD])(\d+)(?:\[([^\]]*)\]|\(a\d+\))?")
+
+
+def _parabolic_of_diagram(H: GroupSpec, diagram: str) -> ParabolicDescriptor:
+    """The descriptor of H that balacarter.diagram_string renders as diagram."""
+    chunks = diagram.split()
+    sizes = [len(chunk) for chunk in chunks if chunk.startswith("x")]
+    m0 = chunks.count("o") + 2 * chunks.count("(o,o)")
+    return ParabolicDescriptor(H, tuple(sizes.count(i) for i in range(1, max(sizes, default=0) + 1)), m0)
+
+
+@settings(deadline=None)
+@given(levi_data())
+@example(SO200_PIECE)
+def test_label_tokens_map_back_to_the_richardson_pieces(data):
+    G, alpha, beta = data
+    text = label(combine(alpha, beta, distinguished_eps(G, beta), G))
+    gl_tokens = "".join(f"A{p - 1}" for p in alpha.parts if p >= 2)
+    assert text.startswith(gl_tokens) or text == "0"
+    rest = text[len(gl_tokens):].removeprefix("0")  # "0": no token at all
+    pieces = [piece for piece in decompose(beta, G).nonzero_pieces() if piece.total // 2]
+    tokens = TOKEN.findall(rest)
+    assert "".join(m.group(0) for m in TOKEN.finditer(rest)) == rest
+    assert sorted(int(rank) for _, rank, _ in tokens) == sorted(piece.total // 2 for piece in pieces)
+    for letter, rank, diagram in tokens:
+        if diagram:
+            H = G.classical_factor(2 * int(rank) + (letter == "B"))
+            assert Partition(richardson_blocks(_parabolic_of_diagram(H, diagram))) in pieces
 
 
 @pytest.mark.parametrize("family, extra", [(Family.SO, 48_165), (Family.SP, 141_685)])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from unipotent_atlas import balacarter, classes, cli, oracle
+from unipotent_atlas import balacarter, classes, cli, oracle, richardson
 from unipotent_atlas.classes import (
     Char,
     Family,
@@ -23,6 +23,7 @@ from unipotent_atlas.classes import (
     shape_violation,
 )
 from unipotent_atlas.errors import InputError
+from unipotent_atlas.richardson import enumerate_distinguished_parabolics
 from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
 from unipotent_atlas.oracle import (
     BATTERY,
@@ -168,6 +169,36 @@ def test_a_wrong_paper_count_fails_its_group_alone(monkeypatch, capsys):
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert {r["group"]: r["counterexamples"] for r in reports if r["outcome"] == "fail"} == {
         "SO16 (p=2)": ["counted 5, the paper gives 6"]}
+
+
+def test_the_richardson_inverse_claim_passes_on_every_group_to_dim_24():
+    reports = run_all(24, claims=("richardson-inverse",))
+    assert [r.group for r in reports] == [G.describe() for G in group_sweep(24)]
+    assert all(r.passed and r.claim == "richardson-inverse" for r in reports), [
+        (r.group, r.counterexamples) for r in reports if not r.passed]
+    checked = {r.group: r.checked for r in reports}
+    # one per descriptor; SO2 has none, so its two partitions must be refused
+    assert checked["SO16 (p=2)"] == len(enumerate_distinguished_parabolics(GroupSpec(Family.SO, 16, Char.TWO)))
+    assert checked["SO2 (p=2)"] == checked["SO2 (p odd)"] == 2
+
+
+def test_a_closed_form_with_m0_off_by_one_fails_on_so_at_p2(monkeypatch):
+    real = richardson._from_exponents
+
+    def planted(G, parts):
+        P = real(G, parts)
+        if P is None or not (G.family is Family.SO and G.p2):
+            return P
+        return richardson._trusted_parabolic(G, P.c, P.m0 + 1)
+
+    monkeypatch.setattr(richardson, "_from_exponents", planted)
+    reports = run_all(12, claims=("richardson-inverse",))
+    failed = {r.group: r.counterexamples for r in reports if not r.passed}
+    assert failed.keys() == {G.describe() for G in group_sweep(12)
+                             if G.family is Family.SO and G.p2 and G.dim != 2}
+    # every descriptor of those groups is a counterexample
+    assert all(len(failed[r.group]) == r.checked for r in reports if not r.passed)
+    assert failed["SO8 (p=2)"][0] == "4^2: the inverse gives c=2,1;m0=2, the index c=2,1;m0=1"
 
 
 def test_minimal_levi_verifier_sweep_dim_16():

@@ -8,12 +8,13 @@ from unipotent_atlas.classes import Char, Family, GroupSpec, canonical_eps, dist
 from unipotent_atlas.cli import SCHEMA, main
 from unipotent_atlas.decomp import satisfies_difference_condition
 from unipotent_atlas.errors import InputError, ResourceLimitError
-from unipotent_atlas.oracle import group_sweep
+from unipotent_atlas import oracle
+from unipotent_atlas.oracle import group_sweep, verify_claim
 from unipotent_atlas.partitions import Partition, iter_partitions
 from unipotent_atlas import richardson
 from unipotent_atlas.richardson import (
     ParabolicDescriptor,
-    _by_blocks,
+    _from_exponents,
     _enumerated,
     _n_window,
     enumerate_distinguished_parabolics,
@@ -318,7 +319,7 @@ def scan_inverse(G, lam):
 
 
 def test_index_inverse_matches_the_linear_scan_gl_to_rank_12_sp_so_to_rank_24():
-    _by_blocks.cache_clear()
+    # the closed-form inverse, whose answers are memoized per (group, blocks)
     total = 0
     for char in (Char.TWO, Char.GOOD):
         groups = [spec(Family.GL, rank, char) for rank in range(1, 13)]
@@ -327,7 +328,6 @@ def test_index_inverse_matches_the_linear_scan_gl_to_rank_12_sp_so_to_rank_24():
                        spec(Family.SO, 2 * rank + 1, char)]
         for G in groups:
             descs = enumerate_distinguished_parabolics(G)
-            assert len(_by_blocks(G)) == len(descs), G.describe()
             for P in descs:
                 lam = Partition(richardson_blocks(P))
                 assert [parabolic_from_blocks(G, lam)] == scan_inverse(G, lam) == [P]
@@ -336,29 +336,43 @@ def test_index_inverse_matches_the_linear_scan_gl_to_rank_12_sp_so_to_rank_24():
 
 
 def test_index_build_refuses_two_descriptors_with_the_same_blocks(monkeypatch):
-    _by_blocks.cache_clear()
-    monkeypatch.setattr(richardson, "richardson_blocks", lambda P: (4, 4))
-    G = spec(Family.SO, 8)
-    with pytest.raises(RuntimeError, match=r"two distinguished parabolics of SO8 \(p=2\)"):
-        _by_blocks(G)
-    assert _by_blocks.cache_info().currsize == 0
+    # the index is the oracle's reading of the inverse, built from the enumeration
+    monkeypatch.setattr(oracle, "richardson_blocks", lambda P: (4, 4))
+    report = verify_claim("richardson-inverse", spec(Family.SO, 8))
+    assert not report.passed
+    assert report.counterexamples[0].endswith("share the Richardson blocks (4, 4)")
 
 
 def test_index_miss_of_an_admitted_partition_is_a_runtime_error(monkeypatch):
-    _by_blocks.cache_clear()
+    # no candidate of the closed form maps forward to an admitted partition
     G, lam = spec(Family.SO, 16), Partition((6, 4, 4, 2))
     monkeypatch.setattr(richardson, "in_richardson_image", lambda G, lam: True)
     with pytest.raises(RuntimeError, match="expected exactly one descriptor .* found 0"):
         parabolic_from_blocks(G, lam)
 
 
-def test_index_refusal_past_rank_32_is_not_cached():
-    _by_blocks.cache_clear()
+def test_inverse_past_rank_32_matches_the_enumeration_and_never_enumerates(monkeypatch):
+    # the inverse used to refuse every piece past rank 32
     G = spec(Family.SO, 66)
-    for _ in range(2):
-        with pytest.raises(ResourceLimitError, match="rank 33"):
-            parabolic_from_blocks(G, Partition((64, 2)))
-    assert _by_blocks.cache_info().currsize == 0
+    descs = enumerate_distinguished_parabolics(G, max_rank=33)
+    assert len(descs) == 312
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("the inverse enumerated")
+
+    monkeypatch.setattr(richardson, "enumerate_distinguished_parabolics", refusing)
+    monkeypatch.setattr(richardson, "_enumerated", refusing)
+    for P in descs:
+        assert parabolic_from_blocks(G, Partition(richardson_blocks(P))) == P
+
+
+def test_the_inverse_is_memoized_per_group_and_blocks():
+    G, lam = spec(Family.SO, 66), Partition((64, 2))
+    _from_exponents.cache_clear()
+    first = parabolic_from_blocks(G, lam)
+    assert parabolic_from_blocks(G, lam) is first
+    assert _from_exponents.cache_info()[:2] == (1, 1)  # hits, misses
+    assert first.describe() == "c=1^32;m0=1"
 
 
 def test_orthogonal_p2_image_satisfies_difference_condition():
