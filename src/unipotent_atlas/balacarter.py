@@ -15,7 +15,9 @@ that splitting is proper, i.e. the remainder itself is not a Richardson
 class; labels render the GL blocks as A-tokens and each Richardson piece as
 a B/C/D token, with (a_j) notation when the piece's Levi has only rank-1
 simple factors and a marked-diagram fallback otherwise.  All four read
-one ClassAnalysis, whose remainder record analyse_all shares per beta.
+one ClassAnalysis per class object, which the first of them asked builds
+and keeps on that object; analyse_all builds fresh analyses in bulk, one
+remainder record per beta.
 
 Both kinds of product obey the rules of _check_product (gl, sp or so; no
 classical factors on GL; GL blocks and factors fill the module; at most one
@@ -159,7 +161,7 @@ def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
 
 def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
     """The preimage of C under psi1 with the maximal number of GL factors."""
-    return analyse(C).phi1()
+    return _analysis(C).phi1()
 
 
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
@@ -170,7 +172,7 @@ def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
 
 def phi2(C: ClassParam) -> ParabolicProduct:
     """The canonical parabolic product mapping to C under psi2."""
-    return analyse(C).phi2()
+    return _analysis(C).phi2()
 
 
 def _product_class(G: GroupSpec, gl_parts: Partition, blocks: Iterable[int]) -> ClassParam:
@@ -181,7 +183,7 @@ def _product_class(G: GroupSpec, gl_parts: Partition, blocks: Iterable[int]) -> 
 
 def is_extra_class(C: ClassParam) -> bool:
     """Whether the minimal-Levi remainder is not itself a Richardson class."""
-    return analyse(C).is_extra()
+    return _analysis(C).is_extra()
 
 
 # -- one analysis per class ----------------------------------------------------------
@@ -233,9 +235,10 @@ class ClassAnalysis:
     record of the distinguished remainder beta, shared by the analyses of one
     analyse_all call with the same group and beta.
 
-    phi1, phi2, is_extra_class and label each read their answer from an
-    analysis; a caller that needs several of them, or many classes, builds
-    the analyses with analyse_all."""
+    phi1, phi2, is_extra_class and label share one analysis per class
+    object, kept on it by the first of them asked, so it lives as long as the
+    object does; a caller that needs many classes builds the analyses with
+    analyse_all."""
 
     alpha: Partition
     remainder: RemainderAnalysis
@@ -286,6 +289,16 @@ def analyse(C: ClassParam) -> ClassAnalysis:
     return next(analyse_all((C,)))
 
 
+def _analysis(C: ClassParam) -> ClassAnalysis:
+    """The analysis that phi1, phi2, is_extra_class and label read: the first
+    of them asked of C builds it and keeps it in C's __dict__, as
+    functools.cached_property keeps a value, and the rest read it back.  It
+    dies with C; an equal object analyses afresh, and a failure keeps nothing."""
+    if "_analysis" not in C.__dict__:
+        C.__dict__["_analysis"] = analyse(C)
+    return C.__dict__["_analysis"]
+
+
 # -- labels and diagrams -------------------------------------------------------------
 
 
@@ -313,7 +326,7 @@ def label(C: ClassParam) -> str:
     """Compound label: A-tokens for the GL blocks, then one token per
     Richardson piece, ordered by decreasing rank.  The identity-like empty
     label is rendered "0"."""
-    return analyse(C).label()
+    return _analysis(C).label()
 
 
 def o_not_so_conjugate(C1: ClassParam, C2: ClassParam) -> bool:

@@ -1,6 +1,8 @@
 """Tests for the subgroup parameterization maps, labels, and diagrams."""
 
+import pickle
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -318,6 +320,9 @@ def test_analyse_all_agrees_with_analysing_each_class_alone():
         assert (a.group, a.alpha, a.beta, a.pieces) == (b.group, b.alpha, b.beta, b.pieces)
         assert (a.label(), a.is_extra()) == (b.label(), b.is_extra()), (C.group, str(C.lam))
         assert (a.phi1(), a.phi2()) == (b.phi1(), b.phi2()), (C.group, str(C.lam))
+        # the module-level maps, which share one analysis kept on C
+        assert (label(C), is_extra_class(C), phi1(C), phi2(C)) == (
+            b.label(), b.is_extra(), b.phi1(), b.phi2()), (C.group, str(C.lam))
 
 
 def test_one_call_builds_one_remainder_record_per_distinct_beta():
@@ -330,16 +335,21 @@ def test_one_call_builds_one_remainder_record_per_distinct_beta():
     assert sum(1 for G, _ in records if G == SHARING_GROUPS[-2]) == 158
 
 
-def _count_inversions(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of each later call balacarter makes to its global name."""
     calls = []
-    invert = balacarter.parabolic_from_blocks
+    original = getattr(balacarter, name)
 
-    def counted(G, lam):
-        calls.append((G, lam))
-        return invert(G, lam)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(balacarter, "parabolic_from_blocks", counted)
+    monkeypatch.setattr(balacarter, name, counted)
     return calls
+
+
+def _count_inversions(monkeypatch) -> list:
+    return _count_calls(monkeypatch, "parabolic_from_blocks")
 
 
 def test_each_remainder_record_inverts_each_of_its_pieces_once(monkeypatch):
@@ -364,3 +374,66 @@ def test_separate_analyse_calls_share_nothing(monkeypatch):
     assert first.remainder is not second.remainder
     assert first.label() == second.label()
     assert len(calls) == 2 * len(first.pieces) > 0
+
+
+# -- one analysis per class object for the module-level maps -------------------------
+
+MAPS = (label, is_extra_class, phi1, phi2)
+
+
+def _twin(C):
+    return ClassParam(C.group, C.lam, C.eps, C.split_tag)
+
+
+def test_the_four_maps_share_one_analysis_per_class_object(monkeypatch):
+    C0 = next(C for C in enumerate_classes(SO16) if analyse(C).is_extra())
+    pieces = analyse(C0).pieces
+    levis = _count_calls(monkeypatch, "minimal_levi")
+    calls = _count_inversions(monkeypatch)
+    for order in permutations(MAPS):
+        C = _twin(C0)
+        levis.clear()
+        calls.clear()
+        answers = [f(C) for f in order]
+        assert [f(C) for f in order] == answers  # asked again, read back
+        assert len(levis) == 1
+        assert Counter(lam for _, lam in calls) == Counter(pieces)
+        assert len(calls) == len(pieces) > 1
+
+
+def test_an_equal_class_object_analyses_afresh(monkeypatch):
+    C = next(C for C in enumerate_classes(SO16) if analyse(C).is_extra())
+    levis = _count_calls(monkeypatch, "minimal_levi")
+    calls = _count_inversions(monkeypatch)
+    first = label(C), phi2(C)
+    D = ClassParam(C.group, C.lam, C.eps)
+    assert D == C and D is not C
+    assert (label(D), phi2(D)) == first
+    assert len(levis) == 2
+    assert len(calls) == 2 * len(analyse(C).pieces) > 0
+
+
+def test_the_maps_leave_a_class_its_identity():
+    classes = enumerate_classes(SO16)
+    extra = [C for C in classes if analyse(C).is_extra()]
+    for C in extra[:3] + [next(C for C in classes if C.split_tag == "II")]:
+        twin = _twin(C)
+        before = (hash(C), repr(C), C.data_key(), C.key())
+        for f in MAPS:
+            f(C)
+        assert C == twin and twin == C
+        assert (hash(C), repr(C), C.data_key(), C.key()) == before
+        assert (hash(twin), repr(twin), twin.data_key(), twin.key()) == before
+        back = pickle.loads(pickle.dumps(C))
+        assert back == C and hash(back) == hash(C)
+        assert [f(back) for f in MAPS] == [f(twin) for f in MAPS]
+
+
+def test_an_o_group_class_raises_on_every_call():
+    C = enumerate_classes(GroupSpec(Family.O, 8, Char.TWO))[3]
+    before = dict(vars(C))
+    for _ in range(2):
+        for f in MAPS:
+            with pytest.raises(InputError):
+                f(C)
+    assert vars(C) == before  # a failed analysis keeps nothing
