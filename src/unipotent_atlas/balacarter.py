@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, groupby, product
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .classes import (
     ClassParam,
@@ -73,12 +73,12 @@ class RegularSubgroupDescriptor:
 
     def validate_for(self, G: GroupSpec) -> None:
         _check_product(G, self.gl_parts, [m for m, _ in self.cl_parts])
-        full = _full_factors(G)
+        full, sp = _full_factors(G), G.family is Family.SP
         for m, f in self.cl_parts:
             if f != full:
                 kind = "full orthogonal" if full else "connected"
                 raise InputError(f"classical factors of {G.describe()} must be {kind}")
-            if G.family is Family.SP and m % 2 != 0:
+            if sp and m % 2 != 0:
                 raise InputError(f"symplectic factor dimension {m} must be even")
         if _even_block_count(G) and len(self.cl_parts) % 2 != 0:
             raise InputError("an even-dimensional SO group needs an even number of factors")
@@ -88,6 +88,15 @@ class RegularSubgroupDescriptor:
         for m, full in self.cl_parts:
             chunks.append(f"O{m}" if full else f"Cl{m}")
         return " ".join(chunks) if chunks else "1"
+
+
+def _trusted_regular(gl_parts: Partition, cl_parts: tuple[tuple[int, bool], ...]) -> RegularSubgroupDescriptor:
+    """The descriptor (gl_parts, cl_parts), cl_parts typed and sorted as the constructor
+    leaves it; trusted, so set without __init__, as richardson._trusted_parabolic is."""
+    X = object.__new__(RegularSubgroupDescriptor)
+    object.__setattr__(X, "gl_parts", gl_parts)
+    object.__setattr__(X, "cl_parts", cl_parts)
+    return X
 
 
 @dataclass(frozen=True, order=True)
@@ -139,8 +148,7 @@ def _check_product(G: GroupSpec, gl_parts: Partition, dims: list[int]) -> None:
         raise InputError("factor dimensions do not fill the natural module")
     # at p=2, each odd-dimensional orthogonal summand adds a line to the
     # bilinear radical, and an SO group's radical has dimension dim mod 2
-    odd_dims = sum(m % 2 for m in dims)
-    if _full_factors(G) and odd_dims > 1:
+    if _full_factors(G) and (odd_dims := sum(m % 2 for m in dims)) > 1:
         raise InputError(
             f"{odd_dims} odd-dimensional factors cannot embed in {G.describe()} at p=2"
         )
@@ -154,9 +162,11 @@ def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
     X.validate_for(G)
     # validate_for has checked each factor as a group of its own: a positive
     # dimension, even for Sp, and full (a whole O_m) exactly when _full_factors(G)
-    return _product_class(G, X.gl_parts, (
-        b for m, full in X.cl_parts
-        for b in regular_blocks(Family.O if full else G.family, m, G.p2, nonidentity=full and m % 2 == 0)))
+    blocks: dict[int, int] = {}
+    for m, full in X.cl_parts:
+        for b in regular_blocks(Family.O if full else G.family, m, G.p2, full and m % 2 == 0):
+            blocks[b] = blocks.get(b, 0) + 1
+    return _product_class(G, X.gl_parts, blocks)
 
 
 def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
@@ -167,7 +177,7 @@ def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
     """Class of a product of Richardson elements, one per parabolic factor of P."""
     P.validate_for(G)
-    return _product_class(G, P.gl_parts, (b for desc in P.parabolics for b in richardson_blocks(desc)))
+    return _product_class(G, P.gl_parts, _count(b for desc in P.parabolics for b in richardson_blocks(desc)))
 
 
 def phi2(C: ClassParam) -> ParabolicProduct:
@@ -175,10 +185,10 @@ def phi2(C: ClassParam) -> ParabolicProduct:
     return _analysis(C).phi2()
 
 
-def _product_class(G: GroupSpec, gl_parts: Partition, blocks: Iterable[int]) -> ClassParam:
+def _product_class(G: GroupSpec, gl_parts: Partition, blocks: dict[int, int]) -> ClassParam:
     """The class of a product that validate_for accepted: GL blocks gl_parts, and
-    classical blocks, listed in any order, that carry the distinguished eps."""
-    return _combine(G, gl_parts.multiplicities(), _count(blocks), None)
+    classical blocks, counted by size, that carry the distinguished eps."""
+    return _combine(G, gl_parts.multiplicities(), blocks, None)
 
 
 def is_extra_class(C: ClassParam) -> bool:
@@ -249,7 +259,7 @@ class ClassAnalysis:
 
     def phi1(self) -> RegularSubgroupDescriptor:
         full = _full_factors(self.group)
-        return RegularSubgroupDescriptor(self.alpha, tuple((m, full) for m in self.beta.parts))
+        return _trusted_regular(self.alpha, tuple((m, full) for m in self.beta.parts))
 
     def phi2(self) -> ParabolicProduct:
         return ParabolicProduct(self.alpha, self.remainder.descriptors)
@@ -293,7 +303,8 @@ def _analysis(C: ClassParam) -> ClassAnalysis:
     """The analysis that phi1, phi2, is_extra_class and label read: the first
     of them asked of C builds it and keeps it in C's __dict__, as
     functools.cached_property keeps a value, and the rest read it back.  It
-    dies with C; an equal object analyses afresh, and a failure keeps nothing."""
+    dies with C; an equal object, a copy or an unpickled one (ClassParam.__getstate__
+    leaves it out) analyses afresh, and a failure keeps nothing."""
     if "_analysis" not in C.__dict__:
         C.__dict__["_analysis"] = analyse(C)
     return C.__dict__["_analysis"]
@@ -362,40 +373,42 @@ def _classical_dim_multisets(G: GroupSpec, total: int) -> Iterator[tuple[int, ..
                 yield tuple(sorted((odd,) + tuple(2 * p for p in parts), reverse=True))
 
 
-def _products(G: GroupSpec) -> Iterator[tuple[Partition, list[tuple[int, ...]]]]:
-    """(GL blocks, every dimension multiset of classical factors that fills
-    the rest of G) for each GL block partition, in enumeration order."""
+def _products(G: GroupSpec, factors: Callable[[tuple[int, ...]], list]) -> Iterator[tuple[Partition, object]]:
+    """(GL blocks, classical factors) of each product of G, in enumeration order:
+    for each GL block partition, the factors(dims) of every dimension multiset
+    dims of classical factors that fills the rest of G, asked once per dims."""
     if G.family is Family.GL:
-        for parts in iter_partitions(G.dim):
-            yield _from_mults(_count(parts)), [()]
-        return
-    if G.family not in (Family.SP, Family.SO):
+        sizes: Iterable = [(G.dim, [()])]
+    elif G.family in (Family.SP, Family.SO):
+        sizes = ((a, _classical_dim_multisets(G, G.dim - 2 * a)) for a in range(G.dim // 2 + 1))
+    else:
         raise InputError("subgroup products are enumerated for gl, sp, and so")
-    for a in range(G.dim // 2 + 1):
-        multisets = list(_classical_dim_multisets(G, G.dim - 2 * a))
+    for a, multisets in sizes:
+        rest = [f for dims in multisets for f in factors(dims)]
         for alpha in iter_partitions(a):
-            yield _from_mults(_count(alpha)), multisets
+            gl = _from_mults(_count(alpha))
+            for f in rest:
+                yield gl, f
 
 
 def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
     """All regular-subgroup descriptors for G (conjugacy-class representatives)."""
     full, even = _full_factors(G), _even_block_count(G)
-    for gl, multisets in _products(G):
-        for dims in multisets:
-            if even and len(dims) % 2 != 0:  # even SO needs evenly many
-                continue
-            yield RegularSubgroupDescriptor(gl, tuple((m, full) for m in dims))
+    # even SO needs evenly many factors
+    for gl, cl in _products(G, lambda dims: [] if even and len(dims) % 2 else [tuple((m, full) for m in dims)]):
+        yield _trusted_regular(gl, cl)
 
 
 def iter_parabolic_products(G: GroupSpec, max_factors: int = 3) -> Iterator[ParabolicProduct]:
     """All parabolic products for G with at most max_factors classical factors,
     each once: factors of equal dimension take their parabolics as a multiset."""
-    for gl, multisets in _products(G):
-        for dims in multisets:
-            if len(dims) > max_factors:
-                continue
-            runs = [combinations_with_replacement(
-                        enumerate_distinguished_parabolics(G.classical_factor(d)), len(list(run)))
-                    for d, run in groupby(dims)]
-            for combo in product(*runs):
-                yield ParabolicProduct(gl, sum(combo, ()))
+    def combos(dims: tuple[int, ...]) -> list[tuple[ParabolicDescriptor, ...]]:
+        if len(dims) > max_factors:
+            return []
+        runs = [combinations_with_replacement(
+                    enumerate_distinguished_parabolics(G.classical_factor(d)), len(list(run)))
+                for d, run in groupby(dims)]
+        return [sum(combo, ()) for combo in product(*runs)]
+
+    for gl, parabolics in _products(G, combos):
+        yield ParabolicProduct(gl, parabolics)

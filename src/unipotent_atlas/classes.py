@@ -12,7 +12,7 @@ for EpsilonMap and the ``_trusted`` keyword for ClassParam.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, fields
 from enum import Enum
 from itertools import product
 from typing import Iterator
@@ -175,6 +175,11 @@ class ClassParam:
             if self.group.family is not Family.SO or not splits_in_so(self.lam, self.eps):
                 raise InputError("split tag on a class that does not split in SO")
 
+    def __getstate__(self) -> dict:
+        """The fields alone, for pickle and copy: not what the library keeps on
+        the object beside them (balacarter's analysis)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def same_class(self, other: ClassParam) -> bool:
         """Equality of the (group, blocks, eps) data, ignoring split tags."""
         return self.group == other.group and self.lam == other.lam and self.eps == other.eps
@@ -287,11 +292,6 @@ def _lambda_admissible(G: GroupSpec, lam: Partition, mults: dict[int, int]) -> b
         if m % 2 and x % 2 == rule and x > 1:
             return False
     return len(lam) % 2 == 0 or not _even_block_count(G)
-
-
-def canonical_eps(G: GroupSpec, lam: Partition) -> EpsilonMap:
-    """The canonical eps: the first of each part's eps_options (0 where free)."""
-    return _trusted_eps(tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()))
 
 
 def is_valid_class(G: GroupSpec, lam: Partition, eps: EpsilonMap) -> bool:

@@ -24,7 +24,6 @@ from .balacarter import (
     ParabolicProduct,
     RegularSubgroupDescriptor,
     analyse_all,
-    extra_classes,
     iter_parabolic_products,
     iter_regular_subgroups,
     psi1,
@@ -107,22 +106,44 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
 # -- the work a group's checks share ------------------------------------------------
 #
 # A _GroupWork holds what several checks of one group read: the class list, one
-# analysis per class (from one analyse_all call), and the psi1 and psi2 image
-# tables, which send each descriptor of G to the data_key of its class or to the
-# map's refusal, a counterexample of each claim that reads it.  Each part is built
-# on first use, inside the timed region of the check that needs it first.
-# verify_claim runs its check on a fresh record; run_all keeps one record per group.
+# analysis per class (from one analyse_all call), and the psi1 and psi2 images,
+# which send each descriptor of G to the data_key of its class or to the map's
+# refusal, a counterexample of each claim that reads it.  Up to PREIMAGE_MAX_DIM
+# the images are kept per descriptor (table), since _minimal_levi reads the
+# descriptors back; past it the descriptors stream through one table per map
+# from each distinct pair of GL parts and classical blocks to its image
+# (pair_images).  Each part is built on first use, inside the timed region of
+# the check that needs it first.  verify_claim runs its check on a fresh record;
+# run_all keeps one record per group.
 
 ImageTable = dict[object, tuple | str]
 
-#: Each descriptor map with the enumeration of its descriptors.
-_MAPS = {"psi1": (psi1, iter_regular_subgroups), "psi2": (psi2, iter_parabolic_products)}
+#: Largest dimension at which the image tables are kept per descriptor, and at
+#: which the minimal-levi claim checks phi1 against every regular-subgroup preimage.
+PREIMAGE_MAX_DIM = 16
+
+#: Each descriptor map with the enumeration of its descriptors and the field
+#: that holds a descriptor's classical factors.
+_MAPS = {"psi1": (psi1, iter_regular_subgroups, "cl_parts"),
+         "psi2": (psi2, iter_parabolic_products, "parabolics")}
+
+
+def _factor_blocks(G: GroupSpec, factor) -> tuple[int, ...]:
+    """The Jordan blocks of one classical factor of a descriptor of G: the
+    regular blocks of a (dimension, full) factor, those of the non-identity
+    component for a full factor of even dimension, or the Richardson blocks
+    of a parabolic."""
+    if isinstance(factor, ParabolicDescriptor):
+        return richardson_blocks(factor)
+    m, full = factor
+    return regular_blocks(Family.O if full else G.family, m, G.p2, full and m % 2 == 0)
 
 
 @dataclass(frozen=True)
 class _GroupWork:
     G: GroupSpec
     _tables: dict[str, ImageTable] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairs: dict[str, ImageTable] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def classes(self) -> list[ClassParam]:
@@ -133,9 +154,52 @@ class _GroupWork:
         return list(analyse_all(self.classes))
 
     def table(self, which: str) -> ImageTable:
+        """Each descriptor of G with its image, the map evaluated on each."""
         if which not in self._tables:
             self._tables[which] = {X: self._image(which, X) for X in _MAPS[which][1](self.G)}
         return self._tables[which]
+
+    def images(self, which: str) -> tuple[list[str], set[tuple]]:
+        """The map's refusals, one per refused descriptor of G in enumeration
+        order, and the data_keys of the classes it reaches: read off table up
+        to PREIMAGE_MAX_DIM, and off pair_images past it."""
+        if self.G.dim > PREIMAGE_MAX_DIM:
+            return self.pair_images(which)
+        values = self.table(which).values()
+        return [k for k in values if isinstance(k, str)], {k for k in values if not isinstance(k, str)}
+
+    def pair_images(self, which: str) -> tuple[list[str], set[tuple]]:
+        """images with the map evaluated once per distinct pair of GL parts and
+        classical blocks, and no descriptor kept.  This rests on psi1 and psi2
+        reading a descriptor only through that pair: the blocks its factors
+        carry and its GL parts give the class.  Every descriptor still passes
+        validate_for, and each refused one gets a refusal of its own."""
+        psi, descriptors, attr = _MAPS[which]
+        pairs = self._pairs.setdefault(which, {})  # the pair's data_key, or why the map refuses it
+        blocks_of: dict[object, tuple[int, ...]] = {}  # per classical factor
+        refusals = []
+        for X in descriptors(self.G):
+            try:
+                X.validate_for(self.G)
+            except InputError as exc:
+                refusals.append(f"{which} refuses {X.describe()}: {exc}")
+                continue
+            blocks = []
+            for f in getattr(X, attr):
+                if (fb := blocks_of.get(f)) is None:
+                    fb = blocks_of[f] = _factor_blocks(self.G, f)
+                blocks += fb
+            blocks.sort()
+            pair = (X.gl_parts.parts, tuple(blocks))
+            if (key := pairs.get(pair)) is None:
+                try:
+                    key = psi(X, self.G).data_key()
+                except InputError as exc:
+                    key = str(exc)
+                pairs[pair] = key
+            if isinstance(key, str):
+                refusals.append(f"{which} refuses {X.describe()}: {key}")
+        return refusals, {k for k in pairs.values() if not isinstance(k, str)}
 
     def key(self, which: str, X) -> tuple | str:
         """The data_key of X's class, or the map's refusal: read from the
@@ -160,9 +224,7 @@ def psi1_image(G: GroupSpec) -> set[tuple]:
 def _surjectivity(work: _GroupWork, which: str) -> VerificationReport:
     """Compare enumerate_classes(G) with the full image of psi1 or psi2."""
     t0 = time.perf_counter()
-    table = work.table(which)
-    bad = [k for k in table.values() if isinstance(k, str)]
-    image = {k for k in table.values() if not isinstance(k, str)}
+    bad, image = work.images(which)
     target = {C.data_key() for C in work.classes}
     bad += [f"class not reached: lambda={Partition(k[0])} eps={dict(k[1])}" for k in sorted(target - image)]
     bad += [f"image outside the class list: lambda={Partition(k[0])}" for k in sorted(image - target)]
@@ -316,11 +378,6 @@ def verify_proposition(bound: int = 30) -> VerificationReport:
 # -- extra classes ------------------------------------------------------------------
 
 
-def count_extra_classes(G: GroupSpec) -> int:
-    """Number of classes whose minimal-Levi remainder is not a Richardson class."""
-    return sum(1 for _ in extra_classes([C for C in enumerate_classes(G) if C.split_tag != "II"]))
-
-
 def _partition_counts(n: int) -> tuple[int, ...]:
     """p(0), ..., p(n), by Euler's pentagonal recurrence (Andrews, The Theory
     of Partitions, 1976): p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2)
@@ -432,16 +489,12 @@ def _valid_splittings(C: ClassParam) -> list[tuple[Partition, Partition]]:
                  for x, m in mults.items()]
     out = []
     for picks in product(*per_value):
-        beta = Partition(tuple(x for x, take in picks for _ in range(take)))
-        if beta in _distinguished_remainders(G.family, G.char, beta.total):
+        # decreasing, as the shapes' parts are: mults lists lam's values in its order
+        parts = tuple(x for x, take in picks for _ in range(take))
+        if parts in _remainder_shapes(G.family, G.char, sum(parts)):
             alpha = Partition(tuple(x for x, take in picks for _ in range((mults[x] - take) // 2)))
-            out.append((alpha, beta))
+            out.append((alpha, Partition(parts)))
     return out
-
-
-#: Largest dimension at which the minimal-levi claim checks phi1 against every
-#: regular-subgroup preimage.
-PREIMAGE_MAX_DIM = 16
 
 
 @lru_cache(maxsize=None)
@@ -450,6 +503,12 @@ def _distinguished_remainders(family: Family, char: Char, rest: int) -> dict[Par
     distinguished class (the empty beta when rest is 0).  Shared: do not modify."""
     H = GroupSpec(family, 2, char)  # distinguished_eps reads only the family and characteristic
     return {beta: distinguished_eps(H, beta) for beta in distinguished_shapes(family, char, rest)}
+
+
+@lru_cache(maxsize=None)
+def _remainder_shapes(family: Family, char: Char, rest: int) -> frozenset[tuple[int, ...]]:
+    """The parts of each of _distinguished_remainders(family, char, rest)."""
+    return frozenset(beta.parts for beta in _distinguished_remainders(family, char, rest))
 
 
 def _minimal_levi(work: _GroupWork) -> VerificationReport:

@@ -107,11 +107,6 @@ class ParabolicDescriptor:
             c = c[:-1]
         return cls(group, c, m0)
 
-    @classmethod
-    def borel(cls, group: GroupSpec) -> ParabolicDescriptor:
-        """The Borel subgroup's descriptor (Levi a maximal torus)."""
-        return cls.make(group, (group.rank,), 0)
-
     # -- structure queries ---------------------------------------------------
 
     def block_sizes(self) -> Partition:
@@ -161,6 +156,7 @@ def _n_window(G: GroupSpec, m0: int) -> tuple[int, ...]:
 # -- Jordan blocks of regular elements --------------------------------------------
 
 
+@lru_cache(maxsize=None)  # a small domain, read once per factor by psi1
 def regular_blocks(family: Family, n: int, p2: bool, nonidentity: bool = False) -> tuple[int, ...]:
     """Jordan block sizes, decreasing, of the regular unipotent class of the
     n-dimensional group of the family (p2: characteristic 2).

@@ -1,5 +1,6 @@
 """Tests for the subgroup parameterization maps, labels, and diagrams."""
 
+import copy
 import pickle
 from collections import Counter
 from itertools import permutations
@@ -29,8 +30,8 @@ from unipotent_atlas.classes import (
     EpsilonMap,
     Family,
     GroupSpec,
-    canonical_eps,
     enumerate_classes,
+    eps_options,
 )
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import group_sweep
@@ -44,6 +45,11 @@ SO19 = GroupSpec(Family.SO, 19, Char.TWO)
 
 def eps_of(**kv):
     return EpsilonMap(tuple((int(k), v) for k, v in kv.items()))
+
+
+def first_eps(G, lam) -> EpsilonMap:
+    """lam's canonical eps: the first of each part's eps_options."""
+    return EpsilonMap(tuple((x, eps_options(G, x, m)[0]) for x, m in lam.multiplicities().items()))
 
 
 def cls(G, parts, **kv):
@@ -99,7 +105,7 @@ def test_phi1_examples():
     assert X.gl_parts == Partition()
     assert X.cl_parts == ((6, True), (4, True), (4, True), (2, True))
     sp14 = GroupSpec(Family.SP, 14, Char.GOOD)
-    C = ClassParam(sp14, Partition((6, 4, 4)), canonical_eps(sp14, Partition((6, 4, 4))))
+    C = ClassParam(sp14, Partition((6, 4, 4)), first_eps(sp14, Partition((6, 4, 4))))
     X = phi1(C)
     assert X.gl_parts == Partition((4,)) and X.cl_parts == ((6, False),)
     C = cls(SO19, (6, 4, 4, 2, 2, 1), **{"6": 1, "4": 1, "2": 1, "1": -1})
@@ -138,7 +144,7 @@ def test_psi2_examples():
     assert C.lam == Partition((4, 4, 2, 2, 2, 2))
     assert C.eps[4] == 1 and C.eps[2] == 1
     sp10 = GroupSpec(Family.SP, 10, Char.TWO)
-    C = psi2(ParabolicProduct(Partition(), (ParabolicDescriptor.borel(sp10),)), sp10)
+    C = psi2(ParabolicProduct(Partition(), (ParabolicDescriptor.make(sp10, (5,), 0),)), sp10)
     assert C.lam == Partition((10,))
     P = ParabolicProduct(
         Partition(),
@@ -213,7 +219,7 @@ def test_label_examples():
     assert label(cls(sp8, (4, 4), **{"4": 1})) == "C2C2"
     assert label(cls(sp8, (1,) * 8, **{"1": -1})) == "0"
     gl6 = GroupSpec(Family.GL, 6, Char.GOOD)
-    assert label(ClassParam(gl6, Partition((3, 2, 1)), canonical_eps(gl6, Partition((3, 2, 1))))) == "A2A1"
+    assert label(ClassParam(gl6, Partition((3, 2, 1)), first_eps(gl6, Partition((3, 2, 1))))) == "A2A1"
     # rank >= 2 simple factors in the parabolic's Levi force the diagram fallback
     assert label(cls(SO16, (6, 6, 2, 2), **{"6": 1, "2": 1})) == "D8[x xo xoo (o,o)]"
 
@@ -239,7 +245,7 @@ def test_diagram_strings():
     P = parabolic_from_blocks(GroupSpec(Family.SO, 36, Char.TWO), Partition((12, 12, 6, 6)))
     assert diagram_string(P).split(" ") == ["x", "xo", "xo", "xoo", "xooo", "xooo", "(o,o)"]
     sp4 = GroupSpec(Family.SP, 4, Char.TWO)
-    assert diagram_string(ParabolicDescriptor.borel(sp4)) == "x x"
+    assert diagram_string(ParabolicDescriptor.make(sp4, (2,), 0)) == "x x"
     P = parabolic_from_blocks(GroupSpec(Family.SO, 12, Char.TWO), Partition((8, 4)))
     assert diagram_string(P) == "x x x xo o"
     P = parabolic_from_blocks(GroupSpec(Family.SO, 13, Char.TWO), Partition((8, 4, 1)))
@@ -258,7 +264,7 @@ def test_o_not_so_conjugate():
     C = cls(SO16, (6, 4, 4, 2), **{"6": 1, "4": 1, "2": 1})
     assert not o_not_so_conjugate(C, C)
     so12_good = GroupSpec(Family.SO, 12, Char.GOOD)
-    C = ClassParam(so12_good, Partition((5, 5, 1, 1)), canonical_eps(so12_good, Partition((5, 5, 1, 1))))
+    C = ClassParam(so12_good, Partition((5, 5, 1, 1)), first_eps(so12_good, Partition((5, 5, 1, 1))))
     assert not o_not_so_conjugate(C, C)
     with pytest.raises(InputError):
         o_not_so_conjugate(C, cls(SO13, (12, 1), **{"12": 1, "1": -1}))
@@ -427,6 +433,18 @@ def test_the_maps_leave_a_class_its_identity():
         back = pickle.loads(pickle.dumps(C))
         assert back == C and hash(back) == hash(C)
         assert [f(back) for f in MAPS] == [f(twin) for f in MAPS]
+
+
+def test_pickle_and_copy_carry_the_fields_alone():
+    C = next(C for C in enumerate_classes(SO16) if analyse(C).is_extra())
+    size = len(pickle.dumps(C))
+    first = label(C), phi2(C)
+    assert "_analysis" in vars(C)
+    assert len(pickle.dumps(C)) == size  # not grown by the analysis
+    for twin in (copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
+        assert twin == C and "_analysis" not in vars(twin)
+        assert (label(twin), phi2(twin)) == first
+        assert vars(twin)["_analysis"] is not vars(C)["_analysis"]  # each its own record
 
 
 def test_an_o_group_class_raises_on_every_call():

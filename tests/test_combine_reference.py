@@ -26,7 +26,6 @@ from unipotent_atlas.classes import (
     GroupSpec,
     _lambda_admissible,
     _trusted_eps,
-    canonical_eps,
     combine,
     distinguished_eps,
     enumerate_classes,
@@ -53,7 +52,8 @@ def reference_combine(alpha, beta, eps_beta, G):
             raise InputError("GL classes have no classical factor")
         if alpha.total != G.dim:
             raise InputError(f"GL blocks of {alpha.total} do not fill dimension {G.dim}")
-        return ClassParam(G, alpha, canonical_eps(G, alpha), _trusted=True)
+        eps = EpsilonMap(tuple((x, eps_options(G, x, m)[0]) for x, m in alpha.multiplicities().items()))
+        return ClassParam(G, alpha, eps, _trusted=True)
     if 2 * alpha.total + beta.total != G.dim:
         raise InputError(f"2*{alpha.total} + {beta.total} does not match dimension {G.dim}")
     beta_mults = beta.multiplicities()

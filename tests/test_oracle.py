@@ -29,7 +29,6 @@ from unipotent_atlas.oracle import (
     BATTERY,
     GROUP_CLAIMS,
     VerificationReport,
-    count_extra_classes,
     distinguished_shapes,
     group_sweep,
     iter_admissible_beta,
@@ -135,11 +134,14 @@ def test_distinguished_shapes_are_stated_for_sp_and_so_only():
 
 
 def test_extra_class_counts():
-    for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5)):
-        assert count_extra_classes(GroupSpec(Family.SO, dim, Char.TWO)) == want
-    assert count_extra_classes(GroupSpec(Family.SO, 12, Char.GOOD)) == 0
+    # the extra-counts claim passes exactly when the analyses count the closed count
+    cases = [(GroupSpec(Family.SO, dim, Char.TWO), want) for dim, want in ((7, 2), (12, 1), (14, 2), (16, 5))]
+    cases.append((GroupSpec(Family.SO, 12, Char.GOOD), 0))
     # frozen after inspection: (4,4), (4,2,2), (2^4), (2^2,1^4), all with eps 1
-    assert count_extra_classes(GroupSpec(Family.SP, 8, Char.TWO)) == 4
+    cases.append((GroupSpec(Family.SP, 8, Char.TWO), 4))
+    for G, want in cases:
+        report = verify_claim("extra-counts", G)
+        assert report.passed and oracle._closed_extra_count(G) == want, G.describe()
 
 
 def test_partition_counts_follow_the_enumeration():
@@ -263,6 +265,55 @@ def test_a_class_the_library_refuses_to_rebuild_fails_the_class_level_claims(mon
     assert oracle._right_inverse(work, "phi1").counterexamples == [f"psi1 refuses Cl4 Cl2: {refusal}"]
     [phi2] = oracle._right_inverse(work, "phi2").counterexamples
     assert phi2.startswith("psi2 refuses ") and phi2.endswith(refusal)
+
+
+def _per_descriptor_reading(work, which):
+    values = list(work.table(which).values())
+    return [k for k in values if isinstance(k, str)], {k for k in values if not isinstance(k, str)}
+
+
+@pytest.mark.parametrize("which", ["psi1", "psi2"])
+def test_the_two_image_readings_agree_on_every_group_to_dim_16(which):
+    # the pair reading rests on psi depending on a descriptor only through its
+    # GL parts and classical blocks; where both run, they must agree
+    assert oracle.PREIMAGE_MAX_DIM == 16
+    merged = 0
+    for G in group_sweep(16):
+        work = oracle._GroupWork(G)
+        refusals, image = _per_descriptor_reading(work, which)
+        assert work.pair_images(which) == (refusals, image), G.describe()
+        assert work.images(which) == (refusals, image)
+        assert image == {C.data_key() for C in work.classes}
+        merged += len(work.table(which)) - len(work._pairs[which])
+    assert merged > 0  # some descriptors share a pair, so the readings differ in work
+
+
+@pytest.mark.parametrize("which", ["psi1", "psi2"])
+def test_the_two_image_readings_give_the_same_refusals(monkeypatch, which):
+    # a planted library that knows no class with a block of size 2: one
+    # refusal per refused descriptor, in enumeration order, naming it
+    real = classes._lambda_admissible
+    monkeypatch.setattr(classes, "_lambda_admissible", lambda G, lam, mults: 2 not in mults and real(G, lam, mults))
+    failed = 0
+    for G in group_sweep(10):
+        work = oracle._GroupWork(G)
+        refusals, image = _per_descriptor_reading(work, which)
+        assert work.pair_images(which) == (refusals, image), G.describe()
+        failed += len(refusals)
+    assert failed > 100
+
+
+def test_past_the_preimage_bound_psi_runs_once_per_pair(monkeypatch):
+    G = GroupSpec(Family.SO, 17, Char.GOOD)
+    calls = []
+    psi, enumerate_descriptors, attr = oracle._MAPS["psi1"]
+    monkeypatch.setitem(oracle._MAPS, "psi1", (lambda X, H: calls.append(X) or psi(X, H), enumerate_descriptors, attr))
+    work = oracle._GroupWork(G)
+    refusals, image = work.images("psi1")
+    assert work._tables == {}  # no descriptor kept
+    assert refusals == [] and image == {C.data_key() for C in work.classes}
+    assert len(calls) == len(work._pairs["psi1"]) < sum(1 for _ in iter_regular_subgroups(G)) / 4
+    assert verify_claim("psi1-surjective", G).passed
 
 
 def test_a_swept_group_enumerates_under_the_sweep_bound():

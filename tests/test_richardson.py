@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from unipotent_atlas.classes import Char, Family, GroupSpec, canonical_eps, distinguished_eps
+from unipotent_atlas.classes import Char, EpsilonMap, Family, GroupSpec, distinguished_eps, eps_options
 from unipotent_atlas.cli import SCHEMA, main
 from unipotent_atlas.decomp import satisfies_difference_condition
 from unipotent_atlas.errors import InputError, ResourceLimitError
@@ -58,7 +58,7 @@ def reference_regular_jordan_blocks(G, nonidentity_component=False):
         raise InputError("a non-identity component regular class needs O_n, p=2, n even")
     if G.family is Family.GL:
         lam = Partition((n,))
-        return lam, canonical_eps(G, lam)
+        return lam, EpsilonMap(((n, eps_options(G, n, 1)[0]),))
     if G.family is Family.SP or nonidentity_component:
         lam = Partition((n,))
         return lam, distinguished_eps(G, lam)
@@ -152,7 +152,8 @@ def test_descriptor_refuses_non_integer_entries(c, m0):
 
 def test_richardson_blocks_examples():
     for m in (1, 2, 5):
-        borel = ParabolicDescriptor.borel(spec(Family.SP, 2 * m))
+        G = spec(Family.SP, 2 * m)
+        borel = ParabolicDescriptor.make(G, (G.rank,), 0)
         assert richardson_jordan_blocks(borel)[0] == Partition((2 * m,))
     lam, eps = richardson_jordan_blocks(ParabolicDescriptor(spec(Family.SO, 12), (3, 1), 1))
     assert lam == Partition((8, 4)) and eps[8] == 1 and eps[4] == 1
@@ -168,11 +169,11 @@ def test_borel_matches_regular_class_all_families():
                 groups.append(spec(Family.SO, 2 * rank, char))
             else:
                 with pytest.raises(InputError):  # SO_2 has no distinguished parabolics
-                    ParabolicDescriptor.borel(spec(Family.SO, 2, char))
+                    ParabolicDescriptor.make(spec(Family.SO, 2, char), (1,), 0)
             if char is Char.GOOD:
                 groups.append(spec(Family.GL, rank, char))
             for G in groups:
-                borel = ParabolicDescriptor.borel(G)
+                borel = ParabolicDescriptor.make(G, (G.rank,), 0)
                 assert richardson_jordan_blocks(borel) == regular_jordan_blocks(G)
 
 
@@ -194,7 +195,7 @@ def test_parabolic_from_blocks_examples():
     P = parabolic_from_blocks(spec(Family.SO, 12), Partition((8, 4)))
     assert (P.c, P.m0) == ((3, 1), 1)
     P = parabolic_from_blocks(spec(Family.SP, 10), Partition((10,)))
-    assert P == ParabolicDescriptor.borel(spec(Family.SP, 10))
+    assert P == ParabolicDescriptor.make(spec(Family.SP, 10), (5,), 0)
     P = parabolic_from_blocks(spec(Family.SO, 24), Partition((10, 8, 4, 2)))
     assert (P.c, P.m0) == ((2, 1, 2), 2)
     P = parabolic_from_blocks(spec(Family.SO, 36), Partition((12, 12, 6, 6)))
@@ -387,7 +388,7 @@ def test_descriptor_structure_queries():
     P = ParabolicDescriptor(spec(Family.SO, 13), (3, 1), 1)
     assert P.simple_ranks() == (1, 1)
     assert P.levi_name() == "GL1^3 GL2 SO3"
-    borel = ParabolicDescriptor.borel(spec(Family.SO, 12))
+    borel = ParabolicDescriptor.make(spec(Family.SO, 12), (6,), 0)
     assert borel.simple_ranks() == () and borel.levi_name() == "GL1^5 SO2"
     big = parabolic_from_blocks(spec(Family.SO, 16), Partition((6, 6, 2, 2)))
     assert max(big.simple_ranks()) == 2  # GL_3 block: not (a_j)-labelable

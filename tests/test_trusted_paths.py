@@ -5,10 +5,12 @@ partition algebra) skip the checks of the public constructors.  These tests
 rebuild such values through the public constructors and require the same
 fields, hash, order, repr, multiplicities, pickle round trip and
 dataclasses.replace result, and for combine the same refusals, at dims
-40-200, on every class up to dim 20 and on every enumerated parabolic
-descriptor of Sp and SO up to dim 64 and of GL up to dim 16.  The last tests
-keep one trusted path per type (the builders for Partition, EpsilonMap and
-ParabolicDescriptor, the keyword for ClassParam), keep the checking
+40-200, on every class up to dim 20, on every enumerated parabolic
+descriptor of Sp and SO up to dim 64 and of GL up to dim 16, and on every
+enumerated regular-subgroup descriptor up to dim 24.  The last tests keep
+one trusted path per type (the builders for Partition, EpsilonMap,
+ParabolicDescriptor and RegularSubgroupDescriptor, the keyword for
+ClassParam), keep the checking
 constructors of Partition and EpsilonMap out of the modules that derive
 values, keep the trusted paths out of the oracle and the CLI, whose
 independence rests on checking what they build, and keep the library's
@@ -26,13 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipotent_atlas import classes, partitions
+from unipotent_atlas.balacarter import RegularSubgroupDescriptor, analyse_all, iter_regular_subgroups
 from unipotent_atlas.classes import (
     Char,
     ClassParam,
     EpsilonMap,
     Family,
     GroupSpec,
-    canonical_eps,
     combine,
     distinguished_eps,
     enumerate_classes,
@@ -49,7 +51,7 @@ SWEEP_MAX_DIM = 20
 SRC = Path(inspect.getfile(partitions)).parent
 
 #: The private keyword and helpers through which the library builds values unchecked.
-TRUSTED_NAMES = {"_trusted", "_from_mults", "_count", "_trusted_eps", "_trusted_parabolic"}
+TRUSTED_NAMES = {"_trusted", "_from_mults", "_count", "_trusted_eps", "_trusted_parabolic", "_trusted_regular"}
 
 #: The checking constructors that the modules deriving values leave to outside input.
 CHECKED_CONSTRUCTORS = {"Partition", "EpsilonMap"}
@@ -157,7 +159,6 @@ def test_enumerated_classes_and_their_minimal_levis_match_the_validating_constru
             assert sort_order([getattr(C, field) for C in built]) == sort_order([getattr(C, field) for C in checked])
         for C, checked_C in zip(built, checked):
             assert_same_class(C, checked_C)
-            assert_same_value(canonical_eps(G, C.lam), EpsilonMap(canonical_eps(G, C.lam).items))
             assert_same_partition(C.lam.dual(), Partition(C.lam.dual().parts))
             if G.family is Family.O:
                 continue
@@ -180,6 +181,22 @@ def test_enumerated_parabolics_match_the_validating_constructor():
             assert_same_value(P, ParabolicDescriptor(G, P.c, P.m0))
             total += 1
     assert total > 10_000
+
+
+def test_regular_subgroup_descriptors_match_the_validating_constructor():
+    # every descriptor iter_regular_subgroups yields on every group to dim 24,
+    # and phi1 of every class to SWEEP_MAX_DIM; the checked one gets its
+    # factors reversed, so its constructor's sort is exercised
+    total = 0
+    for G in group_sweep(24):
+        for X in iter_regular_subgroups(G):
+            assert_same_value(X, RegularSubgroupDescriptor(Partition(X.gl_parts.parts), X.cl_parts[::-1]))
+            total += 1
+    assert total > 50_000
+    for G in group_sweep(SWEEP_MAX_DIM):
+        for a in analyse_all(enumerate_classes(G)):
+            X = a.phi1()
+            assert_same_value(X, RegularSubgroupDescriptor(Partition(X.gl_parts.parts), X.cl_parts[::-1]))
 
 
 def test_partitions_counted_from_canonical_parts_match_the_validating_constructor():
@@ -238,11 +255,12 @@ def _constructor_calls(module: str) -> list[str]:
 
 
 def test_oracle_and_cli_build_only_through_the_validating_constructors():
-    # one trusted path per type: Partition, EpsilonMap and ParabolicDescriptor
-    # have only their builders, ClassParam only its keyword
+    # one trusted path per type: Partition, EpsilonMap, ParabolicDescriptor and
+    # RegularSubgroupDescriptor have only their builders, ClassParam only its keyword
     assert "_mults" not in inspect.signature(Partition).parameters
     assert "_trusted" not in inspect.signature(EpsilonMap).parameters
     assert "_trusted" not in inspect.signature(ParabolicDescriptor).parameters
+    assert "_trusted" not in inspect.signature(RegularSubgroupDescriptor).parameters
     assert "_trusted" in inspect.signature(ClassParam).parameters
     # the names are the library's real trusted paths, so the guard is not vacuous
     assert _names_used("classes") and _names_used("partitions") and _names_used("richardson")
