@@ -259,7 +259,7 @@ def cmd_classes(args) -> int:
     else:
         analyses = analyse_all(S for S in in_so if S is not None)
         pairs = [(C, next(analyses) if S is not None else None) for C, S in zip(classes, in_so)]
-    for _, a in pairs:  # a label's refusal (rank past the bound) before the first byte
+    for _, a in pairs:  # every label before the first byte, so that no refusal cuts a document short
         if a is not None:
             a.remainder.tokens
     rows = _class_json_rows(G, pairs) if args.format == "json" else (_class_row(C, a) for C, a in pairs)

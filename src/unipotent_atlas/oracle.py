@@ -443,8 +443,18 @@ def _inverse_reading(G: GroupSpec, lam: Partition) -> str:
         return parabolic_from_blocks(G, lam).describe()
     except InputError as exc:
         return f"refused: {exc}"
-    except RuntimeError as exc:  # the image test admits lam, the inverse finds nothing
-        return f"error: {exc}"
+
+
+def _richardson_shape(G: GroupSpec, beta: Partition) -> bool:
+    """Whether beta, one of the distinguished_shapes of Sp or SO, is the shape
+    of a Richardson class (Richardson, 1974; Hesselink, Math. Z. 1979): every
+    one in odd characteristic; at p = 2, one with distinct parts for Sp and
+    one that satisfies the difference condition for SO."""
+    if not G.p2:
+        return True
+    if G.family is Family.SP:
+        return len(beta.values()) == len(beta)
+    return satisfies_difference_condition(beta)
 
 
 def _richardson_inverse(work: _GroupWork) -> VerificationReport:
@@ -452,8 +462,13 @@ def _richardson_inverse(work: _GroupWork) -> VerificationReport:
     every distinguished parabolic of G with an index from Richardson blocks
     to descriptor, built from the enumeration; a block tuple that two
     descriptors share would contradict the injectivity of the forward map.
-    SO2, a torus, has no distinguished parabolic, so there the inverse must
-    refuse every partition of the dimension."""
+
+    The index is also read against the image as the shape rule states it:
+    on GL it holds all p(n) partitions of n; on Sp and SO its keys are the
+    distinguished_shapes that _richardson_shape admits, and the inverse must
+    refuse every other distinguished shape.  SO2, a torus, has no
+    distinguished parabolic, so there the inverse must refuse every
+    partition of the dimension."""
     t0 = time.perf_counter()
     G = work.G
     descriptors = enumerate_distinguished_parabolics(G, max_rank=G.rank)
@@ -467,6 +482,20 @@ def _richardson_inverse(work: _GroupWork) -> VerificationReport:
         lam = Partition(key)
         if (got := _inverse_reading(G, lam)) != (want := index[key].describe()):
             bad.append(f"{lam}: the inverse gives {got}, the index {want}")
+    if G.family is Family.GL:
+        if len(index) != (want := _partition_counts(G.dim)[-1]):
+            bad.append(f"the index holds {len(index)} block tuples, not the p({G.dim}) = {want} partitions")
+    else:
+        admitted = set()
+        for beta in distinguished_shapes(G.family, G.char, G.dim):
+            if _richardson_shape(G, beta):
+                admitted.add(beta.parts)
+            elif not (got := _inverse_reading(G, beta)).startswith("refused"):
+                bad.append(f"{beta}: the inverse gives {got}, the index nothing")
+        bad += [f"{Partition(key)}: the shape rule admits it, the index holds no descriptor"
+                for key in sorted(admitted - index.keys(), reverse=True)]
+        bad += [f"{Partition(key)}: the index holds {index[key].describe()}, the shape rule refuses it"
+                for key in sorted(index.keys() - admitted, reverse=True)]
     if descriptors:
         return _finish("richardson-inverse", G, G.dim, bad, t0, len(descriptors))
     lams = [Partition(parts) for parts in iter_partitions(G.dim)]
@@ -511,6 +540,14 @@ def _remainder_shapes(family: Family, char: Char, rest: int) -> frozenset[tuple[
     return frozenset(beta.parts for beta in _distinguished_remainders(family, char, rest))
 
 
+def _combined(alpha: Partition, beta: Partition, eps_beta: EpsilonMap, G: GroupSpec) -> ClassParam | InputError:
+    """combine(alpha, beta, eps_beta, G), or the InputError it raises."""
+    try:
+        return combine(alpha, beta, eps_beta, G)
+    except InputError as exc:
+        return exc
+
+
 def _minimal_levi(work: _GroupWork) -> VerificationReport:
     """Brute-force the splitting claims:
 
@@ -531,6 +568,9 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
         return _finish("minimal-levi", G, G.dim, bad, t0, len(work.classes))
     bad = []
     untagged = [(C, a) for C, a in zip(work.classes, work.analyses) if C.split_tag != "II"]
+    # combine's answer for each extraction, read again by the bijection below
+    # wherever it combines the same (alpha, beta, eps)
+    extracted: dict[tuple, ClassParam | InputError] = {}
     for C, a in untagged:
         alpha, beta = a.alpha, a.beta
         eps_beta = distinguished_eps(G, beta)
@@ -542,11 +582,11 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
             bad.append(f"{C.lam}: extraction {alpha}|{beta} vs brute force {splittings[0]}")
         if beta not in _distinguished_remainders(G.family, G.char, beta.total):
             bad.append(f"{C.lam}: extracted remainder {beta} is not distinguished")
-        try:
-            if not combine(alpha, beta, eps_beta, G).same_class(C):
-                bad.append(f"{C.lam}: combine does not invert the extraction")
-        except InputError as exc:
-            bad.append(f"{C.lam}: combine refuses the extraction: {exc}")
+        got = extracted[alpha.parts, beta.parts, eps_beta] = _combined(alpha, beta, eps_beta, G)
+        if isinstance(got, InputError):
+            bad.append(f"{C.lam}: combine refuses the extraction: {got}")
+        elif not got.same_class(C):
+            bad.append(f"{C.lam}: combine does not invert the extraction")
     # bijection of (Levi, distinguished class) pairs with classes
     seen: dict[tuple, tuple] = {}
     count = 0
@@ -554,13 +594,13 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
         alphas = [Partition(parts) for parts in iter_partitions(a)]
         for beta, eps_beta in _distinguished_remainders(G.family, G.char, G.dim - 2 * a).items():
             for alpha in alphas:
-                try:
-                    C = combine(alpha, beta, eps_beta, G)
-                except InputError as exc:  # the library refuses a shape: one report per shape
-                    bad.append(f"combine refuses the distinguished shape {beta}: {exc}")
+                pair = (alpha.parts, beta.parts)
+                if (C := extracted.pop((*pair, eps_beta), None)) is None:
+                    C = _combined(alpha, beta, eps_beta, G)
+                if isinstance(C, InputError):  # the library refuses a shape: one report per shape
+                    bad.append(f"combine refuses the distinguished shape {beta}: {C}")
                     break
                 key = C.data_key()
-                pair = (alpha.parts, beta.parts)
                 if key in seen and seen[key] != pair:
                     bad.append(f"pairs {seen[key]} and {pair} give the same class {C.lam}")
                 seen[key] = pair

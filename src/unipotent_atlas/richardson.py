@@ -20,8 +20,7 @@ exponent to lambda*, following the family/characteristic pattern below
 Descriptors are kept in a canonical form: the number N of distinct GL block
 sizes sits in a fixed window around 2*m0 (see _n_window), and even
 orthogonal groups absorb one GL_1 block into an SO_2 remainder.  On these
-canonical descriptors the map to Jordan blocks is injective and its image
-is exactly the set accepted by in_richardson_image.
+canonical descriptors the map to Jordan blocks is injective.
 
 richardson_blocks gives the block sizes as a tuple, as regular_blocks does
 for regular classes; richardson_jordan_blocks wraps them in a Partition with
@@ -37,7 +36,10 @@ enumeration and no rank bound: the exponents of lambda* are the differences
 of consecutive parts of lam, on SO m0 is half the number of parts (rounded
 down), and undoing the table above gives the one candidate (c, m0); the
 validating constructor and one forward evaluation decide whether it is the
-answer.
+answer.  This closed form is the library's one statement of the image:
+in_richardson_image asks whether it finds a descriptor.  The shape rule of
+Richardson (1974) and Hesselink (Math. Z. 1979) that characterizes the same
+image is read in the oracle alone, which checks the two against each other.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps, shape_violation
-from .decomp import satisfies_difference_condition
+from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps
 from .errors import InputError, ResourceLimitError
 from .partitions import Partition, _count, _from_mults
 
@@ -227,20 +228,9 @@ def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, Epsilon
 
 def in_richardson_image(G: GroupSpec, lam: Partition) -> bool:
     """Whether lam equals the Jordan blocks of the Richardson class of some
-    distinguished parabolic of G."""
-    if lam.total != G.dim:
-        raise InputError(f"partition of {lam.total} does not match dimension {G.dim}")
-    if G.family is Family.GL:
-        return True
-    if G.family not in (Family.SP, Family.SO):
-        raise InputError("Richardson image membership is defined for gl, sp, and so")
-    if shape_violation(G, lam) is not None:
-        return False
-    if not G.p2:
-        return True
-    if G.family is Family.SP:
-        return len(lam.values()) == len(lam)
-    return satisfies_difference_condition(lam)
+    distinguished parabolic of G: whether the closed-form inverse finds its
+    descriptor."""
+    return _inverse(G, lam) is not None
 
 
 @lru_cache(maxsize=None)
@@ -350,6 +340,15 @@ def _from_exponents(G: GroupSpec, parts: tuple[int, ...]) -> ParabolicDescriptor
     return P if richardson_blocks(P) == parts else None
 
 
+def _inverse(G: GroupSpec, lam: Partition) -> ParabolicDescriptor | None:
+    """_from_exponents(G, lam.parts), once lam fills G and G is gl, sp or so."""
+    if lam.total != G.dim:
+        raise InputError(f"partition of {lam.total} does not match dimension {G.dim}")
+    if G.family not in (Family.GL, Family.SP, Family.SO):
+        raise InputError("Richardson image membership is defined for gl, sp, and so")
+    return _from_exponents(G, lam.parts)
+
+
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     """The unique descriptor whose Richardson class has Jordan blocks lam.
 
@@ -358,11 +357,8 @@ def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     and block sizes): one candidate, checked by one forward evaluation, at
     O(n) with no enumeration and so no rank bound.
     """
-    if not in_richardson_image(G, lam):
+    if (P := _inverse(G, lam)) is None:
         raise InputError(
             f"{lam} is not the Richardson class of a distinguished parabolic of {G.describe()}"
         )
-    P = _from_exponents(G, lam.parts)
-    if P is None:
-        raise RuntimeError(f"expected exactly one descriptor for {lam} in {G.describe()}, found 0")
     return P

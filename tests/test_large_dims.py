@@ -1,14 +1,16 @@
 """Property tests past desk scale, at dims 40-200: classes are built from
 GL blocks alpha and a distinguished remainder beta, with no enumeration.
 phi2 round-trips through psi2, and each label's tokens map back to the
-Richardson pieces of beta, at every rank the draw reaches.  The closed
-extra-class count is pinned at dim 60."""
+Richardson pieces of beta, at every rank the draw reaches.  At dims 40-400,
+Richardson image membership, read off the closed-form inverse, agrees with
+the shape rule on shapes drawn near the image.  The closed extra-class count
+is pinned at dim 60."""
 
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from unipotent_atlas.balacarter import analyse, label, phi2, psi2
@@ -27,7 +29,14 @@ from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import _closed_extra_count
 from unipotent_atlas.partitions import Partition
 from unipotent_atlas.decomp import decompose
-from unipotent_atlas.richardson import ParabolicDescriptor, in_richardson_image, richardson_blocks
+from unipotent_atlas.richardson import (
+    ParabolicDescriptor,
+    _from_exponents,
+    in_richardson_image,
+    parabolic_from_blocks,
+    richardson_blocks,
+)
+from test_rule_equivalence import reference_in_richardson_image
 
 MIN_DIM, MAX_DIM = 40, 200
 #: A distinguished class of SO200 at p=2 that is one Richardson piece of rank 100.
@@ -138,6 +147,46 @@ def test_label_tokens_map_back_to_the_richardson_pieces(data):
         if diagram:
             H = G.classical_factor(2 * int(rank) + (letter == "B"))
             assert Partition(richardson_blocks(_parabolic_of_diagram(H, diagram))) in pieces
+
+
+#: The dims of the shapes drawn near the Richardson image.
+NEAR_MIN_DIM, NEAR_MAX_DIM = 40, 400
+
+
+@st.composite
+def near_image_shapes(draw):
+    """(G, lam) with G of Sp or SO and NEAR_MIN_DIM <= |lam| = G.dim <=
+    NEAR_MAX_DIM, lam made of distinct parts of one parity, or of even parts
+    each at most twice with an optional part 1; Sp only for an even total."""
+    values = draw(st.lists(st.integers(1, 60), min_size=2, max_size=12))
+    if draw(st.booleans()):
+        odd = draw(st.booleans())
+        parts = [2 * v - odd for v in set(values)]
+    else:
+        parts = [2 * v for v, m in Counter(values).items() for _ in range(min(m, 2))]
+        parts += [1] * draw(st.booleans())
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    assume(NEAR_MIN_DIM <= lam.total <= NEAR_MAX_DIM)
+    family = draw(st.sampled_from([Family.SP, Family.SO])) if lam.total % 2 == 0 else Family.SO
+    return GroupSpec(family, lam.total, draw(st.sampled_from(list(Char)))), lam
+
+
+@pytest.fixture
+def inverse_memo_cleared():
+    """Empties the closed form's memo once the test is done with it."""
+    yield
+    _from_exponents.cache_clear()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(near_image_shapes())
+@example((SO200_PIECE[0], SO200_PIECE[2]))
+def test_image_membership_agrees_with_the_shape_rule_past_rank_32(inverse_memo_cleared, data):
+    G, lam = data
+    member = in_richardson_image(G, lam)
+    assert member == reference_in_richardson_image(G, lam)
+    if member:
+        assert richardson_blocks(parabolic_from_blocks(G, lam)) == lam.parts
 
 
 @pytest.mark.parametrize("family, extra", [(Family.SO, 48_165), (Family.SP, 141_685)])

@@ -184,6 +184,27 @@ def test_the_richardson_inverse_claim_passes_on_every_group_to_dim_24():
     assert checked["SO2 (p=2)"] == checked["SO2 (p odd)"] == 2
 
 
+def test_the_richardson_index_is_read_against_the_shape_rule(monkeypatch):
+    # an enumeration that loses its first descriptor leaves an admitted shape,
+    # or on GL a partition, out of the index
+    real = oracle.enumerate_distinguished_parabolics
+    monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", lambda G, max_rank: real(G, max_rank)[1:])
+    G = GroupSpec(Family.SO, 12, Char.TWO)
+    lost = Partition(richardson.richardson_blocks(real(G, G.rank)[0]))
+    assert verify_claim("richardson-inverse", G).counterexamples == [
+        f"{lost}: the shape rule admits it, the index holds no descriptor"]
+    assert verify_claim("richardson-inverse", GroupSpec(Family.GL, 6, Char.GOOD)).counterexamples == [
+        "the index holds 10 block tuples, not the p(6) = 11 partitions"]
+    # a forward map that sends a descriptor outside the image puts a refused shape in it
+    monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", real)
+    G = GroupSpec(Family.SO, 16, Char.TWO)
+    first = real(G, G.rank)[0]
+    blocks = oracle.richardson_blocks
+    monkeypatch.setattr(oracle, "richardson_blocks", lambda P: (6, 4, 4, 2) if P == first else blocks(P))
+    assert f"6,4^2,2: the index holds {first.describe()}, the shape rule refuses it" in verify_claim(
+        "richardson-inverse", G).counterexamples
+
+
 def test_a_closed_form_with_m0_off_by_one_fails_on_so_at_p2(monkeypatch):
     real = richardson._from_exponents
 

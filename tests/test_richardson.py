@@ -344,12 +344,18 @@ def test_index_build_refuses_two_descriptors_with_the_same_blocks(monkeypatch):
     assert report.counterexamples[0].endswith("share the Richardson blocks (4, 4)")
 
 
-def test_index_miss_of_an_admitted_partition_is_a_runtime_error(monkeypatch):
-    # no candidate of the closed form maps forward to an admitted partition
+def test_a_closed_form_that_admits_a_shape_outside_the_image_fails_on_that_group(monkeypatch):
+    # (6,4,4,2) is a distinguished shape of SO16 at p=2 that breaks the
+    # difference condition; the planted closed form gives it a descriptor
     G, lam = spec(Family.SO, 16), Partition((6, 4, 4, 2))
-    monkeypatch.setattr(richardson, "in_richardson_image", lambda G, lam: True)
-    with pytest.raises(RuntimeError, match="expected exactly one descriptor .* found 0"):
-        parabolic_from_blocks(G, lam)
+    real = richardson._from_exponents
+    P = real(G, (6, 6, 2, 2))
+    monkeypatch.setattr(richardson, "_from_exponents",
+                        lambda H, parts: P if (H, parts) == (G, lam.parts) else real(H, parts))
+    assert in_richardson_image(G, lam) and parabolic_from_blocks(G, lam) is P
+    reports = oracle.run_all(16, claims=("richardson-inverse",))
+    failed = {r.group: r.counterexamples for r in reports if not r.passed}
+    assert failed == {"SO16 (p=2)": ["6,4^2,2: the inverse gives c=3,2,1;m0=2, the index nothing"]}
 
 
 def test_inverse_past_rank_32_matches_the_enumeration_and_never_enumerates(monkeypatch):
