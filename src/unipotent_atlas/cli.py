@@ -47,6 +47,9 @@ FORMATS = ("text", "json", "csv")
 #: Largest dimension classes enumerates unless its --max-dim raises it.
 DEFAULT_ENUM_BOUND = 40
 
+#: Largest rank whose distinguished parabolics tables 2 lists.
+TABLE2_RANK_BOUND = 32
+
 #: Exit status of a crash: an exception that is neither an input error nor a
 #: failed claim (exit 1) nor a closed stdout.
 EXIT_INTERNAL_ERROR = 3
@@ -416,18 +419,21 @@ def cmd_tables(args) -> int:
             raise InputError("tables 2 and 3 need --group and --dim")
         G = GroupSpec(Family(args.group), args.dim, Char(args.char or "2"))
         if args.which == 2:
-            # the parabolics are enumerated here, so a refusal comes before the first byte
+            if G.rank > TABLE2_RANK_BOUND:  # refused before the first byte
+                raise ResourceLimitError(
+                    f"{G.describe()} has rank {G.rank}; distinguished parabolics are enumerated "
+                    f"only up to rank {TABLE2_RANK_BOUND}")
             rows = ({"levi": P.levi_name(), "descriptor": P.describe(), "blocks": str(lam), "eps": str(eps)}
                     for P in enumerate_distinguished_parabolics(G)
                     for lam, eps in [richardson_jordan_blocks(P)])
             _emit_table(rows, ["levi", "descriptor", "blocks", "eps"], args.format, "rows",
                         {"table": 2, "group": G.describe()})
         else:
-            # the image of table 2's map, at one forward evaluation of the
-            # block parts per descriptor; sorted decreasing, as the partitions
-            # are enumerated, and checked once per row
-            image = {richardson_blocks(P) for P in enumerate_distinguished_parabolics(G, max_rank=G.rank)}
-            rows = ({"blocks": str(Partition(parts))} for parts in sorted(image, reverse=True))
+            # the image of table 2's map, one forward evaluation per descriptor
+            # (the map is injective, so no block tuple repeats); sorted
+            # decreasing, as the partitions are enumerated, and checked once per row
+            image = sorted(map(richardson_blocks, enumerate_distinguished_parabolics(G)), reverse=True)
+            rows = ({"blocks": str(Partition(parts))} for parts in image)
             _emit_table(rows, ["blocks"], args.format, "rows", {"table": 3, "group": G.describe()})
         return 0
     # table 4: the five extra classes of SO_16 at p=2

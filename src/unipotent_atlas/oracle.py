@@ -260,7 +260,7 @@ def _psi2_injective(work: _GroupWork) -> VerificationReport:
         elif key in seen and seen[key] != P:
             bad.append(f"{seen[key].describe()} and {P.describe()} both map to {Partition(key[0])}")
         seen[key] = P
-    return _finish("psi2-injective-r<=1", work.G, work.G.dim, bad, t0, len(products))
+    return _finish(_REPORT_NAMES["psi2-injective-r1"], work.G, work.G.dim, bad, t0, len(products))
 
 
 def so_connected_only_psi1_image(G: GroupSpec) -> set[tuple]:
@@ -431,7 +431,7 @@ def _extra_counts(work: _GroupWork) -> VerificationReport:
     paper = EXTRA_COUNTS.get(G.dim) if G.family is Family.SO and G.p2 else None
     if paper is not None and got != paper:
         bad.append(f"counted {got}, the paper gives {paper}")
-    return _finish("extra-count", G, G.dim, bad, t0, len(untagged))
+    return _finish(_REPORT_NAMES["extra-counts"], G, G.dim, bad, t0, len(untagged))
 
 
 # -- the Richardson inverse ------------------------------------------------------------
@@ -471,7 +471,7 @@ def _richardson_inverse(work: _GroupWork) -> VerificationReport:
     partition of the dimension."""
     t0 = time.perf_counter()
     G = work.G
-    descriptors = enumerate_distinguished_parabolics(G, max_rank=G.rank)
+    descriptors = enumerate_distinguished_parabolics(G)
     keys = [richardson_blocks(P) for P in descriptors]
     index: dict[tuple[int, ...], ParabolicDescriptor] = {}
     bad = []
@@ -761,6 +761,9 @@ GROUP_CLAIMS = {
     "richardson-inverse": ("max_dim", "_richardson_inverse"),
 }
 
+#: The report names of the group claims whose reports are not named as the claim.
+_REPORT_NAMES = {"psi2-injective-r1": "psi2-injective-r<=1", "extra-counts": "extra-count"}
+
 #: The claims of verify --claim all, in report order; the group claims left
 #: out (extra-counts, richardson-inverse) run only when named.
 BATTERY = ("psi1-surjective", "psi2-surjective", "psi2-injective-r1", "phi1-right-inverse",
@@ -774,8 +777,20 @@ def _group_checks(G: GroupSpec, *sweeps: tuple[str, ...]) -> list[list[Verificat
     """G's reports of each sweep's claims, all read from one _GroupWork.  Each
     check is looked up when it runs, so a rebound or monkeypatched one runs."""
     work = _GroupWork(G)
-    return [[globals()[name](work, *args) for _, name, *args in (GROUP_CLAIMS[c] for c in claims)]
-            for claims in sweeps]
+    return [[_group_check(work, claim) for claim in claims] for claims in sweeps]
+
+
+def _group_check(work: _GroupWork, claim: str) -> VerificationReport:
+    """The report of one group claim on work.G.  An InputError that the check
+    raises is the library refusing its own output, so it fails the claim,
+    with the error as the counterexample, rather than ending the run."""
+    _, name, *args = GROUP_CLAIMS[claim]
+    t0 = time.perf_counter()
+    try:
+        return globals()[name](work, *args)
+    except InputError as exc:
+        return VerificationReport(_REPORT_NAMES.get(claim, claim), work.G.describe(), work.G.dim,
+                                  [f"the check raised InputError: {exc}"], time.perf_counter() - t0)
 
 
 def verify_claim(claim: str, G: GroupSpec) -> VerificationReport:

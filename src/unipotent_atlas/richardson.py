@@ -5,7 +5,9 @@ multiplicities c(1..N) of the GL blocks of its Levi and the rank m0 of the
 semisimple classical remainder.  The Jordan blocks of its Richardson class
 are computed through the dual partition: each block size i contributes an
 exponent to lambda*, following the family/characteristic pattern below
-(negative exponents mean the descriptor is not distinguished):
+(negative exponents mean the descriptor is not distinguished).  On Sp and SO
+exponent(i) = 2c(i) plus an offset, and _offset is the one statement of the
+offsets: _dual_exponents adds them, _candidate takes them off.
 
   GL_m                 exponent(i) = c(i), and lambda = dual
   Sp_2m  (m0 = 0)      exponent(i) = 2c(i)
@@ -29,8 +31,9 @@ in (m0, c) order: for each m0 the c-vectors are generated in lexicographic
 order inside the window (_c_vectors), with no sort, and each descriptor is
 built through the one trusted builder _trusted_parabolic, since it is
 canonical as generated; the checking constructor and make are for outside
-input.  The enumeration is bounded by rank (DEFAULT_RANK_BOUND) and serves
-the bulk readers: tables 2 and 3 and the parabolic products of psi2.
+input.  The enumeration is memoized per group, takes no bound (a command
+that prints it sets its own) and serves the bulk readers: tables 2 and 3
+and the parabolic products of psi2.
 parabolic_from_blocks inverts the forward map in closed form, with no
 enumeration and no rank bound: the exponents of lambda* are the differences
 of consecutive parts of lam, on SO m0 is half the number of parts (rounded
@@ -50,11 +53,8 @@ from itertools import accumulate
 from typing import Sequence
 
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .partitions import Partition, _count, _from_mults
-
-#: Largest rank enumerate_distinguished_parabolics accepts by default.
-DEFAULT_RANK_BOUND = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -192,23 +192,23 @@ def regular_jordan_blocks(
 # -- Jordan blocks of Richardson classes ----------------------------------------
 
 
+def _offset(G: GroupSpec, m0: int, i: int) -> int:
+    """The exponent table of Sp and SO, read at block size i: e(i) - 2c(i) for
+    a descriptor with remainder rank m0 (0 on Sp, where every offset is 0)."""
+    if G.p2:
+        return 0 if i > 2 * m0 else -2 if i % 2 else 2
+    return 1 if i == 2 * m0 + G.dim % 2 else 0
+
+
 def _dual_exponents(P: ParabolicDescriptor) -> list[int]:
-    """Multiplicities of the parts 1, 2, 3, ... of lambda* for the Richardson class of P."""
-    G = P.group
+    """Multiplicities of the parts 1, 2, 3, ... of lambda* for the Richardson
+    class of P: c on GL, 2c(i) + _offset up to 2m0 + dim % 2 on Sp and SO.
+    Never negative: c(i) >= 1 at odd i <= 2*m0, as the chain and window rules give i <= N."""
+    G, c, m0 = P.group, P.c, P.m0
     if G.family is Family.GL:
-        return list(P.c)
-    if G.family is Family.SP:
-        return [2 * ci for ci in P.c]
-    top = 2 * P.m0 + 1 if G.dim % 2 == 1 else 2 * P.m0
-    exps: list[int] = []
-    for i, ci in enumerate(P.c + (0,) * (top - len(P.c)), start=1):
-        if G.p2:
-            # never negative: c(i) >= 1 at odd i <= 2*m0, as the chain and window rules give i <= N
-            e = 2 * ci + (2 if i % 2 == 0 else -2) if i <= 2 * P.m0 else 2 * ci
-        else:
-            e = 2 * ci + (1 if i == top else 0)
-        exps.append(e)
-    return exps
+        return list(c)
+    c += (0,) * (2 * m0 + G.dim % 2 - len(c))
+    return [2 * ci + _offset(G, m0, i) for i, ci in enumerate(c, start=1)]
 
 
 def richardson_blocks(P: ParabolicDescriptor) -> tuple[int, ...]:
@@ -234,8 +234,8 @@ def in_richardson_image(G: GroupSpec, lam: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _enumerated(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
-    """The distinguished parabolic descriptors of G in (m0, c) order, each
+def enumerate_distinguished_parabolics(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
+    """All distinguished parabolic descriptors of G in (m0, c) order, each
     canonical as generated."""
     if G.family is Family.SO:
         windows = [(m0, _n_window(G, m0)) for m0 in range(G.rank + 1)]
@@ -246,18 +246,6 @@ def _enumerated(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
     least = 0 if G.family is Family.GL else 1
     return tuple(_trusted_parabolic(G, c, m0)
                  for m0, sizes in windows for c in _c_vectors(G.rank - m0, sizes, least))
-
-
-def enumerate_distinguished_parabolics(
-    G: GroupSpec, max_rank: int = DEFAULT_RANK_BOUND
-) -> list[ParabolicDescriptor]:
-    """All distinguished parabolic descriptors of G, in canonical form."""
-    if G.rank > max_rank:
-        raise ResourceLimitError(
-            f"{G.describe()} has rank {G.rank}; distinguished parabolics are enumerated "
-            f"only up to rank {max_rank}"
-        )
-    return list(_enumerated(G))
 
 
 def _c_vectors(weight: int, sizes: Sequence[int], least: int) -> list[tuple[int, ...]]:
@@ -309,19 +297,15 @@ def _candidate(G: GroupSpec, parts: tuple[int, ...]) -> tuple[list[int], int]:
     parts, if any descriptor does.  The exponents of lambda* are
     e(i) = lam_i - lam_{i+1}, once the final part 1 that odd SO at p=2
     appends is dropped.  On SO the last nonzero exponent sits at 2m0 (even
-    SO) or at 2m0 or 2m0 + 1 (odd SO), so m0 = len(e) // 2; undoing the
-    table then gives c.  Entries of c may be trailing zeros."""
+    SO) or at 2m0 or 2m0 + 1 (odd SO), so m0 = len(e) // 2; on Sp m0 = 0.
+    Then c(i) = (e(i) - _offset) // 2.  Entries of c may be trailing zeros."""
     if G.family is Family.SO and G.dim % 2 == 1 and G.p2:
         parts = parts[:-1]
     e = [x - y for x, y in zip(parts, parts[1:] + (0,))]
     if G.family is Family.GL:
         return e, 0
-    if G.family is Family.SP:
-        return [x // 2 for x in e], 0
-    m0 = len(e) // 2
-    if G.p2:
-        return [x // 2 + (0 if i > 2 * m0 else 1 if i % 2 else -1) for i, x in enumerate(e, start=1)], m0
-    return [(x - (i == len(e))) // 2 for i, x in enumerate(e, start=1)], m0
+    m0 = len(e) // 2 if G.family is Family.SO else 0
+    return [(x - _offset(G, m0, i)) // 2 for i, x in enumerate(e, start=1)], m0
 
 
 @lru_cache(maxsize=None)
@@ -352,9 +336,9 @@ def _inverse(G: GroupSpec, lam: Partition) -> ParabolicDescriptor | None:
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     """The unique descriptor whose Richardson class has Jordan blocks lam.
 
-    Inversion reads the exponents of lambda* off lam's parts and undoes the
-    exponent table of _dual_exponents (_from_exponents, memoized per group
-    and block sizes): one candidate, checked by one forward evaluation, at
+    Inversion reads the exponents of lambda* off lam's parts and takes off
+    the offsets of _offset (_from_exponents, memoized per group and block
+    sizes): one candidate, checked by one forward evaluation, at
     O(n) with no enumeration and so no rank bound.
     """
     if (P := _inverse(G, lam)) is None:

@@ -568,7 +568,7 @@ SO66 = ["--group", "so", "--dim", "66", "--char", "2", "--blocks", "24,20,14,8"]
 
 def _so66_descriptor():
     G = GroupSpec(Family.SO, 66, Char.TWO)
-    [P] = [P for P in enumerate_distinguished_parabolics(G, max_rank=33) if richardson_blocks(P) == (24, 20, 14, 8)]
+    [P] = [P for P in enumerate_distinguished_parabolics(G) if richardson_blocks(P) == (24, 20, 14, 8)]
     return P
 
 
@@ -588,13 +588,17 @@ def test_richardson_blocks_past_rank_32_gives_the_enumerated_descriptor(capsys):
     assert (doc["c"], doc["m0"], doc["levi"]) == (list(P.c), P.m0, P.levi_name())
 
 
-def test_tables_2_past_the_rank_bound_names_the_group_and_no_keyword(capsys):
-    # table 2 enumerates the parabolics, so it keeps the rank bound; no command
-    # takes that bound, so the refusal may not advise raising one
+def test_tables_2_past_the_rank_bound_names_the_group_and_no_keyword(capsys, monkeypatch):
+    # table 2 lists the parabolics, so the command keeps a rank bound and
+    # refuses before it enumerates; no command takes that bound, so the
+    # refusal may not advise raising one
+    def refusing(G):
+        raise AssertionError("tables 2 enumerated past its bound")
+
+    monkeypatch.setattr(cli, "enumerate_distinguished_parabolics", refusing)
     code, out, err = run_cli(capsys, "tables", "2", "--group", "so", "--dim", "66", "--char", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: SO66 (p=2) has rank 33;") and "up to rank 32" in err
-    assert "max_rank" not in err
+    assert (code, out) == (2, "")
+    assert err == "error: SO66 (p=2) has rank 33; distinguished parabolics are enumerated only up to rank 32\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])

@@ -188,9 +188,9 @@ def test_the_richardson_index_is_read_against_the_shape_rule(monkeypatch):
     # an enumeration that loses its first descriptor leaves an admitted shape,
     # or on GL a partition, out of the index
     real = oracle.enumerate_distinguished_parabolics
-    monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", lambda G, max_rank: real(G, max_rank)[1:])
+    monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", lambda G: real(G)[1:])
     G = GroupSpec(Family.SO, 12, Char.TWO)
-    lost = Partition(richardson.richardson_blocks(real(G, G.rank)[0]))
+    lost = Partition(richardson.richardson_blocks(real(G)[0]))
     assert verify_claim("richardson-inverse", G).counterexamples == [
         f"{lost}: the shape rule admits it, the index holds no descriptor"]
     assert verify_claim("richardson-inverse", GroupSpec(Family.GL, 6, Char.GOOD)).counterexamples == [
@@ -198,7 +198,7 @@ def test_the_richardson_index_is_read_against_the_shape_rule(monkeypatch):
     # a forward map that sends a descriptor outside the image puts a refused shape in it
     monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", real)
     G = GroupSpec(Family.SO, 16, Char.TWO)
-    first = real(G, G.rank)[0]
+    first = real(G)[0]
     blocks = oracle.richardson_blocks
     monkeypatch.setattr(oracle, "richardson_blocks", lambda P: (6, 4, 4, 2) if P == first else blocks(P))
     assert f"6,4^2,2: the index holds {first.describe()}, the shape rule refuses it" in verify_claim(
@@ -222,6 +222,25 @@ def test_a_closed_form_with_m0_off_by_one_fails_on_so_at_p2(monkeypatch):
     # every descriptor of those groups is a counterexample
     assert all(len(failed[r.group]) == r.checked for r in reports if not r.passed)
     assert failed["SO8 (p=2)"][0] == "4^2: the inverse gives c=2,1;m0=2, the index c=2,1;m0=1"
+
+
+@pytest.mark.parametrize("claim, check, report", [
+    ("psi2-injective-r1", "_psi2_injective", "psi2-injective-r<=1"),
+    ("extra-counts", "_extra_counts", "extra-count"),
+    ("richardson-inverse", "_richardson_inverse", "richardson-inverse"),
+])
+def test_an_input_error_inside_a_check_is_a_failed_report_of_that_claim(monkeypatch, claim, check, report):
+    def raising(work, *args):
+        raise InputError("planted refusal")
+
+    monkeypatch.setattr(oracle, check, raising)
+    G = GroupSpec(Family.SO, 8, Char.TWO)
+    rep = verify_claim(claim, G)
+    assert (rep.claim, rep.group, rep.bound, rep.passed, rep.checked) == (report, "SO8 (p=2)", 8, False, 0)
+    assert rep.counterexamples == ["the check raised InputError: planted refusal"]
+    # run_all's bound checks still refuse before any check runs
+    with pytest.raises(InputError, match="--max-dim"):
+        run_all(0, claims=(claim,))
 
 
 def test_minimal_levi_verifier_sweep_dim_16():

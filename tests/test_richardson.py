@@ -7,7 +7,7 @@ import pytest
 from unipotent_atlas.classes import Char, EpsilonMap, Family, GroupSpec, distinguished_eps, eps_options
 from unipotent_atlas.cli import SCHEMA, main
 from unipotent_atlas.decomp import satisfies_difference_condition
-from unipotent_atlas.errors import InputError, ResourceLimitError
+from unipotent_atlas.errors import InputError
 from unipotent_atlas import oracle
 from unipotent_atlas.oracle import group_sweep, verify_claim
 from unipotent_atlas.partitions import Partition, iter_partitions
@@ -15,7 +15,6 @@ from unipotent_atlas import richardson
 from unipotent_atlas.richardson import (
     ParabolicDescriptor,
     _from_exponents,
-    _enumerated,
     _n_window,
     enumerate_distinguished_parabolics,
     in_richardson_image,
@@ -214,8 +213,6 @@ def test_enumeration_examples_and_regressions():
     so8 = enumerate_distinguished_parabolics(spec(Family.SO, 8))
     assert len(so8) == 2
     assert sorted(richardson_jordan_blocks(P)[0].parts for P in so8) == [(4, 4), (6, 2)]
-    with pytest.raises(ResourceLimitError):
-        enumerate_distinguished_parabolics(spec(Family.SO, 80))
 
 
 def reference_chain_vectors(weight):
@@ -248,7 +245,7 @@ def test_windowed_enumeration_matches_the_filtered_reference_ranks_to_32():
     groups = [G for G in group_sweep(64) if G.family is not Family.GL]
     total = 0
     for G in groups:
-        got = [(P.m0, P.c) for P in _enumerated(G)]
+        got = [(P.m0, P.c) for P in enumerate_distinguished_parabolics(G)]
         assert got == reference_enumerated(G), G.describe()
         total += len(got)
     assert len(groups) == 192 and total > 10_000
@@ -258,7 +255,7 @@ def test_gl_enumeration_matches_the_sorted_partition_reference_ranks_to_20():
     total = 0
     for G in group_sweep(20):
         if G.family is Family.GL:
-            got = [(P.m0, P.c) for P in _enumerated(G)]
+            got = [(P.m0, P.c) for P in enumerate_distinguished_parabolics(G)]
             assert got == reference_enumerated(G), G.describe()
             total += len(got)
     assert total == sum(1 for n in range(1, 21) for _ in iter_partitions(n))
@@ -361,16 +358,78 @@ def test_a_closed_form_that_admits_a_shape_outside_the_image_fails_on_that_group
 def test_inverse_past_rank_32_matches_the_enumeration_and_never_enumerates(monkeypatch):
     # the inverse used to refuse every piece past rank 32
     G = spec(Family.SO, 66)
-    descs = enumerate_distinguished_parabolics(G, max_rank=33)
+    descs = enumerate_distinguished_parabolics(G)
     assert len(descs) == 312
 
     def refusing(*args, **kwargs):
         raise AssertionError("the inverse enumerated")
 
     monkeypatch.setattr(richardson, "enumerate_distinguished_parabolics", refusing)
-    monkeypatch.setattr(richardson, "_enumerated", refusing)
     for P in descs:
         assert parabolic_from_blocks(G, Partition(richardson_blocks(P))) == P
+
+
+_REAL_OFFSET = richardson._offset
+
+
+def _odd_top_shifted_down(G, m0, i):
+    """The exponent table with the odd-characteristic +1 one block size below
+    2m0 + dim % 2: every exponent stays non-negative."""
+    if G.p2:
+        return _REAL_OFFSET(G, m0, i)
+    return 1 if i == 2 * m0 + G.dim % 2 - 1 else 0
+
+
+def _p2_offsets_swapped(G, m0, i):
+    """The exponent table with the p = 2 offsets swapped: +2 at odd and -2 at
+    even block sizes up to 2m0, so some exponents turn negative."""
+    return -_REAL_OFFSET(G, m0, i) if G.p2 else _REAL_OFFSET(G, m0, i)
+
+
+@pytest.fixture
+def planted_table(monkeypatch):
+    """Plant another exponent table; the inverse memo is cleared on the way in and out."""
+    def plant(offset):
+        monkeypatch.setattr(richardson, "_offset", offset)
+        _from_exponents.cache_clear()
+
+    yield plant
+    _from_exponents.cache_clear()
+
+
+def test_forward_map_and_inverse_read_one_exponent_table(planted_table):
+    G = spec(Family.SO, 12, Char.GOOD)
+    P = ParabolicDescriptor(G, (1, 2), 1)
+    assert richardson_blocks(P) == (7, 5)
+    planted_table(_odd_top_shifted_down)
+    assert richardson_blocks(P) == (7, 4)
+    # the inverse takes off the planted offsets too, so the closed form still
+    # finds P; parabolic_from_blocks refuses (7, 4) earlier, as it does not fill G
+    assert _from_exponents(G, (7, 4)) == P
+    reports = oracle.run_all(12, 12, 12, claims=("richardson-inverse",))
+    failed = {r.group for r in reports if not r.passed}
+    assert len(reports) == 48
+    assert failed == {f"SO{d} (p odd)" for d in range(1, 13) if d != 2}
+
+
+@pytest.mark.parametrize("offset, error", [
+    (_p2_offsets_swapped, "partition parts must be positive integers"),
+    (_odd_top_shifted_down, "11,1 is not the Richardson class of a distinguished parabolic of SO12 (p odd)"),
+])
+def test_a_wrong_exponent_table_fails_verify_with_every_report(planted_table, capsys, offset, error):
+    argv = ["verify", "--claim", "all", "--max-dim", "12", "--surjectivity-max-dim", "12", "--max-beta", "12"]
+    assert main(argv) == 0
+    clean = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    planted_table(offset)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    docs = [json.loads(line) for line in out.splitlines()]
+    # a failed claim (exit 1), not an input error (exit 2): each report is there, named as before
+    assert code == 1 and not err.startswith("error:")
+    assert [(d["claim"], d["group"]) for d in docs] == [(d["claim"], d["group"]) for d in clean]
+    raised = [d for d in docs if d["counterexamples"][:1] and "the check raised InputError" in d["counterexamples"][0]]
+    assert raised and any(error in d["counterexamples"][0] for d in raised)
+    assert all(d["outcome"] == "fail" and d["checked"] == 0 for d in raised)
 
 
 def test_the_inverse_is_memoized_per_group_and_blocks():

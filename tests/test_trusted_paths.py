@@ -44,7 +44,7 @@ from unipotent_atlas.classes import (
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.oracle import group_sweep
 from unipotent_atlas.partitions import Partition, iter_partitions
-from unipotent_atlas.richardson import ParabolicDescriptor, _enumerated
+from unipotent_atlas.richardson import ParabolicDescriptor, enumerate_distinguished_parabolics
 
 MIN_DIM, MAX_DIM = 40, 200
 SWEEP_MAX_DIM = 20
@@ -177,7 +177,7 @@ def test_enumerated_parabolics_match_the_validating_constructor():
     groups = [G for G in group_sweep(64) if G.family is not Family.GL or G.dim <= 16]
     total = 0
     for G in groups:
-        for P in _enumerated(G):
+        for P in enumerate_distinguished_parabolics(G):
             assert_same_value(P, ParabolicDescriptor(G, P.c, P.m0))
             total += 1
     assert total > 10_000
