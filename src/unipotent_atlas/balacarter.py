@@ -9,6 +9,9 @@ canonical right inverse:
   psi2: products of GL blocks and at most three distinguished parabolics of
         classical factors, sending each parabolic to its Richardson class.
 
+Both maps read a classical factor only through factor_blocks, so once
+validate_for accepts a product, its GL parts and its factors' blocks fix its class.
+
 phi1 reads the factors off the minimal Levi; phi2 additionally splits the
 distinguished remainder into Richardson pieces.  A class is "extra" when
 that splitting is proper, i.e. the remainder itself is not a Richardson
@@ -157,16 +160,22 @@ def _check_product(G: GroupSpec, gl_parts: Partition, dims: list[int]) -> None:
 # -- the four maps -----------------------------------------------------------------
 
 
+def factor_blocks(G: GroupSpec, factor: tuple[int, bool] | ParabolicDescriptor) -> tuple[int, ...]:
+    """The Jordan blocks, decreasing, of a classical factor of a product of G:
+    a parabolic's Richardson blocks, or the regular blocks of a (dimension,
+    full) factor, of the non-identity component for a full one of even dimension."""
+    if isinstance(factor, ParabolicDescriptor):
+        return richardson_blocks(factor)
+    m, full = factor
+    return regular_blocks(Family.O if full else G.family, m, G.p2, full and m % 2 == 0)
+
+
 def psi1(X: RegularSubgroupDescriptor, G: GroupSpec) -> ClassParam:
     """Class of a product of regular elements, one per factor of X."""
     X.validate_for(G)
     # validate_for has checked each factor as a group of its own: a positive
     # dimension, even for Sp, and full (a whole O_m) exactly when _full_factors(G)
-    blocks: dict[int, int] = {}
-    for m, full in X.cl_parts:
-        for b in regular_blocks(Family.O if full else G.family, m, G.p2, full and m % 2 == 0):
-            blocks[b] = blocks.get(b, 0) + 1
-    return _product_class(G, X.gl_parts, blocks)
+    return _product_class(G, X.gl_parts, X.cl_parts)
 
 
 def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
@@ -177,7 +186,7 @@ def phi1(C: ClassParam) -> RegularSubgroupDescriptor:
 def psi2(P: ParabolicProduct, G: GroupSpec) -> ClassParam:
     """Class of a product of Richardson elements, one per parabolic factor of P."""
     P.validate_for(G)
-    return _product_class(G, P.gl_parts, _count(b for desc in P.parabolics for b in richardson_blocks(desc)))
+    return _product_class(G, P.gl_parts, P.parabolics)
 
 
 def phi2(C: ClassParam) -> ParabolicProduct:
@@ -185,10 +194,10 @@ def phi2(C: ClassParam) -> ParabolicProduct:
     return _analysis(C).phi2()
 
 
-def _product_class(G: GroupSpec, gl_parts: Partition, blocks: dict[int, int]) -> ClassParam:
-    """The class of a product that validate_for accepted: GL blocks gl_parts, and
-    classical blocks, counted by size, that carry the distinguished eps."""
-    return _combine(G, gl_parts.multiplicities(), blocks, None)
+def _product_class(G: GroupSpec, gl_parts: Partition, factors: Iterable) -> ClassParam:
+    """The class of a product that validate_for accepted: GL blocks gl_parts,
+    and the factor_blocks of its classical factors, which carry the distinguished eps."""
+    return _combine(G, gl_parts.multiplicities(), _count(b for f in factors for b in factor_blocks(G, f)), None)
 
 
 def is_extra_class(C: ClassParam) -> bool:

@@ -24,6 +24,7 @@ from .balacarter import (
     ParabolicProduct,
     RegularSubgroupDescriptor,
     analyse_all,
+    factor_blocks,
     iter_parabolic_products,
     iter_regular_subgroups,
     psi1,
@@ -48,7 +49,6 @@ from .richardson import (
     ParabolicDescriptor,
     enumerate_distinguished_parabolics,
     parabolic_from_blocks,
-    regular_blocks,
     richardson_blocks,
 )
 
@@ -108,18 +108,15 @@ def _finish(claim: str, G: GroupSpec | None, bound: int, bad: list[str], t0: flo
 # A _GroupWork holds what several checks of one group read: the class list, one
 # analysis per class (from one analyse_all call), and the psi1 and psi2 images,
 # which send each descriptor of G to the data_key of its class or to the map's
-# refusal, a counterexample of each claim that reads it.  Up to PREIMAGE_MAX_DIM
-# the images are kept per descriptor (table), since _minimal_levi reads the
-# descriptors back; past it the descriptors stream through one table per map
-# from each distinct pair of GL parts and classical blocks to its image
-# (pair_images).  Each part is built on first use, inside the timed region of
-# the check that needs it first.  verify_claim runs its check on a fresh record;
-# run_all keeps one record per group.
+# refusal, a counterexample of each claim that reads it.  psi1 and psi2 read a
+# product only through its GL parts and its factors' factor_blocks, so key runs
+# the map once per distinct pair of them and keeps no descriptor; every other
+# descriptor of a known pair only passes validate_for.  Each part is built on
+# first use, inside the timed region of the check that needs it first.
+# verify_claim runs its check on a fresh record; run_all keeps one record per group.
 
-ImageTable = dict[object, tuple | str]
-
-#: Largest dimension at which the image tables are kept per descriptor, and at
-#: which the minimal-levi claim checks phi1 against every regular-subgroup preimage.
+#: Largest dimension at which the minimal-levi claim checks phi1 against every
+#: regular-subgroup preimage.
 PREIMAGE_MAX_DIM = 16
 
 #: Each descriptor map with the enumeration of its descriptors and the field
@@ -128,22 +125,13 @@ _MAPS = {"psi1": (psi1, iter_regular_subgroups, "cl_parts"),
          "psi2": (psi2, iter_parabolic_products, "parabolics")}
 
 
-def _factor_blocks(G: GroupSpec, factor) -> tuple[int, ...]:
-    """The Jordan blocks of one classical factor of a descriptor of G: the
-    regular blocks of a (dimension, full) factor, those of the non-identity
-    component for a full factor of even dimension, or the Richardson blocks
-    of a parabolic."""
-    if isinstance(factor, ParabolicDescriptor):
-        return richardson_blocks(factor)
-    m, full = factor
-    return regular_blocks(Family.O if full else G.family, m, G.p2, full and m % 2 == 0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GroupWork:
     G: GroupSpec
-    _tables: dict[str, ImageTable] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pairs: dict[str, ImageTable] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: per map, the data_key of each (GL parts, classical blocks) pair it accepted
+    _pairs: dict[str, dict] = field(default_factory=lambda: {m: {} for m in _MAPS}, init=False, repr=False)
+    #: the factor_blocks of each classical factor met
+    _blocks: dict[object, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def classes(self) -> list[ClassParam]:
@@ -153,69 +141,38 @@ class _GroupWork:
     def analyses(self) -> list[ClassAnalysis]:
         return list(analyse_all(self.classes))
 
-    def table(self, which: str) -> ImageTable:
-        """Each descriptor of G with its image, the map evaluated on each."""
-        if which not in self._tables:
-            self._tables[which] = {X: self._image(which, X) for X in _MAPS[which][1](self.G)}
-        return self._tables[which]
-
     def images(self, which: str) -> tuple[list[str], set[tuple]]:
         """The map's refusals, one per refused descriptor of G in enumeration
-        order, and the data_keys of the classes it reaches: read off table up
-        to PREIMAGE_MAX_DIM, and off pair_images past it."""
-        if self.G.dim > PREIMAGE_MAX_DIM:
-            return self.pair_images(which)
-        values = self.table(which).values()
-        return [k for k in values if isinstance(k, str)], {k for k in values if not isinstance(k, str)}
+        order, and the data_keys of the classes it reaches."""
+        refusals, image = [], set()
+        for X in _MAPS[which][1](self.G):
+            if isinstance(key := self.key(which, X), str):
+                refusals.append(key)
+            else:
+                image.add(key)
+        return refusals, image
 
-    def pair_images(self, which: str) -> tuple[list[str], set[tuple]]:
-        """images with the map evaluated once per distinct pair of GL parts and
-        classical blocks, and no descriptor kept.  This rests on psi1 and psi2
-        reading a descriptor only through that pair: the blocks its factors
-        carry and its GL parts give the class.  Every descriptor still passes
-        validate_for, and each refused one gets a refusal of its own."""
-        psi, descriptors, attr = _MAPS[which]
-        pairs = self._pairs.setdefault(which, {})  # the pair's data_key, or why the map refuses it
-        blocks_of: dict[object, tuple[int, ...]] = {}  # per classical factor
-        refusals = []
-        for X in descriptors(self.G):
-            try:
-                X.validate_for(self.G)
-            except InputError as exc:
-                refusals.append(f"{which} refuses {X.describe()}: {exc}")
-                continue
+    def key(self, which: str, X) -> tuple | str:
+        """The data_key of X's class, or the map's refusal: the map runs on the
+        first descriptor of each (GL parts, classical blocks) pair it accepts,
+        and a later descriptor of that pair only passes validate_for."""
+        psi, _, attr = _MAPS[which]
+        pairs = self._pairs[which]
+        try:
             blocks = []
             for f in getattr(X, attr):
-                if (fb := blocks_of.get(f)) is None:
-                    fb = blocks_of[f] = _factor_blocks(self.G, f)
+                if (fb := self._blocks.get(f)) is None:
+                    fb = self._blocks[f] = factor_blocks(self.G, f)
                 blocks += fb
             blocks.sort()
             pair = (X.gl_parts.parts, tuple(blocks))
             if (key := pairs.get(pair)) is None:
-                try:
-                    key = psi(X, self.G).data_key()
-                except InputError as exc:
-                    key = str(exc)
-                pairs[pair] = key
-            if isinstance(key, str):
-                refusals.append(f"{which} refuses {X.describe()}: {key}")
-        return refusals, {k for k in pairs.values() if not isinstance(k, str)}
-
-    def key(self, which: str, X) -> tuple | str:
-        """The data_key of X's class, or the map's refusal: read from the
-        image table when that table is built, computed by the map otherwise."""
-        key = self._tables.get(which, {}).get(X)
-        return key if key is not None else self._image(which, X)
-
-    def _image(self, which: str, X) -> tuple | str:
-        try:
-            return _MAPS[which][0](X, self.G).data_key()
+                key = pairs[pair] = psi(X, self.G).data_key()
+            else:
+                X.validate_for(self.G)
+            return key
         except InputError as exc:
             return f"{which} refuses {X.describe()}: {exc}"
-
-
-def psi1_image(G: GroupSpec) -> set[tuple]:
-    return set(_GroupWork(G).table("psi1").values())
 
 
 # -- surjectivity and right inverses -----------------------------------------------
@@ -235,12 +192,13 @@ def _right_inverse(work: _GroupWork, which: str) -> VerificationReport:
     """Check psi(phi(C)) == C for every class C of G, phi being phi1 or phi2."""
     t0 = time.perf_counter()
     psi = "psi" + which[-1]
-    if which == "phi1" and work.G.family is not Family.GL and work.G.dim <= PREIMAGE_MAX_DIM:
-        work.table("psi1")  # _minimal_levi reads the whole table here: build it once, not per class first
     bad = []
     for C, a in zip(work.classes, work.analyses):
         X = a.phi1() if which == "phi1" else a.phi2()
-        key = work.key(psi, X)
+        try:  # psi itself, not the pair table: each class is a pair of its own
+            key = _MAPS[psi][0](X, work.G).data_key()
+        except InputError as exc:
+            key = f"{psi} refuses {X.describe()}: {exc}"
         if key != C.data_key():  # a refusal, or another class
             bad.append(key if isinstance(key, str) else
                        f"psi({which}({C.lam}, {C.eps})) gave ({Partition(key[0])}, {EpsilonMap(key[1])})")
@@ -273,7 +231,7 @@ def so_connected_only_psi1_image(G: GroupSpec) -> set[tuple]:
         raise InputError("the connected-only variant applies to SO at p=2")
     image: set[tuple] = set()
     for a in range(G.dim // 2 + 1):
-        classicals = [Partition(tuple(b for m in dims for b in regular_blocks(Family.SO, m, True)))
+        classicals = [Partition(tuple(b for m in dims for b in factor_blocks(G, (m, False))))
                       for dims in _classical_dim_multisets(G, G.dim - 2 * a)]
         for alpha, classical in product(iter_partitions(a), classicals):
             try:
@@ -617,8 +575,8 @@ def _minimal_levi(work: _GroupWork) -> VerificationReport:
     # whose regular class has blocks (m, 1)-style, e.g. O_3 versus O_2 O_1.)
     if G.dim <= PREIMAGE_MAX_DIM:
         by_class: dict[tuple | str, list[RegularSubgroupDescriptor]] = defaultdict(list)
-        for X, key in work.table("psi1").items():
-            by_class[key].append(X)
+        for X in iter_regular_subgroups(G):
+            by_class[work.key("psi1", X)].append(X)
         bad += [key for key in by_class if isinstance(key, str)]  # refusals
         for C, a in untagged:
             cands = by_class.get(C.data_key(), [])

@@ -229,8 +229,9 @@ def richardson_jordan_blocks(P: ParabolicDescriptor) -> tuple[Partition, Epsilon
 def in_richardson_image(G: GroupSpec, lam: Partition) -> bool:
     """Whether lam equals the Jordan blocks of the Richardson class of some
     distinguished parabolic of G: whether the closed-form inverse finds its
-    descriptor."""
-    return _inverse(G, lam) is not None
+    descriptor.  It reads the unmemoized _solve, so a membership sweep leaves
+    the inverse's memo as it was."""
+    return _solve(G, _checked_parts(G, lam)) is not None
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +309,7 @@ def _candidate(G: GroupSpec, parts: tuple[int, ...]) -> tuple[list[int], int]:
     return [(x - _offset(G, m0, i)) // 2 for i, x in enumerate(e, start=1)], m0
 
 
-@lru_cache(maxsize=None)
-def _from_exponents(G: GroupSpec, parts: tuple[int, ...]) -> ParabolicDescriptor | None:
+def _solve(G: GroupSpec, parts: tuple[int, ...]) -> ParabolicDescriptor | None:
     """The descriptor of G whose Richardson blocks are parts, or None: the
     candidate, once the validating constructor accepts it and the forward
     map sends it back to parts (which also rejects an odd exponent that the
@@ -324,13 +324,19 @@ def _from_exponents(G: GroupSpec, parts: tuple[int, ...]) -> ParabolicDescriptor
     return P if richardson_blocks(P) == parts else None
 
 
-def _inverse(G: GroupSpec, lam: Partition) -> ParabolicDescriptor | None:
-    """_from_exponents(G, lam.parts), once lam fills G and G is gl, sp or so."""
+@lru_cache(maxsize=None)
+def _from_exponents(G: GroupSpec, parts: tuple[int, ...]) -> ParabolicDescriptor | None:
+    """_solve(G, parts), memoized per group and block sizes for parabolic_from_blocks."""
+    return _solve(G, parts)
+
+
+def _checked_parts(G: GroupSpec, lam: Partition) -> tuple[int, ...]:
+    """lam's parts, once lam fills G and G is gl, sp or so."""
     if lam.total != G.dim:
         raise InputError(f"partition of {lam.total} does not match dimension {G.dim}")
     if G.family not in (Family.GL, Family.SP, Family.SO):
         raise InputError("Richardson image membership is defined for gl, sp, and so")
-    return _from_exponents(G, lam.parts)
+    return lam.parts
 
 
 def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
@@ -341,7 +347,7 @@ def parabolic_from_blocks(G: GroupSpec, lam: Partition) -> ParabolicDescriptor:
     sizes): one candidate, checked by one forward evaluation, at
     O(n) with no enumeration and so no rank bound.
     """
-    if (P := _inverse(G, lam)) is None:
+    if (P := _from_exponents(G, _checked_parts(G, lam))) is None:
         raise InputError(
             f"{lam} is not the Richardson class of a distinguished parabolic of {G.describe()}"
         )

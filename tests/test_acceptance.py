@@ -30,7 +30,6 @@ from unipotent_atlas.decomp import decompose, render_trace
 from unipotent_atlas.oracle import (
     EXTRA_COUNTS,
     group_sweep,
-    psi1_image,
     so_connected_only_psi1_image,
     verify_claim,
     verify_proposition,

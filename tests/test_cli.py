@@ -369,6 +369,12 @@ def test_label_checks_its_class_once(capsys, monkeypatch):
     # it used to name the even-SO normalization, not the weight that Sp12 and SO13 name
     (["richardson", "--group", "so", "--dim", "12", "--char", "2", "--levi", ""],
      "descriptor weight 0 does not match the rank 6 of SO12 (p=2)"),
+    (["label", "--group", "so", "--dim", "8", "--char", "2", "--blocks", "4,4", "--eps", "4:x"],
+     "cannot parse epsilon chunk '4:x' in '4:x'"),
+    (["label", "--group", "so", "--dim", "8", "--char", "2", "--blocks", "4,4", "--eps", "0:1"],
+     "epsilon keyed by non-positive part 0"),
+    (["richardson", "--group", "so", "--dim", "8", "--char", "2", "--levi", "1^3;m1=1"],
+     "expected 'm0=<k>' after ';', got 'm1=1'"),
 ])
 def test_a_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

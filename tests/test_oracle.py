@@ -24,7 +24,15 @@ from unipotent_atlas.classes import (
 )
 from unipotent_atlas.errors import InputError
 from unipotent_atlas.richardson import enumerate_distinguished_parabolics
-from unipotent_atlas.balacarter import ClassAnalysis, iter_parabolic_products, iter_regular_subgroups
+from unipotent_atlas.balacarter import (
+    ClassAnalysis,
+    RegularSubgroupDescriptor,
+    factor_blocks,
+    iter_parabolic_products,
+    iter_regular_subgroups,
+    psi1,
+    psi2,
+)
 from unipotent_atlas.oracle import (
     BATTERY,
     GROUP_CLAIMS,
@@ -32,7 +40,6 @@ from unipotent_atlas.oracle import (
     distinguished_shapes,
     group_sweep,
     iter_admissible_beta,
-    psi1_image,
     run_all,
     so_connected_only_psi1_image,
     verify_claim,
@@ -307,53 +314,80 @@ def test_a_class_the_library_refuses_to_rebuild_fails_the_class_level_claims(mon
     assert phi2.startswith("psi2 refuses ") and phi2.endswith(refusal)
 
 
-def _per_descriptor_reading(work, which):
-    values = list(work.table(which).values())
-    return [k for k in values if isinstance(k, str)], {k for k in values if not isinstance(k, str)}
+def _per_descriptor_images(G, which):
+    """psi run on every descriptor of G: the number of descriptors, the
+    refusals in enumeration order, and the data_keys of the classes reached."""
+    psi, descriptors = {"psi1": (psi1, iter_regular_subgroups), "psi2": (psi2, iter_parabolic_products)}[which]
+    count, refusals, image = 0, [], set()
+    for X in descriptors(G):
+        count += 1
+        try:
+            image.add(psi(X, G).data_key())
+        except InputError as exc:
+            refusals.append(f"{which} refuses {X.describe()}: {exc}")
+    return count, refusals, image
 
 
 @pytest.mark.parametrize("which", ["psi1", "psi2"])
-def test_the_two_image_readings_agree_on_every_group_to_dim_16(which):
-    # the pair reading rests on psi depending on a descriptor only through its
-    # GL parts and classical blocks; where both run, they must agree
-    assert oracle.PREIMAGE_MAX_DIM == 16
+def test_the_image_reading_matches_psi_on_every_descriptor_to_dim_16(monkeypatch, which):
+    # the oracle runs psi once per pair of GL parts and classical blocks; psi
+    # run on each descriptor must give the same image and the same refusals,
+    # in the same order, also where a planted library that knows no class
+    # with a block of size 2 refuses some of them
     merged = 0
     for G in group_sweep(16):
         work = oracle._GroupWork(G)
-        refusals, image = _per_descriptor_reading(work, which)
-        assert work.pair_images(which) == (refusals, image), G.describe()
-        assert work.images(which) == (refusals, image)
-        assert image == {C.data_key() for C in work.classes}
-        merged += len(work.table(which)) - len(work._pairs[which])
-    assert merged > 0  # some descriptors share a pair, so the readings differ in work
-
-
-@pytest.mark.parametrize("which", ["psi1", "psi2"])
-def test_the_two_image_readings_give_the_same_refusals(monkeypatch, which):
-    # a planted library that knows no class with a block of size 2: one
-    # refusal per refused descriptor, in enumeration order, naming it
+        count, refusals, image = _per_descriptor_images(G, which)
+        assert work.images(which) == (refusals, image), G.describe()
+        assert refusals == [] and image == {C.data_key() for C in work.classes}
+        merged += count - len(work._pairs[which])
+    assert merged > 0  # some descriptors share a pair, so psi runs fewer times than per descriptor
     real = classes._lambda_admissible
     monkeypatch.setattr(classes, "_lambda_admissible", lambda G, lam, mults: 2 not in mults and real(G, lam, mults))
-    failed = 0
-    for G in group_sweep(10):
-        work = oracle._GroupWork(G)
-        refusals, image = _per_descriptor_reading(work, which)
-        assert work.pair_images(which) == (refusals, image), G.describe()
-        failed += len(refusals)
-    assert failed > 100
+    refused = 0
+    for G in group_sweep(16):
+        _, refusals, image = _per_descriptor_images(G, which)
+        assert oracle._GroupWork(G).images(which) == (refusals, image), G.describe()
+        refused += len(refusals)
+    assert refused > 100
 
 
-def test_past_the_preimage_bound_psi_runs_once_per_pair(monkeypatch):
-    G = GroupSpec(Family.SO, 17, Char.GOOD)
+@pytest.mark.parametrize("G", [GroupSpec(Family.SO, 12, Char.GOOD), GroupSpec(Family.SO, 17, Char.GOOD)],
+                         ids=["SO12", "SO17"])
+def test_psi_runs_once_per_pair_at_every_dimension(monkeypatch, G):
     calls = []
     psi, enumerate_descriptors, attr = oracle._MAPS["psi1"]
     monkeypatch.setitem(oracle._MAPS, "psi1", (lambda X, H: calls.append(X) or psi(X, H), enumerate_descriptors, attr))
     work = oracle._GroupWork(G)
     refusals, image = work.images("psi1")
-    assert work._tables == {}  # no descriptor kept
     assert refusals == [] and image == {C.data_key() for C in work.classes}
-    assert len(calls) == len(work._pairs["psi1"]) < sum(1 for _ in iter_regular_subgroups(G)) / 4
+    descriptors = list(iter_regular_subgroups(G))
+    pairs = {(X.gl_parts.parts, tuple(sorted(b for f in X.cl_parts for b in factor_blocks(G, f))))
+             for X in descriptors}
+    assert len(calls) == len(work._pairs["psi1"]) == len(pairs) < len(descriptors) / 3
     assert verify_claim("psi1-surjective", G).passed
+
+
+def test_a_descriptor_that_validate_for_refuses_is_listed_once_by_name(monkeypatch):
+    G = GroupSpec(Family.SO, 8, Char.GOOD)
+    work = oracle._GroupWork(G)
+    assert work.images("psi1")[0] == []  # every pair of G is now known
+    real = RegularSubgroupDescriptor.validate_for
+
+    def refusing(X, H):
+        if 2 in X.gl_parts.parts:
+            raise InputError("planted: no GL2 block")
+        real(X, H)
+
+    monkeypatch.setattr(RegularSubgroupDescriptor, "validate_for", refusing)
+    want = [f"psi1 refuses {X.describe()}: planted: no GL2 block"
+            for X in iter_regular_subgroups(G) if 2 in X.gl_parts.parts]
+    assert len(want) > 1
+    for claim in ("psi1-surjective", "minimal-levi"):
+        got = [c for c in verify_claim(claim, G).counterexamples if c.startswith("psi1 refuses")]
+        assert got == want, claim
+    # a refused descriptor whose pair an accepted one holds is still refused
+    assert work.images("psi1")[0] == want
 
 
 def test_a_swept_group_enumerates_under_the_sweep_bound():
@@ -366,7 +400,7 @@ def test_connected_only_image_misses_the_witness_class():
     lam = Partition((6, 4, 4, 2))
     witness = (lam.parts, ((6, 1), (4, 1), (2, 1)))
     assert witness not in so_connected_only_psi1_image(G)
-    assert witness in psi1_image(G)
+    assert witness in oracle._GroupWork(G).images("psi1")[1]
 
 
 def _rows(reports):

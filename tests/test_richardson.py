@@ -341,14 +341,13 @@ def test_index_build_refuses_two_descriptors_with_the_same_blocks(monkeypatch):
     assert report.counterexamples[0].endswith("share the Richardson blocks (4, 4)")
 
 
-def test_a_closed_form_that_admits_a_shape_outside_the_image_fails_on_that_group(monkeypatch):
+def test_a_closed_form_that_admits_a_shape_outside_the_image_fails_on_that_group(planted):
     # (6,4,4,2) is a distinguished shape of SO16 at p=2 that breaks the
     # difference condition; the planted closed form gives it a descriptor
     G, lam = spec(Family.SO, 16), Partition((6, 4, 4, 2))
-    real = richardson._from_exponents
+    real = richardson._solve
     P = real(G, (6, 6, 2, 2))
-    monkeypatch.setattr(richardson, "_from_exponents",
-                        lambda H, parts: P if (H, parts) == (G, lam.parts) else real(H, parts))
+    planted("_solve", lambda H, parts: P if (H, parts) == (G, lam.parts) else real(H, parts))
     assert in_richardson_image(G, lam) and parabolic_from_blocks(G, lam) is P
     reports = oracle.run_all(16, claims=("richardson-inverse",))
     failed = {r.group: r.counterexamples for r in reports if not r.passed}
@@ -387,21 +386,22 @@ def _p2_offsets_swapped(G, m0, i):
 
 
 @pytest.fixture
-def planted_table(monkeypatch):
-    """Plant another exponent table; the inverse memo is cleared on the way in and out."""
-    def plant(offset):
-        monkeypatch.setattr(richardson, "_offset", offset)
+def planted(monkeypatch):
+    """Plant another value of a richardson name, such as the exponent table
+    _offset or the closed form _solve; the inverse memo is cleared on the way in and out."""
+    def plant(name, value):
+        monkeypatch.setattr(richardson, name, value)
         _from_exponents.cache_clear()
 
     yield plant
     _from_exponents.cache_clear()
 
 
-def test_forward_map_and_inverse_read_one_exponent_table(planted_table):
+def test_forward_map_and_inverse_read_one_exponent_table(planted):
     G = spec(Family.SO, 12, Char.GOOD)
     P = ParabolicDescriptor(G, (1, 2), 1)
     assert richardson_blocks(P) == (7, 5)
-    planted_table(_odd_top_shifted_down)
+    planted("_offset", _odd_top_shifted_down)
     assert richardson_blocks(P) == (7, 4)
     # the inverse takes off the planted offsets too, so the closed form still
     # finds P; parabolic_from_blocks refuses (7, 4) earlier, as it does not fill G
@@ -416,11 +416,11 @@ def test_forward_map_and_inverse_read_one_exponent_table(planted_table):
     (_p2_offsets_swapped, "partition parts must be positive integers"),
     (_odd_top_shifted_down, "11,1 is not the Richardson class of a distinguished parabolic of SO12 (p odd)"),
 ])
-def test_a_wrong_exponent_table_fails_verify_with_every_report(planted_table, capsys, offset, error):
+def test_a_wrong_exponent_table_fails_verify_with_every_report(planted, capsys, offset, error):
     argv = ["verify", "--claim", "all", "--max-dim", "12", "--surjectivity-max-dim", "12", "--max-beta", "12"]
     assert main(argv) == 0
     clean = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    planted_table(offset)
+    planted("_offset", offset)
     code = main(argv)
     out, err = capsys.readouterr()
     docs = [json.loads(line) for line in out.splitlines()]
@@ -439,6 +439,14 @@ def test_the_inverse_is_memoized_per_group_and_blocks():
     assert parabolic_from_blocks(G, lam) is first
     assert _from_exponents.cache_info()[:2] == (1, 1)  # hits, misses
     assert first.describe() == "c=1^32;m0=1"
+
+
+def test_a_membership_sweep_leaves_the_inverse_memo_as_it_was():
+    # membership used to store an entry, None for a miss, per distinct question
+    G = spec(Family.SO, 30)
+    before = _from_exponents.cache_info().currsize
+    members = sum(in_richardson_image(G, Partition(parts)) for parts in iter_partitions(30))
+    assert 0 < members and _from_exponents.cache_info().currsize == before
 
 
 def test_orthogonal_p2_image_satisfies_difference_condition():
