@@ -329,11 +329,9 @@ def _per_descriptor_images(G, which):
 
 
 @pytest.mark.parametrize("which", ["psi1", "psi2"])
-def test_the_image_reading_matches_psi_on_every_descriptor_to_dim_16(monkeypatch, which):
-    # the oracle runs psi once per pair of GL parts and classical blocks; psi
-    # run on each descriptor must give the same image and the same refusals,
-    # in the same order, also where a planted library that knows no class
-    # with a block of size 2 refuses some of them
+def test_the_two_image_readings_agree_on_every_group_to_dim_16(which):
+    # the oracle's reading runs psi once per pair of GL parts and classical
+    # blocks; psi run on each descriptor must give the same image
     merged = 0
     for G in group_sweep(16):
         work = oracle._GroupWork(G)
@@ -342,6 +340,12 @@ def test_the_image_reading_matches_psi_on_every_descriptor_to_dim_16(monkeypatch
         assert refusals == [] and image == {C.data_key() for C in work.classes}
         merged += count - len(work._pairs[which])
     assert merged > 0  # some descriptors share a pair, so psi runs fewer times than per descriptor
+
+
+@pytest.mark.parametrize("which", ["psi1", "psi2"])
+def test_the_two_image_readings_give_the_same_refusals(monkeypatch, which):
+    # a planted library that knows no class with a block of size 2 refuses
+    # some descriptors: both readings list the same refusals, in the same order
     real = classes._lambda_admissible
     monkeypatch.setattr(classes, "_lambda_admissible", lambda G, lam, mults: 2 not in mults and real(G, lam, mults))
     refused = 0
