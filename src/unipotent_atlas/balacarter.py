@@ -411,12 +411,14 @@ def iter_regular_subgroups(G: GroupSpec) -> Iterator[RegularSubgroupDescriptor]:
 def iter_parabolic_products(G: GroupSpec, max_factors: int = 3) -> Iterator[ParabolicProduct]:
     """All parabolic products for G with at most max_factors classical factors,
     each once: factors of equal dimension take their parabolics as a multiset."""
+    known: dict[int, tuple[ParabolicDescriptor, ...]] = {}  # per factor dimension, for this call only
+
     def combos(dims: tuple[int, ...]) -> list[tuple[ParabolicDescriptor, ...]]:
         if len(dims) > max_factors:
             return []
-        runs = [combinations_with_replacement(
-                    enumerate_distinguished_parabolics(G.classical_factor(d)), len(list(run)))
-                for d, run in groupby(dims)]
+        for d in set(dims) - known.keys():
+            known[d] = tuple(enumerate_distinguished_parabolics(G.classical_factor(d)))
+        runs = [combinations_with_replacement(known[d], len(list(run))) for d, run in groupby(dims)]
         return [sum(combo, ()) for combo in product(*runs)]
 
     for gl, parabolics in _products(G, combos):

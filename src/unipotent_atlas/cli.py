@@ -47,9 +47,6 @@ FORMATS = ("text", "json", "csv")
 #: Largest dimension classes enumerates unless its --max-dim raises it.
 DEFAULT_ENUM_BOUND = 40
 
-#: Largest rank whose distinguished parabolics tables 2 lists.
-TABLE2_RANK_BOUND = 32
-
 #: Exit status of a crash: an exception that is neither an input error nor a
 #: failed claim (exit 1) nor a closed stdout.
 EXIT_INTERNAL_ERROR = 3
@@ -419,10 +416,6 @@ def cmd_tables(args) -> int:
             raise InputError("tables 2 and 3 need --group and --dim")
         G = GroupSpec(Family(args.group), args.dim, Char(args.char or "2"))
         if args.which == 2:
-            if G.rank > TABLE2_RANK_BOUND:  # refused before the first byte
-                raise ResourceLimitError(
-                    f"{G.describe()} has rank {G.rank}; distinguished parabolics are enumerated "
-                    f"only up to rank {TABLE2_RANK_BOUND}")
             rows = ({"levi": P.levi_name(), "descriptor": P.describe(), "blocks": str(lam), "eps": str(eps)}
                     for P in enumerate_distinguished_parabolics(G)
                     for lam, eps in [richardson_jordan_blocks(P)])

@@ -429,7 +429,7 @@ def _richardson_inverse(work: _GroupWork) -> VerificationReport:
     partition of the dimension."""
     t0 = time.perf_counter()
     G = work.G
-    descriptors = enumerate_distinguished_parabolics(G)
+    descriptors = list(enumerate_distinguished_parabolics(G))
     keys = [richardson_blocks(P) for P in descriptors]
     index: dict[tuple[int, ...], ParabolicDescriptor] = {}
     bad = []

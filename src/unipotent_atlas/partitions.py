@@ -170,9 +170,8 @@ def _partitions(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n (optionally with parts <= max_part), lexicographically decreasing."""
+def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, lexicographically decreasing."""
     if n < 0:
         raise InputError(f"cannot partition a negative total {n}")
-    cap = n if max_part is None else min(max_part, n)
-    return _partitions(n, cap)
+    return _partitions(n, n)

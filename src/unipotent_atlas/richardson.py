@@ -26,14 +26,14 @@ canonical descriptors the map to Jordan blocks is injective.
 
 richardson_blocks gives the block sizes as a tuple, as regular_blocks does
 for regular classes; richardson_jordan_blocks wraps them in a Partition with
-their eps.  enumerate_distinguished_parabolics lists a group's descriptors
+their eps.  enumerate_distinguished_parabolics yields a group's descriptors
 in (m0, c) order: for each m0 the c-vectors are generated in lexicographic
 order inside the window (_c_vectors), with no sort, and each descriptor is
 built through the one trusted builder _trusted_parabolic, since it is
 canonical as generated; the checking constructor and make are for outside
-input.  The enumeration is memoized per group, takes no bound (a command
-that prints it sets its own) and serves the bulk readers: tables 2 and 3
-and the parabolic products of psi2.
+input.  The enumeration is an iterator with no memo and no bound, so no
+descriptor outlives its reader: tables 2 and 3 stream it, and the parabolic
+products of psi2 keep each factor's descriptors for one call.
 parabolic_from_blocks inverts the forward map in closed form, with no
 enumeration and no rank bound: the exponents of lambda* are the differences
 of consecutive parts of lam, on SO m0 is half the number of parts (rounded
@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .classes import EpsilonMap, Family, GroupSpec, distinguished_eps
 from .errors import InputError
@@ -234,10 +234,9 @@ def in_richardson_image(G: GroupSpec, lam: Partition) -> bool:
     return _solve(G, _checked_parts(G, lam)) is not None
 
 
-@lru_cache(maxsize=None)
-def enumerate_distinguished_parabolics(G: GroupSpec) -> tuple[ParabolicDescriptor, ...]:
-    """All distinguished parabolic descriptors of G in (m0, c) order, each
-    canonical as generated."""
+def enumerate_distinguished_parabolics(G: GroupSpec) -> Iterator[ParabolicDescriptor]:
+    """All distinguished parabolic descriptors of G in (m0, c) order, each canonical
+    as generated, yielded one at a time; an O group is refused at the call."""
     if G.family is Family.SO:
         windows = [(m0, _n_window(G, m0)) for m0 in range(G.rank + 1)]
     elif G.family in (Family.GL, Family.SP):
@@ -245,41 +244,34 @@ def enumerate_distinguished_parabolics(G: GroupSpec) -> tuple[ParabolicDescripto
     else:
         raise InputError("parabolic descriptors exist for gl, sp, and so only")
     least = 0 if G.family is Family.GL else 1
-    return tuple(_trusted_parabolic(G, c, m0)
-                 for m0, sizes in windows for c in _c_vectors(G.rank - m0, sizes, least))
+    return (_trusted_parabolic(G, c, m0)
+            for m0, sizes in windows for c in _c_vectors(G.rank - m0, sizes, least))
 
 
-def _c_vectors(weight: int, sizes: Sequence[int], least: int) -> list[tuple[int, ...]]:
-    """The c-vectors with c(i) >= least for i <= N, a nonzero c(N), sum
-    i*c(i) equal to weight and N in sizes (consecutive and increasing), in
-    lexicographic order.
+def _c_vectors(weight: int, sizes: Sequence[int], least: int,
+               c: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """The c-vectors extending c with c(i) >= least for i <= N, a nonzero
+    c(N), sum i*c(i) over the new positions equal to weight and N in sizes
+    (consecutive and increasing), in lexicographic order.
 
     The vectors are generated position by position, as Nijenhuis and Wilf
     generate partitions in lexicographic order (Combinatorial Algorithms,
-    1978): at each position c(i) counts up from least, a vector is emitted
+    1978): at each position c(i) counts up from least, a vector is yielded
     once its length is in sizes and its weight is used up, and a branch is
-    cut once the weight left cannot fill the positions that the shortest
-    length in sizes still needs.
+    cut once a positive c(i) would outweigh what is left (i > weight) or
+    the weight left cannot fill the positions that the shortest length in
+    sizes still needs.
     """
-    out: list[tuple[int, ...]] = []
-    if not sizes:
-        return out
-    shortest, longest = sizes[0], sizes[-1]
-
-    def extend(c: tuple[int, ...], rest: int) -> None:
-        if rest == 0:
-            if len(c) in sizes:
-                out.append(c)
-            return
-        i = len(c) + 1
-        if i > longest:
-            return
-        need = least * max(0, shortest * (shortest + 1) - i * (i + 1)) // 2  # positions i+1..shortest
-        for ci in range(least, (rest - need) // i + 1):
-            extend(c + (ci,), rest - i * ci)
-
-    extend((), weight)
-    return out
+    if weight == 0:
+        if len(c) in sizes:
+            yield c
+        return
+    i = len(c) + 1
+    if not sizes or i > min(sizes[-1], weight):
+        return
+    need = least * max(0, sizes[0] * (sizes[0] + 1) - i * (i + 1)) // 2  # positions i+1..sizes[0]
+    for ci in range(least, (weight - need) // i + 1):
+        yield from _c_vectors(weight - i * ci, sizes, least, c + (ci,))
 
 
 def _trusted_parabolic(G: GroupSpec, c: tuple[int, ...], m0: int) -> ParabolicDescriptor:

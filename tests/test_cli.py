@@ -529,7 +529,7 @@ def test_classes_rejects_a_max_dim_below_1(capsys, value):
 def test_a_refusal_while_the_rows_are_resolved_prints_nothing(capsys, monkeypatch, fmt):
     # the rows are written as they are built, so a refusal from a label's
     # inverse must come before the first byte, not leave half a document
-    # (refused at the inverse: a warm per-group index never reaches the enumeration)
+    # (the refusal is planted in the inverse, which every label reads)
     calls = []
     real = balacarter.parabolic_from_blocks
 
@@ -554,18 +554,30 @@ PEAK_RSS = ("import resource, subprocess, sys; "
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
+def _peak_rss_mb(*args) -> float:
+    """Peak RSS in MB of ``python -m unipotent_atlas *args``, read through PEAK_RSS."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "unipotent_atlas", *args]
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], cwd=ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+    return int(done.stdout) / 1024
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_json_classes_peak_within_5_mb_of_csv():
     # the json document used to be held whole before it was printed
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    peak_mb = {}
-    for fmt in ("json", "csv"):
-        argv = [sys.executable, "-m", "unipotent_atlas", "--format", fmt, "classes", "--group", "so",
-                "--dim", "36", "--char", "2"]
-        done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], cwd=ROOT, capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
-        peak_mb[fmt] = int(done.stdout) / 1024
+    peak_mb = {fmt: _peak_rss_mb("--format", fmt, "classes", "--group", "so", "--dim", "36", "--char", "2")
+               for fmt in ("json", "csv")}
     assert peak_mb["json"] - peak_mb["csv"] < 5, peak_mb
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_csv_tables_2_at_so160_peaks_within_3_mb_of_so56():
+    # the enumeration used to be a tuple memoized per group, held whole
+    # (SO160 at p=2 has 54,376 descriptors); it is now read one at a time
+    peak_mb = {dim: _peak_rss_mb("--format", "csv", "tables", "2", "--group", "so", "--dim", str(dim),
+                                 "--char", "2") for dim in (56, 160)}
+    assert peak_mb[160] - peak_mb[56] < 3, peak_mb
 
 
 #: SO66 at p=2 (rank 33) and a distinguished class whose one Richardson piece is the whole group.
@@ -594,17 +606,17 @@ def test_richardson_blocks_past_rank_32_gives_the_enumerated_descriptor(capsys):
     assert (doc["c"], doc["m0"], doc["levi"]) == (list(P.c), P.m0, P.levi_name())
 
 
-def test_tables_2_past_the_rank_bound_names_the_group_and_no_keyword(capsys, monkeypatch):
-    # table 2 lists the parabolics, so the command keeps a rank bound and
-    # refuses before it enumerates; no command takes that bound, so the
-    # refusal may not advise raising one
-    def refusing(G):
-        raise AssertionError("tables 2 enumerated past its bound")
-
-    monkeypatch.setattr(cli, "enumerate_distinguished_parabolics", refusing)
-    code, out, err = run_cli(capsys, "tables", "2", "--group", "so", "--dim", "66", "--char", "2")
-    assert (code, out) == (2, "")
-    assert err == "error: SO66 (p=2) has rank 33; distinguished parabolics are enumerated only up to rank 32\n"
+def test_tables_2_past_rank_32_lists_the_parabolics_of_table_3s_rows(capsys):
+    # tables 2 used to refuse past rank 32, while tables 3 printed the
+    # images of the same 312 descriptors of SO66
+    group = ["--group", "so", "--dim", "66", "--char", "2"]
+    code, out, err = run_cli(capsys, "--format", "json", "tables", "2", *group)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    code, out, err = run_cli(capsys, "--format", "json", "tables", "3", *group)
+    assert (code, err) == (0, "")
+    assert len(rows) == 312
+    assert {row["blocks"] for row in rows} == {row["blocks"] for row in json.loads(out)["rows"]}
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])

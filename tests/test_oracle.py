@@ -187,7 +187,7 @@ def test_the_richardson_inverse_claim_passes_on_every_group_to_dim_24():
         (r.group, r.counterexamples) for r in reports if not r.passed]
     checked = {r.group: r.checked for r in reports}
     # one per descriptor; SO2 has none, so its two partitions must be refused
-    assert checked["SO16 (p=2)"] == len(enumerate_distinguished_parabolics(GroupSpec(Family.SO, 16, Char.TWO)))
+    assert checked["SO16 (p=2)"] == len(tuple(enumerate_distinguished_parabolics(GroupSpec(Family.SO, 16, Char.TWO))))
     assert checked["SO2 (p=2)"] == checked["SO2 (p odd)"] == 2
 
 
@@ -195,9 +195,9 @@ def test_the_richardson_index_is_read_against_the_shape_rule(monkeypatch):
     # an enumeration that loses its first descriptor leaves an admitted shape,
     # or on GL a partition, out of the index
     real = oracle.enumerate_distinguished_parabolics
-    monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", lambda G: real(G)[1:])
+    monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", lambda G: tuple(real(G))[1:])
     G = GroupSpec(Family.SO, 12, Char.TWO)
-    lost = Partition(richardson.richardson_blocks(real(G)[0]))
+    lost = Partition(richardson.richardson_blocks(next(real(G))))
     assert verify_claim("richardson-inverse", G).counterexamples == [
         f"{lost}: the shape rule admits it, the index holds no descriptor"]
     assert verify_claim("richardson-inverse", GroupSpec(Family.GL, 6, Char.GOOD)).counterexamples == [
@@ -205,7 +205,7 @@ def test_the_richardson_index_is_read_against_the_shape_rule(monkeypatch):
     # a forward map that sends a descriptor outside the image puts a refused shape in it
     monkeypatch.setattr(oracle, "enumerate_distinguished_parabolics", real)
     G = GroupSpec(Family.SO, 16, Char.TWO)
-    first = real(G)[0]
+    first = next(real(G))
     blocks = oracle.richardson_blocks
     monkeypatch.setattr(oracle, "richardson_blocks", lambda P: (6, 4, 4, 2) if P == first else blocks(P))
     assert f"6,4^2,2: the index holds {first.describe()}, the shape rule refuses it" in verify_claim(

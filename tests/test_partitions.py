@@ -152,4 +152,3 @@ def test_iter_partitions_counts():
     assert len(list(iter_partitions(0))) == 1
     assert len(list(iter_partitions(5))) == 7
     assert len(list(iter_partitions(10))) == 42
-    assert list(iter_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]

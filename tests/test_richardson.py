@@ -210,7 +210,7 @@ def test_enumeration_examples_and_regressions():
     sp2 = enumerate_distinguished_parabolics(spec(Family.SP, 2))
     assert [(P.c, P.m0) for P in sp2] == [((1,), 0)]
     # frozen regression value: SO_8 at p=2 has exactly two distinguished parabolics
-    so8 = enumerate_distinguished_parabolics(spec(Family.SO, 8))
+    so8 = tuple(enumerate_distinguished_parabolics(spec(Family.SO, 8)))
     assert len(so8) == 2
     assert sorted(richardson_jordan_blocks(P)[0].parts for P in so8) == [(4, 4), (6, 2)]
 
@@ -220,8 +220,9 @@ def reference_chain_vectors(weight):
     out = [()] if weight == 0 else []
     N = 1
     while N * (N + 1) // 2 <= weight:
-        for extra in iter_partitions(weight - N * (N + 1) // 2, max_part=N):
-            out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
+        for extra in iter_partitions(weight - N * (N + 1) // 2):
+            if max(extra, default=0) <= N:
+                out.append(tuple(1 + extra.count(i) for i in range(1, N + 1)))
         N += 1
     return out
 
@@ -259,6 +260,15 @@ def test_gl_enumeration_matches_the_sorted_partition_reference_ranks_to_20():
             assert got == reference_enumerated(G), G.describe()
             total += len(got)
     assert total == sum(1 for n in range(1, 21) for _ in iter_partitions(n))
+
+
+def test_gl_enumeration_yields_p_n_increasing_descriptors_to_rank_40():
+    # a c-vector branch is cut once c(i) > 0 would outweigh the weight left;
+    # the cut must lose no shape of GL, whose c-vectors may hold zeros
+    for n in range(1, 41):
+        got = [P.c for P in enumerate_distinguished_parabolics(spec(Family.GL, n, Char.GOOD))]
+        assert got == sorted(set(got)), n
+        assert len(got) == sum(1 for _ in iter_partitions(n)), n
 
 
 def test_enumeration_refuses_full_orthogonal_groups():
@@ -325,7 +335,7 @@ def test_index_inverse_matches_the_linear_scan_gl_to_rank_12_sp_so_to_rank_24():
             groups += [spec(Family.SP, 2 * rank, char), spec(Family.SO, 2 * rank, char),
                        spec(Family.SO, 2 * rank + 1, char)]
         for G in groups:
-            descs = enumerate_distinguished_parabolics(G)
+            descs = tuple(enumerate_distinguished_parabolics(G))
             for P in descs:
                 lam = Partition(richardson_blocks(P))
                 assert [parabolic_from_blocks(G, lam)] == scan_inverse(G, lam) == [P]
@@ -357,7 +367,7 @@ def test_a_closed_form_that_admits_a_shape_outside_the_image_fails_on_that_group
 def test_inverse_past_rank_32_matches_the_enumeration_and_never_enumerates(monkeypatch):
     # the inverse used to refuse every piece past rank 32
     G = spec(Family.SO, 66)
-    descs = enumerate_distinguished_parabolics(G)
+    descs = tuple(enumerate_distinguished_parabolics(G))
     assert len(descs) == 312
 
     def refusing(*args, **kwargs):

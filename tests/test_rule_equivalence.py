@@ -428,7 +428,7 @@ def test_regular_subgroup_rules_match_the_reference_to_dim_10():
 
 def _factor_pool():
     """Distinguished parabolics of every gl, sp and so group up to dim 10."""
-    return {(S.family, S.char, S.dim): enumerate_distinguished_parabolics(S)
+    return {(S.family, S.char, S.dim): tuple(enumerate_distinguished_parabolics(S))
             for S in groups(PRODUCT_MAX_DIM) if S.family is not Family.O}
 
 
